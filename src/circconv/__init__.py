@@ -34,7 +34,6 @@ from .circulant import (
     permutation_power,
     project_matrix,
     project_tensor,
-    reverse_fiber,
 )
 from .convops import (
     ConvGeometry,
@@ -84,7 +83,5 @@ from .nn import (
     softmax_cross_entropy,
     train,
 )
-from .spectral import fft, hadamard, ifft
-from .tensor import frobenius_inner, slice_channels
 
 __version__ = "0.1.0"

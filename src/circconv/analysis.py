@@ -13,6 +13,9 @@ from .circulant import CompressionScheme, PartitionConfig
 from .errors import ConfigError
 
 
+SPEC_KINDS = ("conv", "circconv", "fc")  # kinds that carry counted cost
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Shape summary of one layer for counting purposes.
@@ -35,7 +38,7 @@ class LayerSpec:
     bias: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("conv", "circconv", "fc"):
+        if self.kind not in SPEC_KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if self.n < 1:
             raise ConfigError(f"{self.name}: partition size must be >= 1")
@@ -464,14 +467,3 @@ PRESETS = {
     "resnet32": resnet32,
 }
 
-
-def best_alexnet_preset(scheme_text="1-2-2-2-2", target=50.36):
-    """Rank the AlexNet presets by distance of the conv-parameter ratio to a
-    target percentage; returns (name, ratio) pairs sorted best first."""
-    scheme = CompressionScheme.parse(scheme_text)
-    out = []
-    for name in ("alexnet-v2", "alexnet-classic", "alexnet-ungrouped"):
-        model = PRESETS[name]()
-        ratio = evaluate_scheme(model, scheme).totals["conv_params_pct"]
-        out.append((name, ratio))
-    return sorted(out, key=lambda item: abs(item[1] - target))

@@ -83,10 +83,12 @@ class CirculantBaseTensor:
                 f"base tensor: expected 4 axes, got shape {self.base.shape}"
             )
         w1, h1, rn, s = self.base.shape
-        if rn != self.config.padded_in or s != self.config.s:
+        cfg = self.config
+        if rn != cfg.padded_in or s != cfg.s:
             raise ShapeError(
-                f"base tensor shape {self.base.shape} does not match partition "
-                f"(expected channel axes ({self.config.padded_in}, {self.config.s}))"
+                f"base tensor shape {self.base.shape} does not tile N={cfg.n} over "
+                f"channels ({cfg.c_in}, {cfg.c_out}); expected channel axes "
+                f"({cfg.padded_in}, {cfg.s})"
             )
 
     @property
@@ -206,16 +208,6 @@ def project_tensor(w, config):
             "channel padding zeros participated in the diagonal means"
         )
     return CirculantBaseTensor(base, config), report
-
-
-def reverse_fiber(f):
-    """Circular reversal out[k] = f[(-k) % N] along the last axis.
-
-    An involution; keeps f[0] in place and reverses the rest.
-    """
-    f = np.asarray(f)
-    n = f.shape[-1]
-    return np.ascontiguousarray(f[..., (n - np.arange(n)) % n])
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,7 @@ from . import analysis, model_io, nn, verification
 from .circulant import CirculantBaseTensor, CompressionScheme, PartitionConfig, expand
 from .convops import ConvGeometry, circ_forward, conv_block, kernel_spectra
 from .errors import ConfigError
-from .nn import (
-    CircConvLayer,
-    DenseConvLayer,
-    FullyConnected,
-    GlobalAveragePool,
-    SgdConfig,
-)
+from .nn import SgdConfig
 
 
 @contextlib.contextmanager
@@ -66,41 +60,36 @@ def _load_scheme(arg, labels):
 
 
 def _specs_from_network(net, spatial):
-    """LayerSpec list for a loaded network, propagating spatial dims."""
-    w, h = spatial
+    """LayerSpec list for a loaded network, propagating spatial dims.
+
+    Each layer's manifest fields carry the LayerSpec fields it needs. Kinds
+    without counted cost (relu, gap) get no spec. A layer with a kernel maps
+    the spatial dims to its output size; one without (fc) follows the
+    global pool, so it keeps LayerSpec's (1, 1). The dense conv layers,
+    which convert would project, are the compressible blocks.
+    """
+    convertible = nn.conv_layer_indices(net)
     specs = []
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, (DenseConvLayer, CircConvLayer)):
-            if isinstance(layer, CircConvLayer):
-                kernel = layer.base.kernel_size
-                c_in, c_out = layer.base.config.c_in, layer.base.config.c_out
-                n = layer.base.config.n
-                kind = "circconv"
-            else:
-                kernel = layer.w.shape[:2]
-                c_in, c_out = layer.w.shape[2], layer.w.shape[3]
-                n = 1
-                kind = "conv"
-            out = ConvGeometry(layer.geometry.pad, layer.geometry.stride).out_size(
-                (w, h), kernel
+        fields = layer.fields()
+        if fields["kind"] not in analysis.SPEC_KINDS:
+            continue
+        dims = {}
+        if "kernel" in fields:
+            kernel = tuple(fields["kernel"])
+            out = ConvGeometry(tuple(fields["pad"]), fields["stride"]).out_size(
+                spatial, kernel
             )
-            specs.append(
-                analysis.LayerSpec(
-                    kind=kind, name=f"layer{i}", kernel=tuple(kernel),
-                    c_in=c_in, c_out=c_out, in_spatial=(w, h), out_spatial=out,
-                    n=n, block=f"layer{i}" if kind == "conv" else None,
-                )
+            dims = {"kernel": kernel, "in_spatial": spatial, "out_spatial": out}
+            spatial = out
+        name = f"layer{i}"
+        specs.append(
+            analysis.LayerSpec(
+                kind=fields["kind"], name=name, c_in=fields["c_in"],
+                c_out=fields["c_out"], n=fields.get("n", 1),
+                block=name if i in convertible else None, **dims,
             )
-            w, h = out
-        elif isinstance(layer, GlobalAveragePool):
-            w, h = 1, 1
-        elif isinstance(layer, FullyConnected):
-            specs.append(
-                analysis.LayerSpec(
-                    kind="fc", name=f"layer{i}",
-                    c_in=layer.matrix.shape[0], c_out=layer.matrix.shape[1],
-                )
-            )
+        )
     return specs
 
 

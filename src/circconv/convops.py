@@ -11,8 +11,10 @@ accepts any stride; the block and FFT paths require stride 1.
 With the first-row fiber convention of the circulant module, each
 fiber-times-slice product against a circulant block is a circular
 convolution, so the fast forward is spectral elementwise multiplication and
-both backward passes are circular correlations realized by circularly
-reversing one operand.
+both backward passes are circular correlations. A correlation is the
+convolution with one operand circularly reversed, and the spectrum of a
+circularly reversed real fiber is the conjugate of its spectrum, so the
+backward passes conjugate one operand's spectrum.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .circulant import reverse_fiber
 from .errors import ShapeError, UnsupportedGeometryError
 from .tensor import DTYPE, as_tensor3, as_tensor4
 
@@ -181,7 +182,7 @@ def circ_backward_weight(x, grad_y, base, g=ConvGeometry()):
 
     Mathematically equal to accumulating the dense kernel gradient and
     summing it along each circulant diagonal; computed spectrally with the
-    circularly reversed input fibers. Returns an array shaped like
+    conjugated input-fiber spectra. Returns an array shaped like
     base.base, (W1, H1, R*N, S).
     """
     if g.stride != 1:
@@ -194,9 +195,7 @@ def circ_backward_weight(x, grad_y, base, g=ConvGeometry()):
             f"grad_y shape {grad_y.shape} does not match forward output "
             f"({w2}, {h2}, {cfg.c_out})"
         )
-    xp = _pad_channels(_pad_spatial(x, g.pad), cfg.padded_in)
-    x_rev = reverse_fiber(xp.reshape(xp.shape[0], xp.shape[1], cfg.r, cfg.n))
-    xrs = spectral.rfft_last(x_rev)
+    xrs = np.conj(_input_spectra(x, cfg, g))
     gp = _pad_channels(grad_y, cfg.padded_out)
     gs = spectral.rfft_last(gp.reshape(w2, h2, cfg.s, cfg.n))
     k1, k2 = base.kernel_size
@@ -239,7 +238,7 @@ def circ_backward_input(grad_y, base, g=ConvGeometry()):
     gz = np.zeros((w2 + 2 * (k1 - 1), h2 + 2 * (k2 - 1), cfg.s, cfg.n), dtype=DTYPE)
     gz[k1 - 1 : k1 - 1 + w2, k2 - 1 : k2 - 1 + h2] = gp
     gzs = spectral.rfft_last(gz)
-    wrs = spectral.rfft_last(reverse_fiber(base.fibers().transpose(0, 1, 2, 4, 3)))
+    wrs = np.conj(kernel_spectra(base))
 
     dxs = np.zeros((w0p, h0p, cfg.r, cfg.n // 2 + 1), dtype=np.complex128)
     for a in range(k1):

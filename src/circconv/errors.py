@@ -14,8 +14,8 @@ class ConfigError(CircConvError, ValueError):
 
 
 class ContractError(CircConvError, RuntimeError):
-    """An internal contract was violated (non-symmetric spectrum, stale
-    backward cache); signals a bug in the caller, not bad user input."""
+    """An internal contract was violated (a stale backward cache); signals
+    a bug in the caller, not bad user input."""
 
 
 class UnsupportedGeometryError(CircConvError, ValueError):

@@ -21,17 +21,8 @@ import json
 
 import numpy as np
 
-from .circulant import CirculantBaseTensor, PartitionConfig
-from .convops import ConvGeometry
 from .errors import ModelFormatError
-from .nn import (
-    CircConvLayer,
-    DenseConvLayer,
-    FullyConnected,
-    GlobalAveragePool,
-    Network,
-    ReLU,
-)
+from .nn import LAYER_KINDS, Network
 
 MODEL_MAGIC = "circconv-model/1"
 TENSOR_MAGIC = "circconv-tensor/1"
@@ -39,56 +30,17 @@ TENSOR_MAGIC = "circconv-tensor/1"
 _DTYPES = {"f64": np.dtype("<f8"), "f32": np.dtype("<f4")}
 
 
-def _geometry_meta(g):
-    return {"pad": list(g.pad), "stride": g.stride}
-
-
-def _geometry_from_meta(meta, where):
-    try:
-        pad = tuple(int(v) for v in meta["pad"])
-        stride = int(meta["stride"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{where}: bad geometry {meta!r}") from exc
-    return ConvGeometry(pad=pad, stride=stride)
-
-
 def _layer_manifest(layer):
-    if isinstance(layer, CircConvLayer):
-        cfg = layer.base.config
-        k1, k2 = layer.base.kernel_size
-        meta = {
-            "kind": "circconv",
-            "kernel": [k1, k2],
-            "c_in": cfg.c_in,
-            "c_out": cfg.c_out,
-            "n": cfg.n,
-            **_geometry_meta(layer.geometry),
-        }
-        arrays = [("base", layer.base.base), ("bias", layer.bias)]
-    elif isinstance(layer, DenseConvLayer):
-        meta = {
-            "kind": "conv",
-            "kernel": [layer.w.shape[0], layer.w.shape[1]],
-            "c_in": layer.w.shape[2],
-            "c_out": layer.w.shape[3],
-            **_geometry_meta(layer.geometry),
-        }
-        arrays = [("w", layer.w), ("bias", layer.bias)]
-    elif isinstance(layer, ReLU):
-        meta, arrays = {"kind": "relu"}, []
-    elif isinstance(layer, GlobalAveragePool):
-        meta, arrays = {"kind": "gap"}, []
-    elif isinstance(layer, FullyConnected):
-        meta = {
-            "kind": "fc",
-            "c_in": layer.matrix.shape[0],
-            "c_out": layer.matrix.shape[1],
-        }
-        arrays = [("matrix", layer.matrix), ("bias", layer.bias)]
-    else:
+    """A layer's fields plus the name and shape of each blob, in params() order."""
+    if LAYER_KINDS.get(getattr(layer, "kind", None)) is not type(layer):
         raise ModelFormatError(f"cannot serialize layer type {type(layer).__name__}")
-    meta["params"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
-    return meta, arrays
+    return {
+        **layer.fields(),
+        "params": [
+            {"name": name, "shape": list(arr.shape)}
+            for name, arr in layer.params().items()
+        ],
+    }
 
 
 def save_model(net, path, precision="f64"):
@@ -98,9 +50,11 @@ def save_model(net, path, precision="f64"):
     dtype = _DTYPES[precision]
     manifests, blobs = [], []
     for layer in net.layers:
-        meta, arrays = _layer_manifest(layer)
-        manifests.append(meta)
-        blobs.extend(np.ascontiguousarray(a, dtype=dtype).tobytes() for _, a in arrays)
+        manifests.append(_layer_manifest(layer))
+        blobs.extend(
+            np.ascontiguousarray(a, dtype=dtype).tobytes()
+            for a in layer.params().values()
+        )
     manifest = json.dumps(
         {
             "format": MODEL_MAGIC,
@@ -122,6 +76,7 @@ def save_model(net, path, precision="f64"):
 
 
 def _read_header(fh, magic, path):
+    """Check the format tag; returns the manifest and the blob dtype."""
     line = fh.readline()
     if line.rstrip(b"\n").decode("utf-8", "replace") != magic:
         raise ModelFormatError(
@@ -140,10 +95,19 @@ def _read_header(fh, magic, path):
         raise ModelFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if manifest.get("format") != magic:
         raise ModelFormatError(f"{path}: manifest format field mismatch")
-    return manifest
+    precision = manifest.get("precision")
+    if precision not in _DTYPES:
+        raise ModelFormatError(f"{path}: unknown precision {precision!r}")
+    return manifest, _DTYPES[precision]
 
 
 def _read_blob(fh, shape, dtype, where):
+    try:
+        shape = tuple(int(v) for v in shape)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{where}: bad shape {shape!r}") from exc
+    if any(v < 0 for v in shape):
+        raise ModelFormatError(f"{where}: negative shape {shape}")
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     nbytes = count * dtype.itemsize
     raw = fh.read(nbytes)
@@ -154,98 +118,44 @@ def _read_blob(fh, shape, dtype, where):
     return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
 
 
-def _expect_params(meta, names, where):
-    declared = [p.get("name") for p in meta.get("params", [])]
-    if declared != list(names):
-        raise ModelFormatError(
-            f"{where}: expected params {list(names)}, manifest declares {declared}"
-        )
-
-
 def load_model(path):
     """Parse and validate a model file; returns a Network.
 
-    Raises ModelFormatError naming the offending field on version mismatch,
-    truncated blobs, or shape/partition inconsistencies.
+    Each layer is rebuilt by its kind's from_fields() from the blobs read
+    at their declared shapes, and must then describe itself exactly as the
+    manifest does. Raises ModelFormatError naming the offending field on
+    version mismatch, truncated blobs, or shape/partition inconsistencies.
     """
     with open(path, "rb") as fh:
-        manifest = _read_header(fh, MODEL_MAGIC, path)
-        precision = manifest.get("precision")
-        if precision not in _DTYPES:
-            raise ModelFormatError(f"{path}: unknown precision {precision!r}")
-        dtype = _DTYPES[precision]
+        manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
         layers = []
         for i, meta in enumerate(manifest.get("layers", [])):
             where = f"{path}: layer {i}"
             kind = meta.get("kind")
-            shapes = {
-                p.get("name"): tuple(p.get("shape", ()))
+            if kind not in LAYER_KINDS:
+                raise ModelFormatError(f"{where}: unknown layer kind {kind!r}")
+            params = {
+                p.get("name"): _read_blob(
+                    fh, p.get("shape", ()), dtype, f"{where} {p.get('name')!r}"
+                )
                 for p in meta.get("params", [])
             }
-            if kind == "circconv":
-                _expect_params(meta, ("base", "bias"), where)
-                try:
-                    cfg = PartitionConfig(
-                        n=int(meta["n"]), c_in=int(meta["c_in"]), c_out=int(meta["c_out"])
-                    )
-                    kernel = tuple(int(v) for v in meta["kernel"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ModelFormatError(f"{where}: bad circconv fields") from exc
-                want = (kernel[0], kernel[1], cfg.padded_in, cfg.s)
-                if shapes["base"] != want:
-                    raise ModelFormatError(
-                        f"{where}: base shape {shapes['base']} does not tile "
-                        f"N={cfg.n} over channels ({cfg.c_in}, {cfg.c_out}); "
-                        f"expected {want}"
-                    )
-                if shapes["bias"] != (cfg.c_out,):
-                    raise ModelFormatError(f"{where}: bias shape {shapes['bias']}")
-                geometry = _geometry_from_meta(meta, where)
-                if geometry.stride != 1:
-                    raise ModelFormatError(
-                        f"{where}: circconv layers require stride 1, "
-                        f"got {geometry.stride}"
-                    )
-                base = _read_blob(fh, shapes["base"], dtype, f"{where} 'base'")
-                bias = _read_blob(fh, shapes["bias"], dtype, f"{where} 'bias'")
-                layers.append(
-                    CircConvLayer(
-                        CirculantBaseTensor(base, cfg), bias=bias, geometry=geometry
-                    )
+            try:
+                layer = LAYER_KINDS[kind].from_fields(meta, params)
+            except KeyError as exc:
+                raise ModelFormatError(f"{where}: {kind} layer lacks {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ModelFormatError(f"{where}: {exc}") from exc
+            rebuilt = _layer_manifest(layer)
+            if rebuilt != meta:
+                keys = sorted(
+                    k for k in rebuilt.keys() | meta.keys() if rebuilt.get(k) != meta.get(k)
                 )
-            elif kind == "conv":
-                _expect_params(meta, ("w", "bias"), where)
-                try:
-                    kernel = tuple(int(v) for v in meta["kernel"])
-                    c_in, c_out = int(meta["c_in"]), int(meta["c_out"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ModelFormatError(f"{where}: bad conv fields") from exc
-                want = (kernel[0], kernel[1], c_in, c_out)
-                if shapes["w"] != want:
-                    raise ModelFormatError(
-                        f"{where}: kernel shape {shapes['w']} does not match {want}"
-                    )
-                w = _read_blob(fh, shapes["w"], dtype, f"{where} 'w'")
-                bias = _read_blob(fh, shapes["bias"], dtype, f"{where} 'bias'")
-                layers.append(
-                    DenseConvLayer(w, bias=bias, geometry=_geometry_from_meta(meta, where))
+                raise ModelFormatError(
+                    f"{where}: {kind} fields {keys} do not match its parameters, "
+                    f"which give {[rebuilt.get(k) for k in keys]}"
                 )
-            elif kind == "relu":
-                layers.append(ReLU())
-            elif kind == "gap":
-                layers.append(GlobalAveragePool())
-            elif kind == "fc":
-                _expect_params(meta, ("matrix", "bias"), where)
-                want = (int(meta["c_in"]), int(meta["c_out"]))
-                if shapes["matrix"] != want:
-                    raise ModelFormatError(
-                        f"{where}: fc matrix shape {shapes['matrix']} != {want}"
-                    )
-                matrix = _read_blob(fh, shapes["matrix"], dtype, f"{where} 'matrix'")
-                bias = _read_blob(fh, shapes["bias"], dtype, f"{where} 'bias'")
-                layers.append(FullyConnected(matrix, bias=bias))
-            else:
-                raise ModelFormatError(f"{where}: unknown layer kind {kind!r}")
+            layers.append(layer)
         trailing = fh.read(1)
         if trailing:
             raise ModelFormatError(f"{path}: trailing data after payload")
@@ -274,12 +184,8 @@ def save_tensor(path, arr, precision="f64"):
 
 def load_tensor(path):
     with open(path, "rb") as fh:
-        manifest = _read_header(fh, TENSOR_MAGIC, path)
-        precision = manifest.get("precision")
-        if precision not in _DTYPES:
-            raise ModelFormatError(f"{path}: unknown precision {precision!r}")
-        shape = tuple(int(v) for v in manifest.get("shape", ()))
-        arr = _read_blob(fh, shape, _DTYPES[precision], f"{path}: tensor")
+        manifest, dtype = _read_header(fh, TENSOR_MAGIC, path)
+        arr = _read_blob(fh, manifest.get("shape", ()), dtype, f"{path}: tensor")
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing data after payload")
     return arr

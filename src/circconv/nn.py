@@ -26,12 +26,48 @@ from .convops import (
     conv_naive_backward_weight,
     kernel_spectra,
 )
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, UnsupportedGeometryError
 from .tensor import DTYPE
 
 
-class CircConvLayer:
+def _geometry_fields(g):
+    return {"pad": list(g.pad), "stride": g.stride}
+
+
+def _geometry(fields):
+    return ConvGeometry(
+        pad=tuple(int(v) for v in fields["pad"]), stride=int(fields["stride"])
+    )
+
+
+class Layer:
+    """The one description of a layer kind, shared by files and reports.
+
+    fields() returns the manifest fields: `kind`, then whichever of
+    `kernel`, `c_in`, `c_out` and `n` the kind has (named and meant as in
+    analysis.LayerSpec), then the convolution geometry `pad` and `stride`.
+    from_fields(fields, params) rebuilds the layer from those fields and
+    arrays named as in params(). The defaults describe a layer without
+    parameters.
+    """
+
+    kind = None
+
+    def params(self):
+        return {}
+
+    def fields(self):
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_fields(cls, fields, params):
+        return cls()
+
+
+class CircConvLayer(Layer):
     """Convolution whose kernel is stored only as a circulant base tensor."""
+
+    kind = "circconv"
 
     def __init__(self, base, bias=None, geometry=ConvGeometry()):
         self.base = base
@@ -48,6 +84,30 @@ class CircConvLayer:
 
     def params(self):
         return {"base": self.base.base, "bias": self.bias}
+
+    def fields(self):
+        cfg = self.base.config
+        return {
+            "kind": self.kind,
+            "kernel": list(self.base.kernel_size),
+            "c_in": cfg.c_in,
+            "c_out": cfg.c_out,
+            "n": cfg.n,
+            **_geometry_fields(self.geometry),
+        }
+
+    @classmethod
+    def from_fields(cls, fields, params):
+        """Stride 1 only, because the FFT passes of this layer require it."""
+        geometry = _geometry(fields)
+        if geometry.stride != 1:
+            raise UnsupportedGeometryError(
+                f"circconv layers require stride 1, got {geometry.stride}"
+            )
+        cfg = PartitionConfig(
+            n=int(fields["n"]), c_in=int(fields["c_in"]), c_out=int(fields["c_out"])
+        )
+        return cls(CirculantBaseTensor(params["base"], cfg), params["bias"], geometry)
 
     def forward(self, xb):
         if xb.ndim != 4 or xb.shape[3] != self.base.config.c_in:
@@ -71,8 +131,10 @@ class CircConvLayer:
         return np.stack(dxs), {"base": dbase, "bias": dbias}
 
 
-class DenseConvLayer:
+class DenseConvLayer(Layer):
     """Unstructured convolution, the conversion source and twin-test oracle."""
+
+    kind = "conv"
 
     def __init__(self, w, bias=None, geometry=ConvGeometry()):
         self.w = np.ascontiguousarray(w, dtype=DTYPE)
@@ -85,6 +147,20 @@ class DenseConvLayer:
 
     def params(self):
         return {"w": self.w, "bias": self.bias}
+
+    def fields(self):
+        k1, k2, c_in, c_out = self.w.shape
+        return {
+            "kind": self.kind,
+            "kernel": [k1, k2],
+            "c_in": c_in,
+            "c_out": c_out,
+            **_geometry_fields(self.geometry),
+        }
+
+    @classmethod
+    def from_fields(cls, fields, params):
+        return cls(params["w"], params["bias"], _geometry(fields))
 
     def forward(self, xb):
         if xb.ndim != 4 or xb.shape[3] != self.w.shape[2]:
@@ -104,9 +180,8 @@ class DenseConvLayer:
         return np.stack(dxs), {"w": dw, "bias": gyb.sum(axis=(0, 1, 2))}
 
 
-class ReLU:
-    def params(self):
-        return {}
+class ReLU(Layer):
+    kind = "relu"
 
     def forward(self, xb):
         return np.maximum(xb, 0.0), xb > 0
@@ -115,11 +190,10 @@ class ReLU:
         return gyb * cache, {}
 
 
-class GlobalAveragePool:
+class GlobalAveragePool(Layer):
     """(B, W, H, C) -> (B, C) spatial mean."""
 
-    def params(self):
-        return {}
+    kind = "gap"
 
     def forward(self, xb):
         if xb.ndim != 4:
@@ -133,7 +207,9 @@ class GlobalAveragePool:
         ).copy(), {}
 
 
-class FullyConnected:
+class FullyConnected(Layer):
+    kind = "fc"
+
     def __init__(self, matrix, bias=None):
         self.matrix = np.ascontiguousarray(matrix, dtype=DTYPE)
         self.bias = (
@@ -145,6 +221,14 @@ class FullyConnected:
     def params(self):
         return {"matrix": self.matrix, "bias": self.bias}
 
+    def fields(self):
+        c_in, c_out = self.matrix.shape
+        return {"kind": self.kind, "c_in": c_in, "c_out": c_out}
+
+    @classmethod
+    def from_fields(cls, fields, params):
+        return cls(params["matrix"], params["bias"])
+
     def forward(self, xb):
         if xb.ndim != 2 or xb.shape[1] != self.matrix.shape[0]:
             raise ShapeError(
@@ -155,6 +239,12 @@ class FullyConnected:
     def backward(self, cache, gyb):
         xb = cache
         return gyb @ self.matrix.T, {"matrix": xb.T @ gyb, "bias": gyb.sum(axis=0)}
+
+
+LAYER_KINDS = {
+    cls.kind: cls
+    for cls in (CircConvLayer, DenseConvLayer, ReLU, GlobalAveragePool, FullyConnected)
+}
 
 
 @dataclass
@@ -202,12 +292,6 @@ def softmax_cross_entropy(logits, labels):
     grad = p.copy()
     grad[np.arange(b), labels] -= 1.0
     return float(loss), grad / b
-
-
-def squared_error_loss(y, target):
-    """L = 0.5 * ||y - target||^2 and its gradient."""
-    diff = y - target
-    return float(0.5 * np.sum(diff**2)), diff
 
 
 def backward_pass(net, cache, labels):

@@ -1,90 +1,21 @@
-"""1-D DFT contract used by every fast path.
+"""Half-spectrum 1-D DFT pair used by every fast path.
 
-Forward transform is unnormalized, X[k] = sum_n f[n] exp(-2*pi*i*k*n/N);
-inverse carries the 1/N factor, so ifft(fft(f)) == f and
-ifft(fft(a) * fft(b)) is the circular convolution of a and b.
+rfft_last is the unnormalized forward DFT of real fibers along the last
+axis, X[k] = sum_n f[n] exp(-2*pi*i*k*n/N), keeping only the N//2 + 1
+unique bins k = 0..N//2 of the conjugate-symmetric spectrum. irfft_last
+carries the 1/N factor, so irfft_last(rfft_last(f), N) == f and
+irfft_last(rfft_last(a) * rfft_last(b), N) is the circular convolution of
+a and b.
 
 Arbitrary lengths are supported, including primes (numpy's pocketfft uses
-mixed radix with a Bluestein fallback). Lengths 1 and 2 are computed with
-real-only butterflies.
+mixed radix with a Bluestein fallback).
 """
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
-
-# tolerance for the conjugate-symmetry check in ifft, relative to max(1, |s|)
-SYMMETRY_RTOL = 1e-9
-
-
-def fft(f):
-    """Forward DFT of a real length-N fiber, returned as a complex vector."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1:
-        raise ShapeError(f"fft: expected a 1-D fiber, got shape {f.shape}")
-    n = f.shape[0]
-    if n == 0:
-        raise ShapeError("fft: empty fiber")
-    if n == 1:
-        return f.astype(np.complex128)
-    if n == 2:
-        # real butterfly; no complex arithmetic needed at this size
-        return np.array([f[0] + f[1], f[0] - f[1]], dtype=np.complex128)
-    return np.fft.fft(f)
-
-
-def _symmetry_defect(s):
-    n = s.shape[-1]
-    mirror = np.conj(s[..., (n - np.arange(n)) % n])
-    return float(np.max(np.abs(s - mirror))) if s.size else 0.0
-
-
-def ifft(s):
-    """Inverse DFT of a conjugate-symmetric spectrum, as a real fiber.
-
-    Raises ContractError when the input is not conjugate-symmetric within
-    SYMMETRY_RTOL; a real result is part of the contract, so a violation
-    signals an upstream bug rather than bad user input.
-    """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.ndim != 1:
-        raise ShapeError(f"ifft: expected a 1-D spectrum, got shape {s.shape}")
-    n = s.shape[0]
-    if n == 0:
-        raise ShapeError("ifft: empty spectrum")
-    scale = max(1.0, float(np.max(np.abs(s))))
-    if _symmetry_defect(s) > SYMMETRY_RTOL * scale:
-        raise ContractError(
-            "ifft: spectrum is not conjugate-symmetric within tolerance"
-        )
-    if n == 1:
-        return np.array([s[0].real])
-    if n == 2:
-        re = s.real
-        return np.array([(re[0] + re[1]) / 2.0, (re[0] - re[1]) / 2.0])
-    return np.fft.ifft(s).real
-
-
-def hadamard(a, b):
-    """Elementwise complex product of two equal-length spectra."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
-def fft_last(a):
-    """Vectorized forward DFT along the last axis; same contract as fft()."""
-    return np.fft.fft(np.asarray(a, dtype=np.float64), axis=-1)
-
 
 def rfft_last(a):
-    """Half-spectrum forward DFT of real fibers along the last axis.
-
-    Stores only the N//2 + 1 unique bins of the conjugate-symmetric
-    spectrum; an internal optimization with the same normalization as fft().
-    """
+    """Half-spectrum forward DFT of real fibers along the last axis."""
     return np.fft.rfft(np.asarray(a, dtype=np.float64), axis=-1)
 
 
@@ -95,20 +26,3 @@ def irfft_last(s, n):
     residue check is needed on this path.
     """
     return np.fft.irfft(np.asarray(s, dtype=np.complex128), n, axis=-1)
-
-
-def ifft_last_real(s, rtol=SYMMETRY_RTOL):
-    """Vectorized inverse DFT along the last axis, asserting a real result.
-
-    The imaginary residue after inversion is the same signal as the
-    conjugate-symmetry defect of the input; it must stay below rtol
-    relative to the result scale or ContractError is raised.
-    """
-    out = np.fft.ifft(np.asarray(s, dtype=np.complex128), axis=-1)
-    if out.size:
-        scale = max(1.0, float(np.max(np.abs(out.real))))
-        if float(np.max(np.abs(out.imag))) > rtol * scale:
-            raise ContractError(
-                "ifft_last_real: imaginary residue above tolerance"
-            )
-    return np.ascontiguousarray(out.real)

@@ -1,4 +1,4 @@
-"""Dense real tensor conventions and small shared linear algebra.
+"""Dense real tensor conventions.
 
 Feature maps are (W, H, C) float64 arrays and kernels are
 (W1, H1, C_in, C_out) float64 arrays, row-major with the channel axis
@@ -29,53 +29,3 @@ def as_tensor4(a, name="kernel"):
             f"{name}: expected 4 axes (W1, H1, C_in, C_out), got shape {arr.shape}"
         )
     return arr
-
-
-def check_finite(a, name="tensor"):
-    """Raise if the array contains NaN or Inf; return it unchanged."""
-    if not np.all(np.isfinite(a)):
-        raise ShapeError(f"{name} contains non-finite entries")
-    return a
-
-
-def slice_channels(x, spatial, crange):
-    """Extract the channel fiber x[w, h, start:start+length] as a 1-D copy.
-
-    `spatial` is (w, h) and `crange` is (start, length); out-of-range
-    indices raise IndexError.
-    """
-    x = as_tensor3(x)
-    w, h = spatial
-    start, length = crange
-    width, height, channels = x.shape
-    if not (0 <= w < width and 0 <= h < height):
-        raise IndexError(f"spatial index ({w}, {h}) outside ({width}, {height})")
-    if start < 0 or length < 0 or start + length > channels:
-        raise IndexError(
-            f"channel range ({start}, {length}) outside 0..{channels}"
-        )
-    return x[w, h, start : start + length].copy()
-
-
-def scatter_channels(x, spatial, start, values):
-    """Write `values` back into the fiber at (w, h, start..); mutates x.
-
-    Only valid on exclusively held tensors.
-    """
-    w, h = spatial
-    values = np.asarray(values, dtype=DTYPE)
-    if start < 0 or start + values.shape[0] > x.shape[2]:
-        raise IndexError(
-            f"channel range ({start}, {values.shape[0]}) outside 0..{x.shape[2]}"
-        )
-    x[w, h, start : start + values.shape[0]] = values
-    return x
-
-
-def frobenius_inner(a, b):
-    """Frobenius inner product sum_ij a[i, j] * b[i, j]."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.shape != b.shape:
-        raise ShapeError(f"frobenius_inner: shapes {a.shape} and {b.shape} differ")
-    return float(np.sum(a * b))

@@ -20,30 +20,24 @@ from circconv.circulant import (
     CirculantBaseTensor,
     CompressionScheme,
     PartitionConfig,
-    circulant_from_fiber,
     expand,
-    project_matrix,
-    project_tensor,
 )
-from circconv.convops import (
-    ConvGeometry,
-    circ_backward_input,
-    circ_backward_weight,
-    circ_forward,
-    conv_block,
-    conv_naive,
-    kernel_spectra,
-)
-from circconv import spectral
+from circconv.convops import ConvGeometry, circ_forward, conv_block, kernel_spectra
 from circconv.nn import (
     SgdConfig,
     ToyTaskSpec,
     convert_and_retrain,
     evaluate,
-    make_circ_toy_net,
     make_dense_toy_net,
     make_toy_task,
     train,
+)
+from circconv.verification import (
+    check_forward_equivalence,
+    check_gradients,
+    check_projection,
+    check_spectral,
+    check_structure_preservation,
 )
 
 
@@ -52,181 +46,52 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def report_check(name, check, budget_s=None):
+    """Run a verification check and report it, within a wall-time budget."""
+    t0 = time.monotonic()
+    result = check()
+    elapsed = time.monotonic() - t0
+    ok, detail = result.passed, result.detail
+    if budget_s is not None:
+        ok = ok and elapsed < budget_s
+        detail += f", {elapsed:.1f}s < {budget_s:.0f}s"
+    report(name, ok, detail)
+
+
 def rel_diff(a, b):
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) / scale
 
 
-def random_instance(rng, n, kernels=(1, 3, 5), max_spatial=8):
-    r = int(rng.integers(1, 4))
-    s = int(rng.integers(1, 4))
-    k = int(rng.choice(kernels))
-    spatial = int(rng.integers(max(k, 3), max_spatial + 1))
-    cfg = PartitionConfig(n=n, c_in=r * n, c_out=s * n)
-    base = CirculantBaseTensor(rng.standard_normal((k, k, r * n, s)), cfg)
-    x = rng.standard_normal((spatial, spatial, r * n))
-    g = ConvGeometry(pad=(k // 2, k // 2))
-    return x, base, g
-
-
 def test_criterion_1_oracle_equivalence():
-    """circ_forward equals the dense oracle over >= 200 random instances."""
-    t0 = time.monotonic()
-    rng = np.random.default_rng(1001)
-    tol = 1e-9
-    n_values = (1, 2, 3, 4, 8, 16)
-    trials_per_n = 35  # 6 * 35 = 210 instances
-    worst = 0.0
-    for n in n_values:
-        for _ in range(trials_per_n):
-            x, base, g = random_instance(rng, n)
-            dense = expand(base)
-            y_fast = circ_forward(x, base, g)
-            worst = max(worst, rel_diff(y_fast, conv_naive(x, dense, g)))
-            worst = max(worst, rel_diff(y_fast, conv_block(x, dense, base.config, g)))
-    elapsed = time.monotonic() - t0
-    report(
+    """circ_forward equals the dense oracle over >= 200 random instances:
+    35 per N in (1, 2, 3, 4, 8, 16)."""
+    report_check(
         "1 oracle-equivalence",
-        worst <= tol and elapsed < 60.0,
-        f"{len(n_values) * trials_per_n} instances, max rel diff {worst:.3e} "
-        f"<= {tol:.0e}, {elapsed:.1f}s < 60s",
+        lambda: check_forward_equivalence(1001, trials=210),
+        budget_s=60.0,
     )
 
 
 def test_criterion_2_gradient_correctness():
     """Both backward passes vs finite differences and the diagonal-sum oracle."""
-    t0 = time.monotonic()
-    rng = np.random.default_rng(2002)
-    fd_tol, oracle_tol = 1e-4, 1e-9
-    nets = 50
-    h = 1e-5
-    worst_fd, worst_oracle = 0.0, 0.0
-    for trial in range(nets):
-        n = int(rng.choice([1, 2, 3, 4]))
-        r, s = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        k = int(rng.choice([1, 2]))
-        spatial = int(rng.integers(k + 1, 5))
-        cfg = PartitionConfig(n=n, c_in=r * n, c_out=s * n)
-        base = CirculantBaseTensor(rng.standard_normal((k, k, r * n, s)), cfg)
-        x = rng.standard_normal((spatial, spatial, r * n))
-        g = ConvGeometry()
-        y = circ_forward(x, base, g)
-        target = rng.standard_normal(y.shape)
-        gy = y - target  # gradient of L = 0.5 * ||y - target||^2
-        got_w = circ_backward_weight(x, gy, base, g)
-        got_x = circ_backward_input(gy, base, g)
-
-        # oracle: dense kernel gradient summed along each circulant diagonal
-        w2, h2 = y.shape[:2]
-        dw = np.zeros((k, k, cfg.padded_in, cfg.padded_out))
-        for a in range(k):
-            for b in range(k):
-                dw[a, b] = np.einsum("whc,whd->cd", x[a : a + w2, b : b + h2], gy)
-        diag = np.zeros_like(base.base)
-        for rr in range(cfg.r):
-            for ss in range(cfg.s):
-                blk = dw[:, :, rr * n : (rr + 1) * n, ss * n : (ss + 1) * n]
-                for p in range(n):
-                    diag[:, :, rr * n + p, ss] = sum(
-                        blk[:, :, aa, (aa + p) % n] for aa in range(n)
-                    )
-        worst_oracle = max(worst_oracle, rel_diff(got_w, diag))
-
-        def loss(xa, ba):
-            yy = circ_forward(xa, CirculantBaseTensor(ba, cfg), g)
-            return 0.5 * float(np.sum((yy - target) ** 2))
-
-        ba = base.base.copy()
-        for idx in np.ndindex(ba.shape):
-            keep = ba[idx]
-            ba[idx] = keep + h
-            lp = loss(x, ba)
-            ba[idx] = keep - h
-            lm = loss(x, ba)
-            ba[idx] = keep
-            fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(got_w[idx]), 1e-8)
-            worst_fd = max(worst_fd, abs(fd - got_w[idx]) / denom)
-        for idx in np.ndindex(x.shape):
-            keep = x[idx]
-            x[idx] = keep + h
-            lp = loss(x, base.base)
-            x[idx] = keep - h
-            lm = loss(x, base.base)
-            x[idx] = keep
-            fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(got_x[idx]), 1e-8)
-            worst_fd = max(worst_fd, abs(fd - got_x[idx]) / denom)
-    elapsed = time.monotonic() - t0
-    report(
+    report_check(
         "2 gradient-correctness",
-        worst_fd <= fd_tol and worst_oracle <= oracle_tol and elapsed < 120.0,
-        f"{nets} nets, every coordinate: fd rel {worst_fd:.3e} <= {fd_tol:.0e}, "
-        f"oracle rel {worst_oracle:.3e} <= {oracle_tol:.0e}, {elapsed:.1f}s < 120s",
+        lambda: check_gradients(2002, trials=50),
+        budget_s=120.0,
     )
 
 
 def test_criterion_3_projection_optimality():
     """Projection beats 1000 random circulant candidates and is idempotent."""
-    rng = np.random.default_rng(3003)
-    idem_tol = 1e-12
-    all_beaten = True
-    worst_idem = 0.0
-    trials = 0
-    for n in (2, 3, 4, 8):
-        for _ in range(3):
-            trials += 1
-            m = rng.standard_normal((n, n))
-            w = project_matrix(m)
-            best = np.linalg.norm(m - circulant_from_fiber(w))
-            for _ in range(1000):
-                cand = w + rng.standard_normal(n) * rng.choice([1e-3, 1e-1, 1.0])
-                if np.linalg.norm(m - circulant_from_fiber(cand)) <= best:
-                    all_beaten = False
-            worst_idem = max(
-                worst_idem,
-                float(np.max(np.abs(project_matrix(circulant_from_fiber(w)) - w))),
-            )
-        cfg = PartitionConfig(n=n, c_in=2 * n, c_out=2 * n)
-        t = rng.standard_normal((3, 3, 2 * n, 2 * n))
-        once, _ = project_tensor(t, cfg)
-        twice, _ = project_tensor(expand(once), cfg)
-        worst_idem = max(worst_idem, float(np.max(np.abs(twice.base - once.base))))
-    report(
-        "3 projection-optimality",
-        all_beaten and worst_idem <= idem_tol,
-        f"beat 1000 candidates on all {trials} trials over N in (2,3,4,8): "
-        f"{all_beaten}; idempotence defect {worst_idem:.3e} <= {idem_tol:.0e}",
-    )
+    report_check("3 projection-optimality", lambda: check_projection(3003))
 
 
 def test_criterion_4_structure_preservation():
     """expand(base) is exactly block-circulant after 500 SGD steps."""
-    spec = ToyTaskSpec()
-    data = make_toy_task(seed=4004, spec=spec)
-    net = make_circ_toy_net(seed=4005, n=2, spec=spec)
-    train(net, data, SgdConfig(batch_size=16), steps=500, seed=4006)
-    exact = True
-    for layer in net.layers:
-        if not hasattr(layer, "base"):
-            continue
-        base = layer.base
-        n = base.config.n
-        dense = expand(base)
-        for r in range(base.config.r):
-            for s in range(base.config.s):
-                blk = dense[:, :, r * n : (r + 1) * n, s * n : (s + 1) * n]
-                for a in range(n):
-                    for b in range(n):
-                        exact &= bool(
-                            np.array_equal(
-                                blk[:, :, a, b], blk[:, :, (a + 1) % n, (b + 1) % n]
-                            )
-                        )
-    report(
+    report_check(
         "4 structure-preservation",
-        exact,
-        "500 SGD steps, expanded kernels bit-exactly block-circulant",
+        lambda: check_structure_preservation(4004, steps=500),
     )
 
 
@@ -372,35 +237,6 @@ def test_criterion_8_fft_path_advantage():
 
 
 def test_criterion_9_spectral_contract():
-    """Direct-summation DFT agreement for all N <= 32 plus Parseval and the
-    convolution theorem."""
-    rng = np.random.default_rng(9009)
-    tol_dft, tol_prop = 1e-10, 1e-9
-    worst_dft = worst_parseval = worst_conv = 0.0
-    for n in range(1, 33):
-        f = rng.standard_normal(n)
-        direct = np.array(
-            [
-                sum(f[t] * np.exp(-2j * np.pi * k * t / n) for t in range(n))
-                for k in range(n)
-            ]
-        )
-        worst_dft = max(worst_dft, float(np.max(np.abs(spectral.fft(f) - direct))))
-        lhs = float(np.sum(f**2))
-        rhs = float(np.sum(np.abs(spectral.fft(f)) ** 2) / n)
-        worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        a, b = rng.standard_normal(n), rng.standard_normal(n)
-        got = spectral.ifft(spectral.hadamard(spectral.fft(a), spectral.fft(b)))
-        want = np.array(
-            [sum(a[t] * b[(kk - t) % n] for t in range(n)) for kk in range(n)]
-        )
-        scale = max(1.0, float(np.max(np.abs(want))))
-        worst_conv = max(worst_conv, float(np.max(np.abs(got - want))) / scale)
-    ok = worst_dft <= tol_dft and worst_parseval <= tol_prop and worst_conv <= tol_prop
-    report(
-        "9 spectral-contract",
-        ok,
-        f"all N<=32 incl. primes: direct-DFT defect {worst_dft:.3e} <= {tol_dft:.0e}, "
-        f"Parseval {worst_parseval:.3e} and convolution theorem {worst_conv:.3e} "
-        f"<= {tol_prop:.0e}",
-    )
+    """The rfft_last/irfft_last pair agrees with the direct-summation DFT for
+    all N <= 32 and satisfies Parseval and the convolution theorem."""
+    report_check("9 spectral-contract", lambda: check_spectral(9009))

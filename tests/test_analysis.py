@@ -11,7 +11,6 @@ from circconv.analysis import (
     RESNET32_BLOCK_SCHEMES,
     alexnet_v2,
     apply_scheme,
-    best_alexnet_preset,
     bias_count,
     evaluate_scheme,
     flop_count,
@@ -221,8 +220,12 @@ class TestEvaluateScheme:
         assert round(got, 2) == target
 
     def test_preset_ranking_prefers_v2(self):
-        ranked = best_alexnet_preset()
-        assert ranked[0][0] == "alexnet-v2"
+        scheme = CompressionScheme.parse("1-2-2-2-2")
+        gap = {}
+        for name in ("alexnet-v2", "alexnet-classic", "alexnet-ungrouped"):
+            totals = evaluate_scheme(PRESETS[name](), scheme).totals
+            gap[name] = abs(totals["conv_params_pct"] - 50.36)
+        assert min(gap, key=gap.get) == "alexnet-v2"
 
     def test_resnet32_mid_schemes_roughly_halve_conv_params(self):
         model = resnet32()

@@ -10,7 +10,6 @@ from circconv.circulant import (
     permutation_power,
     project_matrix,
     project_tensor,
-    reverse_fiber,
 )
 from circconv.errors import ConfigError, ShapeError
 
@@ -228,21 +227,6 @@ class TestProjectTensor:
         cfg_exact = PartitionConfig(n=2, c_in=6, c_out=4)
         _, report_exact = project_tensor(w, cfg_exact)
         assert not report_exact.partial_padding
-
-
-class TestReverseFiber:
-    def test_singleton(self):
-        np.testing.assert_array_equal(reverse_fiber(np.array([4.0])), [4.0])
-
-    def test_keeps_head_reverses_tail(self):
-        got = reverse_fiber(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_array_equal(got, [1.0, 4.0, 3.0, 2.0])
-
-    def test_involution(self):
-        rng = np.random.default_rng(15)
-        for n in (1, 2, 3, 8, 13):
-            f = rng.standard_normal(n)
-            np.testing.assert_array_equal(reverse_fiber(reverse_fiber(f)), f)
 
 
 class TestCompressionScheme:

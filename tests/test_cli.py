@@ -186,7 +186,7 @@ class TestVerify:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        assert outs[0].count("PASS") == 11
+        assert outs[0].count("PASS") == 10
 
 
 class TestBench:

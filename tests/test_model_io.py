@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from circconv.nn import (
     init_dense_kernel,
     init_fc,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def sample_net(seed=0):
@@ -99,6 +102,29 @@ class TestRoundTrip:
         assert manifest["layers"][0]["n"] == 2
 
 
+class TestFormatStability:
+    """sample_net() has one layer of each kind; tests/data holds its files as
+    written before the layer kinds shared one description. A refactor that
+    changes key order, field names or the param list breaks these bytes."""
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_bytes_match_committed_fixture(self, tmp_path, precision):
+        fixture = DATA / f"five_kinds_{precision}.ccm"
+        path = tmp_path / "m.ccm"
+        save_model(sample_net(), path, precision=precision)
+        assert path.read_bytes() == fixture.read_bytes()
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_fixture_loads_bit_exactly(self, precision):
+        loaded = load_model(DATA / f"five_kinds_{precision}.ccm")
+        dtype = np.float64 if precision == "f64" else np.float32
+        assert [type(l) for l in loaded.layers] == [type(l) for l in sample_net().layers]
+        for want, got in zip(sample_net().layers, loaded.layers):
+            assert got.fields() == want.fields()
+            for name, arr in want.params().items():
+                np.testing.assert_array_equal(got.params()[name], arr.astype(dtype))
+
+
 class TestValidation:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.ccm"
@@ -169,6 +195,30 @@ class TestValidation:
             + manifest + b"\x00" * (4 * 2 + 4) * 8
         )
         with pytest.raises(ModelFormatError, match="stride 1"):
+            load_model(path)
+
+    def test_fields_must_match_param_shapes(self, tmp_path):
+        # c_out says 4, but the kernel blob declares 2 output channels
+        meta = {
+            "format": MODEL_MAGIC, "precision": "f64", "endianness": "little",
+            "layers": [
+                {
+                    "kind": "conv", "kernel": [1, 1], "c_in": 3, "c_out": 4,
+                    "pad": [0, 0], "stride": 1,
+                    "params": [
+                        {"name": "w", "shape": [1, 1, 3, 2]},
+                        {"name": "bias", "shape": [2]},
+                    ],
+                }
+            ],
+        }
+        manifest = json.dumps(meta).encode()
+        path = tmp_path / "bad.ccm"
+        path.write_bytes(
+            MODEL_MAGIC.encode() + b"\n" + str(len(manifest)).encode() + b"\n"
+            + manifest + b"\x00" * (6 + 2) * 8
+        )
+        with pytest.raises(ModelFormatError, match=r"fields \['c_out'\]"):
             load_model(path)
 
     def test_unknown_kind(self, tmp_path):
