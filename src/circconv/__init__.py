@@ -50,6 +50,7 @@ from .errors import (
     CircConvError,
     ConfigError,
     ContractError,
+    DivergenceError,
     ModelFormatError,
     ShapeError,
     UnsupportedGeometryError,

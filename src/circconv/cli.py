@@ -129,7 +129,10 @@ def cmd_convert(args):
     if args.report:
         before = sum(l.w.size for i, l in enumerate(net.layers) if i in conv_idx)
         after = sum(
-            converted.layers[i].base.num_free_parameters for i in conv_idx
+            layer.base.num_free_parameters
+            if isinstance(layer, nn.CircConvLayer)
+            else layer.w.size  # a strided layer stays dense at ratio 1
+            for layer in (converted.layers[i] for i in conv_idx)
         )
         print(f"scheme={scheme} conv_params_before={before} conv_params_after={after}")
         print(

@@ -22,5 +22,9 @@ class UnsupportedGeometryError(CircConvError, ValueError):
     """The fast path does not support the requested geometry (stride > 1)."""
 
 
+class DivergenceError(CircConvError, ArithmeticError):
+    """Training produced a non-finite loss; no update was applied."""
+
+
 class ModelFormatError(CircConvError, ValueError):
     """A model, tensor, or scheme file is malformed."""

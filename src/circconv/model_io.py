@@ -124,7 +124,8 @@ def load_model(path):
     Each layer is rebuilt by its kind's from_fields() from the blobs read
     at their declared shapes, and must then describe itself exactly as the
     manifest does. Raises ModelFormatError naming the offending field on
-    version mismatch, truncated blobs, or shape/partition inconsistencies.
+    version mismatch, truncated blobs, non-finite parameters, or
+    shape/partition inconsistencies.
     """
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
@@ -140,6 +141,11 @@ def load_model(path):
                 )
                 for p in meta.get("params", [])
             }
+            for name, arr in params.items():
+                if not np.all(np.isfinite(arr)):
+                    raise ModelFormatError(
+                        f"{where}: parameter {name!r} holds non-finite values"
+                    )
             try:
                 layer = LAYER_KINDS[kind].from_fields(meta, params)
             except KeyError as exc:

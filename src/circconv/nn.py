@@ -6,8 +6,10 @@ so the expanded kernel stays exactly block-circulant after every step), and
 converting a trained dense network by nearest-circulant projection followed
 by retraining.
 
-Batches are (B, W, H, C) arrays; conv layers process samples in a fixed
-order, so training runs are bit-reproducible for a fixed seed.
+Batches are (B, W, H, C) arrays. Conv layers hand the whole batch to each
+pass; the FFT passes of a circulant layer work through it in groups of
+consecutive samples in a fixed order. Training runs are therefore
+bit-reproducible for a fixed seed.
 """
 
 import copy
@@ -26,7 +28,13 @@ from .convops import (
     conv_naive_backward_weight,
     kernel_spectra,
 )
-from .errors import ConfigError, ContractError, ShapeError, UnsupportedGeometryError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DivergenceError,
+    ShapeError,
+    UnsupportedGeometryError,
+)
 from .tensor import DTYPE
 
 
@@ -70,6 +78,11 @@ class CircConvLayer(Layer):
     kind = "circconv"
 
     def __init__(self, base, bias=None, geometry=ConvGeometry()):
+        """Stride 1 only, because the FFT passes of this layer require it."""
+        if geometry.stride != 1:
+            raise UnsupportedGeometryError(
+                f"circconv layers require stride 1, got {geometry.stride}"
+            )
         self.base = base
         self.bias = (
             np.zeros(base.config.c_out, dtype=DTYPE)
@@ -98,16 +111,12 @@ class CircConvLayer(Layer):
 
     @classmethod
     def from_fields(cls, fields, params):
-        """Stride 1 only, because the FFT passes of this layer require it."""
-        geometry = _geometry(fields)
-        if geometry.stride != 1:
-            raise UnsupportedGeometryError(
-                f"circconv layers require stride 1, got {geometry.stride}"
-            )
         cfg = PartitionConfig(
             n=int(fields["n"]), c_in=int(fields["c_in"]), c_out=int(fields["c_out"])
         )
-        return cls(CirculantBaseTensor(params["base"], cfg), params["bias"], geometry)
+        return cls(
+            CirculantBaseTensor(params["base"], cfg), params["bias"], _geometry(fields)
+        )
 
     def forward(self, xb):
         if xb.ndim != 4 or xb.shape[3] != self.base.config.c_in:
@@ -115,20 +124,18 @@ class CircConvLayer(Layer):
                 f"expected (B, W, H, {self.base.config.c_in}) input, got {xb.shape}"
             )
         w_spec = kernel_spectra(self.base)  # constant within the step
-        ys = [
-            circ_forward(x, self.base, self.geometry, w_spec=w_spec) for x in xb
-        ]
-        return np.stack(ys) + self.bias, xb
+        y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec)
+        y += self.bias
+        return y, xb
 
     def backward(self, cache, gyb):
         xb = cache
-        dbase = np.zeros_like(self.base.base)
-        dxs = []
-        for x, gy in zip(xb, gyb):  # fixed reduction order over the batch
-            dbase += circ_backward_weight(x, gy, self.base, self.geometry)
-            dxs.append(circ_backward_input(gy, self.base, self.geometry))
+        # Summed before the FFT passes: after OpenBLAS's complex GEMM, numpy's
+        # strided SSE reduction loops run ~10x slower until the next AVX call.
         dbias = gyb.sum(axis=(0, 1, 2))
-        return np.stack(dxs), {"base": dbase, "bias": dbias}
+        dbase = circ_backward_weight(xb, gyb, self.base, self.geometry)
+        dx = circ_backward_input(gyb, self.base, self.geometry)
+        return dx, {"base": dbase, "bias": dbias}
 
 
 class DenseConvLayer(Layer):
@@ -167,17 +174,15 @@ class DenseConvLayer(Layer):
             raise ShapeError(
                 f"expected (B, W, H, {self.w.shape[2]}) input, got {xb.shape}"
             )
-        ys = [conv_naive(x, self.w, self.geometry) for x in xb]
-        return np.stack(ys) + self.bias, xb
+        y = conv_naive(xb, self.w, self.geometry)
+        y += self.bias
+        return y, xb
 
     def backward(self, cache, gyb):
         xb = cache
-        dw = np.zeros_like(self.w)
-        dxs = []
-        for x, gy in zip(xb, gyb):
-            dw += conv_naive_backward_weight(x, gy, self.w.shape[:2], self.geometry)
-            dxs.append(conv_naive_backward_input(gy, self.w, self.geometry))
-        return np.stack(dxs), {"w": dw, "bias": gyb.sum(axis=(0, 1, 2))}
+        dw = conv_naive_backward_weight(xb, gyb, self.w.shape[:2], self.geometry)
+        dx = conv_naive_backward_input(gyb, self.w, self.geometry)
+        return dx, {"w": dw, "bias": gyb.sum(axis=(0, 1, 2))}
 
 
 class ReLU(Layer):
@@ -469,7 +474,10 @@ def evaluate(net, x, labels):
 
 
 def train(net, data, cfg, steps, seed, log=None):
-    """Minibatch SGD; returns one {'step', 'loss', 'accuracy'} record per step."""
+    """Minibatch SGD; returns one {'step', 'loss', 'accuracy'} record per step.
+
+    Raises DivergenceError, before taking the step, on a non-finite loss.
+    """
     x, labels = data
     rng = np.random.default_rng(seed)
     state = None
@@ -479,6 +487,11 @@ def train(net, data, cfg, steps, seed, log=None):
         xb, yb = x[idx], labels[idx]
         logits, cache = forward_pass(net, xb)
         loss, _ = softmax_cross_entropy(logits, yb)
+        if not np.isfinite(loss):
+            raise DivergenceError(
+                f"training diverged at step {step}: loss is {loss}; "
+                f"no update was applied (try a smaller learning rate)"
+            )
         grads = backward_pass(net, cache, yb)
         state = sgd_step(net, grads, state, cfg)
         record = {
@@ -501,7 +514,10 @@ def convert_network(net_dense, scheme):
 
     scheme lists one partition size per dense conv layer, in layer order;
     returns (converted Network, total squared projection error). The input
-    network is left untouched (no shared parameter arrays).
+    network is left untouched (no shared parameter arrays). Circulant
+    layers run at stride 1 only: a strided layer at ratio 1 stays dense,
+    which is the same kernel with zero projection error, and a strided
+    layer at a higher ratio raises ConfigError.
     """
     idxs = conv_layer_indices(net_dense)
     if len(scheme) != len(idxs):
@@ -509,10 +525,19 @@ def convert_network(net_dense, scheme):
             f"scheme lists {len(scheme)} ratios but the network has "
             f"{len(idxs)} dense conv layers"
         )
+    for i, n in zip(idxs, scheme.ratios):
+        stride = net_dense.layers[i].geometry.stride
+        if stride != 1 and n != 1:
+            raise ConfigError(
+                f"layer {i} has stride {stride}; circconv layers require stride 1, "
+                f"so it can only keep ratio 1 (got {n})"
+            )
     layers = [copy.deepcopy(layer) for layer in net_dense.layers]
     total_err = 0.0
     for i, n in zip(idxs, scheme.ratios):
         dense = layers[i]
+        if dense.geometry.stride != 1:
+            continue
         config = PartitionConfig(
             n=n, c_in=dense.w.shape[2], c_out=dense.w.shape[3]
         )

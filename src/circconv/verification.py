@@ -1,8 +1,9 @@
 """Property checks behind the `verify` command and the acceptance gate.
 
 Each check samples randomized instances from a seeded generator and checks
-one contract: fast-path equivalence against the dense oracle, gradient
-correctness against finite differences and the diagonal-sum oracle,
+one contract: fast-path equivalence against the dense oracle, the batched
+passes against the per-sample dense oracles, gradient correctness against
+finite differences and the diagonal-sum oracle,
 projection optimality, spectral identities, and training-time structure
 preservation. Output is deterministic for a fixed seed.
 """
@@ -22,11 +23,14 @@ from .circulant import (
 )
 from .convops import (
     ConvGeometry,
+    _group_size,
     circ_backward_input,
     circ_backward_weight,
     circ_forward,
     conv_block,
     conv_naive,
+    conv_naive_backward_input,
+    conv_naive_backward_weight,
 )
 from .nn import CircConvLayer, SgdConfig, make_circ_toy_net, make_toy_task, train
 
@@ -44,6 +48,23 @@ class PropertyResult:
 def _rel(a, b):
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) / scale
+
+
+def _diagonal_sums(dw, cfg):
+    """Dense kernel gradient (W1, H1, C_in, C_out) summed along each
+    circulant diagonal: the gradient of every free base parameter, shaped
+    like the base tensor (W1, H1, R*N, S)."""
+    k1, k2 = dw.shape[:2]
+    n = cfg.n
+    wp = np.zeros((k1, k2, cfg.padded_in, cfg.padded_out))
+    wp[:, :, : dw.shape[2], : dw.shape[3]] = dw
+    blocks = wp.reshape(k1, k2, cfg.r, n, cfg.s, n)
+    a = np.arange(n)
+    fibers = np.empty((k1, k2, cfg.r, n, cfg.s))
+    for p in range(n):
+        # block[a, b] = fiber[(b - a) % N]; advanced indices move to axis 0
+        fibers[:, :, :, p, :] = blocks[:, :, :, a, :, (a + p) % n].sum(axis=0)
+    return fibers.reshape(k1, k2, cfg.r * n, cfg.s)
 
 
 def _random_instance(rng, n, kernels=(1, 3, 5)):
@@ -105,20 +126,7 @@ def check_gradients(seed, trials=50, fd_tol=1e-4, oracle_tol=1e-9):
         got_w = circ_backward_weight(x, gy, base, g)
         got_x = circ_backward_input(gy, base, g)
 
-        # oracle: dense kernel gradient summed along each circulant diagonal
-        w2, h2 = y.shape[:2]
-        dw = np.zeros((k, k, cfg.padded_in, cfg.padded_out))
-        for a in range(k):
-            for b in range(k):
-                dw[a, b] = np.einsum("whc,whd->cd", x[a : a + w2, b : b + h2], gy)
-        diag = np.zeros_like(base.base)
-        for rr in range(cfg.r):
-            for ss in range(cfg.s):
-                blk = dw[:, :, rr * n : (rr + 1) * n, ss * n : (ss + 1) * n]
-                for p in range(n):
-                    diag[:, :, rr * n + p, ss] = sum(
-                        blk[:, :, aa, (aa + p) % n] for aa in range(n)
-                    )
+        diag = _diagonal_sums(conv_naive_backward_weight(x, gy, (k, k), g), cfg)
         worst_oracle = max(worst_oracle, _rel(got_w, diag))
 
         ba = base.base.copy()
@@ -143,6 +151,87 @@ def check_gradients(seed, trials=50, fd_tol=1e-4, oracle_tol=1e-9):
         worst_fd <= fd_tol and worst_oracle <= oracle_tol,
         f"{trials} nets, every coordinate: fd rel {worst_fd:.3e} <= {fd_tol:.0e}, "
         f"oracle rel {worst_oracle:.3e} <= {oracle_tol:.0e}",
+    )
+
+
+def _ragged_batch(steps):
+    """Smallest batch that spans at least two groups of every group size in
+    steps and leaves each size above one a ragged (short) last group."""
+    b = max(steps) + 1
+    while any(s > 1 and b % s == 0 for s in steps):
+        b += 1
+    return b
+
+
+def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
+    """All three FFT passes on batches, against the dense oracles per sample.
+
+    Each instance draws N in (1, 2, 3, 5, 8), channel counts that leave
+    partial blocks, a kernel of 1-5 and a pad of 0-2 on each axis, and runs
+    batches of 1, 3 and one spanning at least two groups of the
+    contraction with a ragged last group (its spatial size is chosen so
+    that a group holds 2-4 samples). The forward pass and the input
+    gradient are compared with conv_naive and conv_naive_backward_input on
+    the expansion, sample by sample, and the weight gradient with the
+    diagonal sums of conv_naive_backward_weight summed over the batch. A
+    batched call must also equal the stacked (or, for the weight gradient,
+    summed) single-sample calls to stack_tol.
+    """
+    rng = np.random.default_rng(seed)
+    worst, worst_stack, ragged = 0.0, 0.0, True
+    for _ in range(instances):
+        n = int(rng.choice((1, 2, 3, 5, 8)))
+        c_in, c_out = (int(c) for c in rng.integers(1, 3 * n + 1, size=2))
+        k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
+        pw, ph = (int(p) for p in rng.integers(0, 3, size=2))
+        cfg = PartitionConfig(n=n, c_in=c_in, c_out=c_out)
+        base = CirculantBaseTensor(
+            rng.standard_normal((k1, k2, cfg.padded_in, cfg.s)), cfg
+        )
+        g = ConvGeometry(pad=(pw, ph))
+        dense = expand(base)[:, :, :c_in, :c_out]
+        # the largest spatial size at which a group of every pass holds
+        # between 2 and per_group samples, whatever the pass's block count
+        per_group = int(rng.integers(2, 5))
+        cap = _group_size(n, (1, 1), (k1, k2), max(cfg.r, cfg.s))
+        for side in range(max(1, int(np.sqrt(cap // per_group))), 0, -1):
+            big = (max(1, side + k1 - 1 - 2 * pw), max(1, side + k2 - 1 - 2 * ph))
+            steps = (
+                _group_size(n, g.out_size(big, (k1, k2)), (k1, k2), cfg.r),
+                _group_size(n, big, (k1, k2), cfg.s),
+            )
+            if min(steps) > 1:
+                break
+        ragged &= min(steps) > 1
+        small = [int(rng.integers(max(1, k - 2 * p), 9)) for k, p in ((k1, pw), (k2, ph))]
+        for batch, (w, h) in ((1, small), (3, small), (_ragged_batch(steps), big)):
+            xb = rng.standard_normal((batch, w, h, c_in))
+            y = circ_forward(xb, base, g)
+            gy = rng.standard_normal(y.shape)
+            dw = circ_backward_weight(xb, gy, base, g)
+            dx = circ_backward_input(gy, base, g)
+            dw_ref = sum(
+                conv_naive_backward_weight(xi, gi, (k1, k2), g) for xi, gi in zip(xb, gy)
+            )
+            worst = max(worst, _rel(dw, _diagonal_sums(dw_ref, cfg)))
+            for i in range(batch):
+                worst = max(
+                    worst,
+                    _rel(y[i], conv_naive(xb[i], dense, g)),
+                    _rel(dx[i], conv_naive_backward_input(gy[i], dense, g)),
+                )
+            worst_stack = max(
+                worst_stack,
+                _rel(y, np.stack([circ_forward(xi, base, g) for xi in xb])),
+                _rel(dx, np.stack([circ_backward_input(gi, base, g) for gi in gy])),
+                _rel(dw, sum(circ_backward_weight(xi, gi, base, g) for xi, gi in zip(xb, gy))),
+            )
+    return PropertyResult(
+        "batched-passes",
+        ragged and worst <= tol and worst_stack <= stack_tol,
+        f"{instances} instances x batches (1, 3, >=2 groups with a ragged last "
+        f"group: {ragged}): oracle rel {worst:.3e} <= {tol:.0e}, "
+        f"batched vs single-sample rel {worst_stack:.3e} <= {stack_tol:.0e}",
     )
 
 
@@ -327,4 +416,5 @@ def run_verification(seed=0, trials=60, sizes=(1, 2, 3, 4, 8, 16)):
         check_parameter_division(seed + 7),
         check_spectral(seed + 8),
         check_structure_preservation(seed + 9, steps=40),
+        check_batched_passes(seed + 10),
     ]

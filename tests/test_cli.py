@@ -3,8 +3,17 @@ import json
 import numpy as np
 
 from circconv.cli import main
+from circconv.convops import ConvGeometry
 from circconv.model_io import load_model, load_tensor, save_model, save_tensor
-from circconv.nn import ToyTaskSpec, forward_pass, make_dense_toy_net
+from circconv.nn import (
+    DenseConvLayer,
+    GlobalAveragePool,
+    Network,
+    ReLU,
+    ToyTaskSpec,
+    forward_pass,
+    make_dense_toy_net,
+)
 
 
 def run(capsys, *argv):
@@ -164,6 +173,34 @@ class TestConvertAndInfer:
         assert "dense model" in err
         assert not (tmp_path / "again.ccm").exists()
 
+    def test_strided_layer_keeps_ratio_1_and_rejects_more(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        net = Network([
+            DenseConvLayer(rng.standard_normal((3, 3, 4, 8)), geometry=ConvGeometry(stride=2)),
+            ReLU(),
+            DenseConvLayer(rng.standard_normal((3, 3, 8, 8)), geometry=ConvGeometry(pad=(1, 1))),
+            GlobalAveragePool(),
+        ])
+        dense_path, circ_path = tmp_path / "dense.ccm", tmp_path / "circ.ccm"
+        save_model(net, dense_path)
+        code, out, _ = run(
+            capsys, "convert", "--model-in", str(dense_path),
+            "--scheme", "1-2", "--model-out", str(circ_path), "--report",
+        )
+        assert code == 0
+        assert "conv_params_before=864 conv_params_after=576" in out
+        loaded = load_model(circ_path)
+        assert [layer.kind for layer in loaded.layers] == ["conv", "relu", "circconv", "gap"]
+        np.testing.assert_array_equal(loaded.layers[0].w, net.layers[0].w)
+
+        code, _, err = run(
+            capsys, "convert", "--model-in", str(dense_path),
+            "--scheme", "2-2", "--model-out", str(tmp_path / "bad.ccm"),
+        )
+        assert code == 1
+        assert err.startswith("error: ConfigError: layer 0 has stride 2")
+        assert not (tmp_path / "bad.ccm").exists()
+
     def test_failed_output_leaves_no_partial_file(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=4, spec=ToyTaskSpec())
         dense_path = tmp_path / "dense.ccm"
@@ -186,7 +223,7 @@ class TestVerify:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
-        assert outs[0].count("PASS") == 10
+        assert outs[0].count("PASS") == 11
 
 
 class TestBench:
@@ -219,6 +256,18 @@ class TestTrain:
         assert out_path.exists()
         loaded = load_model(out_path)
         assert type(loaded.layers[0]).__name__ == "CircConvLayer"
+
+    def test_divergence_exits_nonzero_and_writes_no_model(self, capsys, tmp_path):
+        out_path = tmp_path / "m.ccm"
+        code, _, err = run(
+            capsys, "train", "--lr", "1e6", "--steps", "50",
+            "--model-out", str(out_path),
+        )
+        assert code == 1
+        assert err.startswith("error: DivergenceError: training diverged at step ")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+        assert not out_path.with_name(out_path.name + ".tmp").exists()
 
     def test_from_model_continues_training(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=10, spec=ToyTaskSpec())

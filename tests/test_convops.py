@@ -19,6 +19,7 @@ from circconv.convops import (
     kernel_spectra,
 )
 from circconv.errors import ShapeError, UnsupportedGeometryError
+from circconv.verification import check_batched_passes
 
 
 def loop_conv(x, w, pad=(0, 0), stride=1):
@@ -89,6 +90,21 @@ class TestConvNaive:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             conv_naive(np.zeros((4, 4, 3)), np.zeros((1, 1, 2, 2)))
+
+    def test_batch_matches_single_samples(self):
+        rng = np.random.default_rng(27)
+        xb = rng.standard_normal((3, 6, 5, 3))
+        w = rng.standard_normal((3, 2, 3, 4))
+        g = ConvGeometry(pad=(1, 2))
+        y = conv_naive(xb, w, g)
+        assert rel_diff(y, np.stack([conv_naive(x, w, g) for x in xb])) <= 1e-12
+        gy = rng.standard_normal(y.shape)
+        dw = conv_naive_backward_weight(xb, gy, (3, 2), g)
+        want = sum(conv_naive_backward_weight(x, gi, (3, 2), g) for x, gi in zip(xb, gy))
+        assert rel_diff(dw, want) <= 1e-12
+        dx = conv_naive_backward_input(gy, w, g)
+        want = np.stack([conv_naive_backward_input(gi, w, g) for gi in gy])
+        assert rel_diff(dx, want) <= 1e-12
 
 
 class TestConvBlock:
@@ -393,3 +409,28 @@ class TestOracleEquivalence:
         got_w = circ_backward_weight(x, gy, base, g)
         want_w = dense_weight_grad_diag_sum(x, gy, base, g)
         assert rel_diff(got_w, want_w) <= 1e-10
+
+
+class TestBatchedPasses:
+    def test_against_dense_oracles(self):
+        result = check_batched_passes(27, instances=16)
+        assert result.passed, result.detail
+
+    def test_single_sample_keeps_its_rank(self):
+        rng = np.random.default_rng(28)
+        base = random_base(rng, 3, 3, 2, 2, 2)
+        x = rng.standard_normal((5, 5, 4))
+        g = ConvGeometry(pad=(1, 1))
+        y = circ_forward(x, base, g)
+        assert y.shape == (5, 5, 4)
+        assert circ_backward_input(y, base, g).shape == x.shape
+        np.testing.assert_array_equal(y, circ_forward(x[None], base, g)[0])
+
+    def test_batch_rank_mismatch(self):
+        rng = np.random.default_rng(29)
+        base = random_base(rng, 1, 1, 2, 1, 1)
+        x = rng.standard_normal((2, 3, 3, 2))
+        with pytest.raises(ShapeError):
+            circ_backward_weight(x, np.zeros((3, 3, 2)), base)
+        with pytest.raises(ShapeError):
+            circ_forward(np.zeros((1, 2, 3, 3, 2)), base)

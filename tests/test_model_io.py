@@ -197,6 +197,15 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="stride 1"):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        net = sample_net()
+        net.layers[2].w[0, 0, 1, 2] = bad
+        path = tmp_path / "bad.ccm"
+        save_model(net, path)
+        with pytest.raises(ModelFormatError, match="layer 2: parameter 'w' holds non-finite"):
+            load_model(path)
+
     def test_fields_must_match_param_shapes(self, tmp_path):
         # c_out says 4, but the kernel blob declares 2 output channels
         meta = {

@@ -8,13 +8,20 @@ from circconv.circulant import (
     expand,
 )
 from circconv.convops import ConvGeometry, circ_backward_weight, circ_forward
-from circconv.errors import ConfigError, ContractError, ShapeError
+from circconv.errors import (
+    ConfigError,
+    ContractError,
+    DivergenceError,
+    ShapeError,
+    UnsupportedGeometryError,
+)
 from circconv.nn import (
     CircConvLayer,
     DenseConvLayer,
     FullyConnected,
     GlobalAveragePool,
     Network,
+    ReLU,
     SgdConfig,
     ToyTaskSpec,
     backward_pass,
@@ -85,6 +92,12 @@ class TestForwardPass:
         y_circ, _ = forward_pass(circ_net, x)
         y_dense, _ = forward_pass(dense_net, x)
         np.testing.assert_allclose(y_circ, y_dense, atol=1e-10)
+
+    def test_circ_layer_rejects_stride(self):
+        cfg = PartitionConfig(n=2, c_in=2, c_out=2)
+        base = init_circ_base(np.random.default_rng(0), (1, 1), cfg)
+        with pytest.raises(UnsupportedGeometryError, match="require stride 1"):
+            CircConvLayer(base, geometry=ConvGeometry(stride=2))
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -259,6 +272,14 @@ class TestTraining:
         assert params_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_non_finite_loss_raises_before_the_step(self):
+        net = tiny_circ_net(seed=40)
+        net.layers[-1].bias[:] = np.nan
+        data = make_toy_task(seed=41, spec=SMALL)
+        with pytest.raises(DivergenceError, match="step 0"):
+            train(net, data, SgdConfig(batch_size=8), steps=3, seed=42)
+        assert net.version == 0
+
     def test_history_records_documented_keys(self):
         spec = SMALL
         x, y = make_toy_task(seed=16, spec=spec)
@@ -329,6 +350,20 @@ class TestConvertAndRetrain:
         assert report["loss_after_conversion"] > l0
         assert report["loss_after_retrain"] <= 1.1 * l0
         assert report["projection_sq_error"] > 0
+
+    def test_strided_layer_stays_dense_at_ratio_1(self):
+        rng = np.random.default_rng(30)
+        strided = DenseConvLayer(
+            rng.standard_normal((3, 3, 4, 4)), geometry=ConvGeometry(stride=2)
+        )
+        net = Network([strided, ReLU(), GlobalAveragePool()])
+        converted, err = convert_network(net, CompressionScheme((1,)))
+        assert err == 0.0
+        assert isinstance(converted.layers[0], DenseConvLayer)
+        np.testing.assert_array_equal(converted.layers[0].w, strided.w)
+        assert converted.layers[0].w is not strided.w
+        with pytest.raises(ConfigError, match="layer 0 has stride 2"):
+            convert_network(net, CompressionScheme((2,)))
 
     def test_scheme_length_mismatch(self):
         dense = make_dense_toy_net(seed=29, spec=SMALL)
