@@ -37,6 +37,7 @@ from .circulant import (
 )
 from .convops import (
     ConvGeometry,
+    circ_backward,
     circ_backward_input,
     circ_backward_weight,
     circ_forward,

@@ -18,16 +18,31 @@ backward passes conjugate one operand's spectrum.
 
 The FFT passes and the conv_naive oracles take one (W, H, C) sample or a
 (B, W, H, C) batch; a sample runs as a batch of one. The FFT passes share
-one contraction, laid out bins first as in the frequency-domain batched
-GEMM of fbfft (Vasilache et al., arXiv:1412.7580): the input half spectra
-are held as (F, B, W, H, blocks) with F = N//2 + 1, the windows under
-every kernel offset are gathered into one (F, B*W2*H2, K1*K2*blocks)
-matrix, and each pass is one batched matmul per frequency bin against the
-kernel spectra (the weight gradient is the adjoint product). The batch is processed in groups of consecutive samples
-whose window matrix stays under _GROUP_BYTES: a whole-batch matrix of many
-megabytes is streamed from memory on every pass, while a group that fits
-the L2 cache is gathered, multiplied and transformed back while it is
-still there. Groups are always visited in batch order, so results are
+one gather and one product, in the frequency domain as in fbfft
+(Vasilache et al., arXiv:1412.7580) and Mathieu, Henaff & LeCun
+(arXiv:1312.5851). The half spectra are laid out blocks-major with the
+positions last, (F, blocks, B, W, H) with F = N//2 + 1, and the windows
+under every kernel offset are gathered into one
+(F, blocks*K1*K2, B*W2*H2) matrix, so every copied run is a whole output
+row. The forward pass is one batched matmul per frequency bin of the
+(F, S, R*K1*K2) kernel matrix with the window matrix of the input.
+
+Both backward passes run one loop, circ_backward, over the windows of
+grad_y. grad_y is padded by k - 1 - p zero sites per side, or cropped
+where p > k - 1, so that its window positions are exactly the unpadded
+input sites, and it is transformed and gathered once per group for both
+gradients. The input gradient is the product of the (F, R, S*K1*K2)
+flipped, conjugated, transposed kernel spectra with that window matrix.
+The weight gradient is the product of the same window matrix with the
+conjugated spectra of the unpadded input sites, whose rows are the kernel
+offsets flipped. Leaving out the padding sites is exact because their
+spectra are zero.
+
+The batch is processed in groups of consecutive samples whose window
+matrix stays under _GROUP_BYTES: a whole-batch matrix of many megabytes is
+streamed from memory on every pass, while a group that fits the L2 cache
+is gathered, multiplied and transformed back while it is still there.
+Groups are always visited in batch order, so results are
 bit-reproducible.
 """
 
@@ -181,11 +196,11 @@ def _circ_input(x, base, g):
 
 
 def _spectra(t, pad, blocks, n):
-    """Bins-first half spectra of zero-padded channel fibers.
+    """Blocks-major, positions-last half spectra of zero-padded channel fibers.
 
     t is (B, W, H, C) with C <= blocks*N; it is padded with zero channels
     up to blocks*N and by pad zero sites on each spatial side. Returns
-    shape (N//2+1, B, W + 2*pw, H + 2*ph, blocks). Padding sites have zero
+    shape (N//2+1, blocks, B, W + 2*pw, H + 2*ph). Padding sites have zero
     spectra, so only the sites of t are transformed.
     """
     b, w, h, c = t.shape
@@ -193,15 +208,15 @@ def _spectra(t, pad, blocks, n):
     if c != blocks * n:
         t = np.concatenate([t, np.zeros((b, w, h, blocks * n - c), dtype=DTYPE)], axis=3)
     s = spectral.rfft_last(t.reshape(b, w, h, blocks, n))
-    out = np.zeros((n // 2 + 1, b, w + 2 * pw, h + 2 * ph, blocks), dtype=np.complex128)
-    out[:, :, pw : pw + w, ph : ph + h] = np.moveaxis(s, -1, 0)
+    out = np.zeros((n // 2 + 1, blocks, b, w + 2 * pw, h + 2 * ph), dtype=np.complex128)
+    out[:, :, :, pw : pw + w, ph : ph + h] = s.transpose(4, 3, 0, 1, 2)
     return out
 
 
 def _fibers(spec, n):
-    """Inverse of _spectra's transform: (F, B, W, H, blocks) -> (B, W, H, blocks*N)."""
-    _, b, w, h, blocks = spec.shape
-    return spectral.irfft_last(np.moveaxis(spec, 0, -1), n).reshape(b, w, h, blocks * n)
+    """Inverse of _spectra's transform: (F, blocks, B, W, H) -> (B, W, H, blocks*N)."""
+    _, blocks, b, w, h = spec.shape
+    return spectral.irfft_last(spec.transpose(2, 3, 4, 1, 0), n).reshape(b, w, h, blocks * n)
 
 
 def _group_size(n, out_hw, kernel_size, blocks):
@@ -212,15 +227,14 @@ def _group_size(n, out_hw, kernel_size, blocks):
 
 
 def _grouped_windows(t, pad, blocks, n, kernel_size):
-    """The input of the one spectral contraction, a group of samples at a time.
+    """The gather every pass multiplies, a group of samples at a time.
 
     Yields (group, cols): group slices the batch axis of t, and cols is
-    the group's (F, G*W2*H2, K1*K2*blocks) window matrix over the spectra
-    S = _spectra(t[group], pad, blocks, n), whose row (b, w, h) lists
-    S[:, b, w + a, h + c, :] for every kernel offset (a, c). Every pass is
-    one np.matmul of cols (or, for the weight gradient, its adjoint)
-    against a (F, K1*K2*blocks, .) kernel matrix. Groups hold as many
-    consecutive samples as keep cols under _GROUP_BYTES.
+    the group's (F, blocks*K1*K2, G*W2*H2) window matrix over the spectra
+    S = _spectra(t[group], pad, blocks, n): row (j, a, c) holds
+    S[:, j, g, w + a, h + c] at column (g, w, h), one window position per
+    column. Each copied run is a whole output row of H2 sites. Groups hold
+    as many consecutive samples as keep cols under _GROUP_BYTES.
     """
     k1, k2 = kernel_size
     f = n // 2 + 1
@@ -229,10 +243,10 @@ def _grouped_windows(t, pad, blocks, n, kernel_size):
     for start in range(0, t.shape[0], step):
         group = slice(start, start + step)
         spec = _spectra(t[group], pad, blocks, n)
-        # (F, G, W2, H2, blocks, K1, K2) view, gathered offsets-major
-        windows = sliding_window_view(spec, kernel_size, axis=(2, 3))
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 3, 5, 6, 4))
-        yield group, cols.reshape(f, -1, k1 * k2 * blocks)
+        # (F, blocks, G, W2, H2, K1, K2) view, gathered offsets before positions
+        windows = sliding_window_view(spec, kernel_size, axis=(3, 4))
+        cols = np.ascontiguousarray(windows.transpose(0, 1, 5, 6, 2, 3, 4))
+        yield group, cols.reshape(f, blocks * k1 * k2, -1)
 
 
 def kernel_spectra(base):
@@ -258,12 +272,84 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
     cfg = base.config
     xb, single, (w2, h2) = _circ_input(x, base, g)
     ws = kernel_spectra(base) if w_spec is None else w_spec
-    kern = ws.reshape(ws.shape[0], -1, cfg.s)
+    f = ws.shape[0]
+    kern = ws.transpose(0, 4, 3, 1, 2).reshape(f, cfg.s, -1)  # (F, S, R*K1*K2)
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
     for group, cols in _grouped_windows(xb, g.pad, cfg.r, cfg.n, base.kernel_size):
-        ys = np.matmul(cols, kern).reshape(ws.shape[0], -1, w2, h2, cfg.s)
+        ys = np.matmul(kern, cols).reshape(f, cfg.s, -1, w2, h2)
         y[group] = _fibers(ys, cfg.n)[..., : cfg.c_out]
     return y[0] if single else y
+
+
+def _backward(gb, base, g, xb=None, with_dx=True):
+    """The one backward loop, over the windows of a validated
+    (B, W2, H2, C_out) grad batch (see the module docstring).
+
+    Returns (dbase, dx); dbase is None when xb is None, and dx is None
+    unless with_dx. Row (i, a, c) of cols @ conj(X)^T holds the gradient
+    at kernel offset (K1-1-a, K2-1-c), hence the flip.
+    """
+    cfg = base.config
+    k1, k2 = base.kernel_size
+    f = cfg.n // 2 + 1
+    w2, h2 = gb.shape[1:3]
+    pw, ph = g.pad
+    w0, h0 = w2 + k1 - 1 - 2 * pw, h2 + k2 - 1 - 2 * ph
+    # a pad of k - 1 - p per side makes the windows land on the unpadded
+    # input sites; where that is negative, crop grad_y instead
+    qw, qh = k1 - 1 - pw, k2 - 1 - ph
+    cw, ch = max(0, -qw), max(0, -qh)
+    gb = gb[:, cw : w2 - cw, ch : h2 - ch]
+    dx = acc = None
+    if with_dx:
+        ws = kernel_spectra(base)
+        kern = np.conj(ws[:, ::-1, ::-1]).transpose(0, 3, 4, 1, 2).reshape(f, cfg.r, -1)
+        dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
+    if xb is not None:
+        acc = np.zeros((f, cfg.s * k1 * k2, cfg.r), dtype=np.complex128)
+    pad = (max(0, qw), max(0, qh))
+    for group, cols in _grouped_windows(gb, pad, cfg.s, cfg.n, (k1, k2)):
+        if dx is not None:
+            dxs = np.matmul(kern, cols).reshape(f, cfg.r, -1, w0, h0)
+            dx[group] = _fibers(dxs, cfg.n)[..., : cfg.c_in]
+        if acc is not None:
+            xs = _spectra(xb[group], (0, 0), cfg.r, cfg.n).reshape(f, cfg.r, -1)
+            acc += np.matmul(cols, np.conj(xs).swapaxes(1, 2))
+    if acc is None:
+        return None, dx
+    dws = acc.reshape(f, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
+    dfib = spectral.irfft_last(dws.transpose(2, 3, 4, 1, 0), cfg.n)  # (W1, H1, R, S, N)
+    dbase = np.ascontiguousarray(
+        dfib.transpose(0, 1, 2, 4, 3).reshape(k1, k2, cfg.padded_in, cfg.s)
+    )
+    return dbase, dx
+
+
+def _weight_inputs(x, grad_y, base, g):
+    """The validated input and grad batches of a weight-gradient pass, and
+    whether they were single samples."""
+    cfg = base.config
+    xb, single, (w2, h2) = _circ_input(x, base, g)
+    gb, _ = _as_batch(grad_y, "grad_y")
+    if np.ndim(x) != np.ndim(grad_y) or gb.shape != (xb.shape[0], w2, h2, cfg.c_out):
+        raise ShapeError(
+            f"grad_y shape {np.shape(grad_y)} does not match forward output "
+            f"({w2}, {h2}, {cfg.c_out}) for input {np.shape(x)}"
+        )
+    return xb, gb, single
+
+
+def circ_backward(x, grad_y, base, g=ConvGeometry()):
+    """Both gradients of a scalar loss in one pass: (dbase, dx).
+
+    Equal to (circ_backward_weight(x, grad_y, base, g),
+    circ_backward_input(grad_y, base, g)), but grad_y is transformed and
+    gathered once for both. x and grad_y are one sample each or batches of
+    equal size; dx has the rank of x.
+    """
+    xb, gb, single = _weight_inputs(x, grad_y, base, g)
+    dbase, dx = _backward(gb, base, g, xb)
+    return dbase, (dx[0] if single else dx)
 
 
 def circ_backward_weight(x, grad_y, base, g=ConvGeometry()):
@@ -272,69 +358,34 @@ def circ_backward_weight(x, grad_y, base, g=ConvGeometry()):
     x and grad_y are one sample each or batches of equal size; batch
     contributions are summed. Mathematically equal to accumulating the
     dense kernel gradient and summing it along each circulant diagonal;
-    computed as the adjoint of the forward contraction, with the
-    conjugated input spectra. Returns an array shaped like base.base,
-    (W1, H1, R*N, S).
+    computed by the backward loop of circ_backward, without the input
+    gradient. Returns an array shaped like base.base, (W1, H1, R*N, S).
     """
-    cfg = base.config
-    xb, _, (w2, h2) = _circ_input(x, base, g)
-    gb, _ = _as_batch(grad_y, "grad_y")
-    if np.ndim(x) != np.ndim(grad_y) or gb.shape != (xb.shape[0], w2, h2, cfg.c_out):
-        raise ShapeError(
-            f"grad_y shape {np.shape(grad_y)} does not match forward output "
-            f"({w2}, {h2}, {cfg.c_out}) for input {np.shape(x)}"
-        )
-    k1, k2 = base.kernel_size
-    f = cfg.n // 2 + 1
-    # cols^H @ grads == conj(cols^T @ conj(grads)); conjugating the smaller
-    # operands spares a copy of cols. Groups are added in batch order.
-    acc = np.zeros((f, k1 * k2 * cfg.r, cfg.s), dtype=np.complex128)
-    for group, cols in _grouped_windows(xb, g.pad, cfg.r, cfg.n, base.kernel_size):
-        gs = np.conj(_spectra(gb[group], (0, 0), cfg.s, cfg.n)).reshape(f, -1, cfg.s)
-        acc += np.matmul(cols.swapaxes(1, 2), gs)
-    dws = np.conj(acc).reshape(f, k1, k2, cfg.r, cfg.s)
-    dfib = spectral.irfft_last(np.moveaxis(dws, 0, -1), cfg.n)  # (W1, H1, R, S, N)
-    return np.ascontiguousarray(
-        dfib.transpose(0, 1, 2, 4, 3).reshape(k1, k2, cfg.padded_in, cfg.s)
-    )
+    xb, gb, _ = _weight_inputs(x, grad_y, base, g)
+    return _backward(gb, base, g, xb, with_dx=False)[0]
 
 
 def circ_backward_input(grad_y, base, g=ConvGeometry()):
     """Gradient of a scalar loss w.r.t. the layer input; stride 1 only.
 
     grad_y is one sample or a batch; the result has the same rank. Equal
-    to the transposed convolution of grad_y against the dense expansion:
-    the forward contraction run on grad_y against the flipped, conjugated
-    and transposed kernel spectra, with grad_y zero-padded (or cropped) so
-    that the windows land exactly on the unpadded input sites. Output
-    positions falling outside the feature map contribute zero, and
-    gradient flow into channel padding is dropped.
+    to the transposed convolution of grad_y against the dense expansion,
+    computed by the backward loop of circ_backward without the weight
+    gradient. Output positions falling outside the feature map contribute
+    zero, and gradient flow into channel padding is dropped.
     """
     _check_stride(g)
     cfg = base.config
     gb, single = _as_batch(grad_y, "grad_y")
     k1, k2 = base.kernel_size
-    w2, h2 = gb.shape[1:3]
     if gb.shape[3] != cfg.c_out:
         raise ShapeError(
             f"grad_y has {gb.shape[3]} channels, partition expects {cfg.c_out}"
         )
     pw, ph = g.pad
-    w0, h0 = w2 + k1 - 1 - 2 * pw, h2 + k2 - 1 - 2 * ph
-    if w0 < 1 or h0 < 1:
+    if gb.shape[1] + k1 - 1 - 2 * pw < 1 or gb.shape[2] + k2 - 1 - 2 * ph < 1:
         raise ShapeError("grad_y spatial dims inconsistent with geometry")
-    # a pad of k - 1 - p per side makes the windows land on the unpadded
-    # input sites; where that is negative, crop grad_y instead
-    qw, qh = k1 - 1 - pw, k2 - 1 - ph
-    cw, ch = max(0, -qw), max(0, -qh)
-    gb = gb[:, cw : w2 - cw, ch : h2 - ch]
-    ws = kernel_spectra(base)
-    kern = np.conj(ws[:, ::-1, ::-1].swapaxes(3, 4)).reshape(ws.shape[0], -1, cfg.r)
-    dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
-    pad = (max(0, qw), max(0, qh))
-    for group, cols in _grouped_windows(gb, pad, cfg.s, cfg.n, (k1, k2)):
-        dxs = np.matmul(cols, kern).reshape(ws.shape[0], -1, w0, h0, cfg.r)
-        dx[group] = _fibers(dxs, cfg.n)[..., : cfg.c_in]
+    dx = _backward(gb, base, g)[1]
     return dx[0] if single else dx
 
 

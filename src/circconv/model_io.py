@@ -123,13 +123,17 @@ def load_model(path):
 
     Each layer is rebuilt by its kind's from_fields() from the blobs read
     at their declared shapes, and must then describe itself exactly as the
-    manifest does. Raises ModelFormatError naming the offending field on
-    version mismatch, truncated blobs, non-finite parameters, or
-    shape/partition inconsistencies.
+    manifest does. The stack must chain: it takes a (B, W, H, C) input,
+    which stays 4-D until a gap layer makes it (B, C), and each layer's
+    c_in equals the width the layers before it produce. Raises
+    ModelFormatError naming the offending field or layer on version
+    mismatch, truncated blobs, non-finite parameters, shape/partition
+    inconsistencies, or layers that do not chain.
     """
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
         layers = []
+        rank, width = 4, None  # of the activations entering the next layer
         for i, meta in enumerate(manifest.get("layers", [])):
             where = f"{path}: layer {i}"
             kind = meta.get("kind")
@@ -161,6 +165,18 @@ def load_model(path):
                     f"{where}: {kind} fields {keys} do not match its parameters, "
                     f"which give {[rebuilt.get(k) for k in keys]}"
                 )
+            if layer.in_rank not in (None, rank):
+                raise ModelFormatError(
+                    f"{where}: {kind} layer takes {layer.in_rank}-D input, "
+                    f"but the layers before it produce {rank}-D"
+                )
+            if width is not None and meta.get("c_in", width) != width:
+                raise ModelFormatError(
+                    f"{where}: {kind} layer expects {meta['c_in']} input channels, "
+                    f"but the layers before it produce {width}"
+                )
+            rank = layer.out_rank or rank
+            width = meta.get("c_out", width)
             layers.append(layer)
         trailing = fh.read(1)
         if trailing:

@@ -9,7 +9,9 @@ by retraining.
 Batches are (B, W, H, C) arrays. Conv layers hand the whole batch to each
 pass; the FFT passes of a circulant layer work through it in groups of
 consecutive samples in a fixed order. Training runs are therefore
-bit-reproducible for a fixed seed.
+bit-reproducible for a fixed seed. A circulant layer's backward is one
+circ_backward call, which transforms and gathers grad_y once for both the
+base-tensor and the input gradient.
 """
 
 import copy
@@ -20,6 +22,8 @@ import numpy as np
 from .circulant import CirculantBaseTensor, CompressionScheme, PartitionConfig, project_tensor
 from .convops import (
     ConvGeometry,
+    circ_backward,
+    # unused here, but perfbench's tracer looks both up as nn attributes
     circ_backward_input,
     circ_backward_weight,
     circ_forward,
@@ -55,11 +59,15 @@ class Layer:
     `kernel`, `c_in`, `c_out` and `n` the kind has (named and meant as in
     analysis.LayerSpec), then the convolution geometry `pad` and `stride`.
     from_fields(fields, params) rebuilds the layer from those fields and
-    arrays named as in params(). The defaults describe a layer without
-    parameters.
+    arrays named as in params(). in_rank is the input rank the kind
+    requires (None: any) and out_rank the rank it returns (None: its
+    input's); with the c_in and c_out fields they say how layers chain.
+    The defaults describe a layer without parameters.
     """
 
     kind = None
+    in_rank = None
+    out_rank = None
 
     def params(self):
         return {}
@@ -76,6 +84,7 @@ class CircConvLayer(Layer):
     """Convolution whose kernel is stored only as a circulant base tensor."""
 
     kind = "circconv"
+    in_rank = 4
 
     def __init__(self, base, bias=None, geometry=ConvGeometry()):
         """Stride 1 only, because the FFT passes of this layer require it."""
@@ -133,8 +142,7 @@ class CircConvLayer(Layer):
         # Summed before the FFT passes: after OpenBLAS's complex GEMM, numpy's
         # strided SSE reduction loops run ~10x slower until the next AVX call.
         dbias = gyb.sum(axis=(0, 1, 2))
-        dbase = circ_backward_weight(xb, gyb, self.base, self.geometry)
-        dx = circ_backward_input(gyb, self.base, self.geometry)
+        dbase, dx = circ_backward(xb, gyb, self.base, self.geometry)
         return dx, {"base": dbase, "bias": dbias}
 
 
@@ -142,6 +150,7 @@ class DenseConvLayer(Layer):
     """Unstructured convolution, the conversion source and twin-test oracle."""
 
     kind = "conv"
+    in_rank = 4
 
     def __init__(self, w, bias=None, geometry=ConvGeometry()):
         self.w = np.ascontiguousarray(w, dtype=DTYPE)
@@ -199,6 +208,8 @@ class GlobalAveragePool(Layer):
     """(B, W, H, C) -> (B, C) spatial mean."""
 
     kind = "gap"
+    in_rank = 4
+    out_rank = 2
 
     def forward(self, xb):
         if xb.ndim != 4:
@@ -214,6 +225,7 @@ class GlobalAveragePool(Layer):
 
 class FullyConnected(Layer):
     kind = "fc"
+    in_rank = 2
 
     def __init__(self, matrix, bias=None):
         self.matrix = np.ascontiguousarray(matrix, dtype=DTYPE)

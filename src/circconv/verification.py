@@ -24,6 +24,7 @@ from .circulant import (
 from .convops import (
     ConvGeometry,
     _group_size,
+    circ_backward,
     circ_backward_input,
     circ_backward_weight,
     circ_forward,
@@ -164,26 +165,39 @@ def _ragged_batch(steps):
 
 
 def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
-    """All three FFT passes on batches, against the dense oracles per sample.
+    """All FFT passes on batches, against the dense oracles per sample.
 
     Each instance draws N in (1, 2, 3, 5, 8), channel counts that leave
     partial blocks, a kernel of 1-5 and a pad of 0-2 on each axis, and runs
     batches of 1, 3 and one spanning at least two groups of the
     contraction with a ragged last group (its spatial size is chosen so
-    that a group holds 2-4 samples). The forward pass and the input
+    that a group holds 2-4 samples). The first three instances always
+    include the cases where the weight gradient's alignment of grad_y
+    windows with input sites could slip: a 1x1 kernel at pad 2, so grad_y
+    is cropped, then R < S, then R > S. The forward pass and the input
     gradient are compared with conv_naive and conv_naive_backward_input on
     the expansion, sample by sample, and the weight gradient with the
-    diagonal sums of conv_naive_backward_weight summed over the batch. A
+    diagonal sums of conv_naive_backward_weight summed over the batch;
+    both gradients of circ_backward are compared with the same oracles. A
     batched call must also equal the stacked (or, for the weight gradient,
-    summed) single-sample calls to stack_tol.
+    summed) single-sample calls to stack_tol, and circ_backward must equal
+    the two single-gradient passes to stack_tol.
     """
+    if instances < 3:
+        raise ValueError("check_batched_passes needs at least 3 instances")
     rng = np.random.default_rng(seed)
     worst, worst_stack, ragged = 0.0, 0.0, True
-    for _ in range(instances):
+    for i in range(instances):
         n = int(rng.choice((1, 2, 3, 5, 8)))
         c_in, c_out = (int(c) for c in rng.integers(1, 3 * n + 1, size=2))
         k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
         pw, ph = (int(p) for p in rng.integers(0, 3, size=2))
+        if i == 0:
+            k1 = k2 = 1
+            pw = ph = 2
+        elif i in (1, 2):
+            one, three = int(rng.integers(1, n + 1)), int(rng.integers(2 * n + 1, 3 * n + 1))
+            c_in, c_out = (one, three) if i == 1 else (three, one)
         cfg = PartitionConfig(n=n, c_in=c_in, c_out=c_out)
         base = CirculantBaseTensor(
             rng.standard_normal((k1, k2, cfg.padded_in, cfg.s)), cfg
@@ -210,18 +224,24 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
             gy = rng.standard_normal(y.shape)
             dw = circ_backward_weight(xb, gy, base, g)
             dx = circ_backward_input(gy, base, g)
-            dw_ref = sum(
-                conv_naive_backward_weight(xi, gi, (k1, k2), g) for xi, gi in zip(xb, gy)
+            dw_both, dx_both = circ_backward(xb, gy, base, g)
+            dw_ref = _diagonal_sums(
+                sum(conv_naive_backward_weight(xi, gi, (k1, k2), g) for xi, gi in zip(xb, gy)),
+                cfg,
             )
-            worst = max(worst, _rel(dw, _diagonal_sums(dw_ref, cfg)))
-            for i in range(batch):
+            worst = max(worst, _rel(dw, dw_ref), _rel(dw_both, dw_ref))
+            for b in range(batch):
+                dx_ref = conv_naive_backward_input(gy[b], dense, g)
                 worst = max(
                     worst,
-                    _rel(y[i], conv_naive(xb[i], dense, g)),
-                    _rel(dx[i], conv_naive_backward_input(gy[i], dense, g)),
+                    _rel(y[b], conv_naive(xb[b], dense, g)),
+                    _rel(dx[b], dx_ref),
+                    _rel(dx_both[b], dx_ref),
                 )
             worst_stack = max(
                 worst_stack,
+                _rel(dw_both, dw),
+                _rel(dx_both, dx),
                 _rel(y, np.stack([circ_forward(xi, base, g) for xi in xb])),
                 _rel(dx, np.stack([circ_backward_input(gi, base, g) for gi in gy])),
                 _rel(dw, sum(circ_backward_weight(xi, gi, base, g) for xi, gi in zip(xb, gy))),
@@ -229,9 +249,10 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     return PropertyResult(
         "batched-passes",
         ragged and worst <= tol and worst_stack <= stack_tol,
-        f"{instances} instances x batches (1, 3, >=2 groups with a ragged last "
-        f"group: {ragged}): oracle rel {worst:.3e} <= {tol:.0e}, "
-        f"batched vs single-sample rel {worst_stack:.3e} <= {stack_tol:.0e}",
+        f"{instances} instances incl. cropped grad_y, R<S and R>S x batches (1, 3, "
+        f">=2 groups with a ragged last group: {ragged}): oracle rel {worst:.3e} "
+        f"<= {tol:.0e}, batched vs single-sample and joint vs single-gradient "
+        f"rel {worst_stack:.3e} <= {stack_tol:.0e}",
     )
 
 

@@ -121,6 +121,33 @@ class TestConvertAndInfer:
         want, _ = forward_pass(loaded, x[None])
         np.testing.assert_allclose(load_tensor(yout), want[0], atol=1e-12)
 
+    def test_f32_model_through_infer(self, capsys, tmp_path):
+        net = make_dense_toy_net(seed=1)
+        dense_path = tmp_path / "dense.ccm"
+        f32_path = tmp_path / "circ32.ccm"
+        f64_path = tmp_path / "circ64.ccm"
+        save_model(net, dense_path)
+        for precision, path in (("f32", f32_path), ("f64", f64_path)):
+            code, _, _ = run(
+                capsys, "convert", "--model-in", str(dense_path), "--scheme", "2",
+                "--model-out", str(path), "--precision", precision,
+            )
+            assert code == 0
+
+        x = np.random.default_rng(3).standard_normal((12, 12, 4))
+        xin, yout = tmp_path / "x.cct", tmp_path / "y.cct"
+        save_tensor(xin, x)
+        code, _, _ = run(
+            capsys, "infer", "--model", str(f32_path),
+            "--input", str(xin), "--output", str(yout),
+        )
+        assert code == 0
+        got = load_tensor(yout)
+        want, _ = forward_pass(load_model(f32_path), x[None])
+        np.testing.assert_array_equal(got, want[0])
+        full, _ = forward_pass(load_model(f64_path), x[None])
+        assert np.max(np.abs(got - full[0])) <= 1e-6 * np.max(np.abs(full[0]))
+
     def test_convert_then_analyze_alexnet_shapes(self, capsys, tmp_path):
         # dense model file with the AlexNet v2 conv stack, converted at
         # 1-2-2-2-2, lands the conv-parameter column at ~50%

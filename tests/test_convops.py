@@ -9,6 +9,7 @@ from circconv.circulant import (
 )
 from circconv.convops import (
     ConvGeometry,
+    circ_backward,
     circ_backward_input,
     circ_backward_weight,
     circ_forward,
@@ -424,6 +425,8 @@ class TestBatchedPasses:
         y = circ_forward(x, base, g)
         assert y.shape == (5, 5, 4)
         assert circ_backward_input(y, base, g).shape == x.shape
+        dw, dx = circ_backward(x, y, base, g)
+        assert dx.shape == x.shape and dw.shape == base.base.shape
         np.testing.assert_array_equal(y, circ_forward(x[None], base, g)[0])
 
     def test_batch_rank_mismatch(self):
@@ -432,5 +435,7 @@ class TestBatchedPasses:
         x = rng.standard_normal((2, 3, 3, 2))
         with pytest.raises(ShapeError):
             circ_backward_weight(x, np.zeros((3, 3, 2)), base)
+        with pytest.raises(ShapeError):
+            circ_backward(x, np.zeros((3, 3, 2)), base)
         with pytest.raises(ShapeError):
             circ_forward(np.zeros((1, 2, 3, 3, 2)), base)

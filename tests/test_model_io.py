@@ -230,6 +230,40 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=r"fields \['c_out'\]"):
             load_model(path)
 
+    def test_fc_width_that_does_not_chain(self, tmp_path):
+        # conv(4->8) -> relu -> gap -> fc(6->4): the fc layer receives 8 channels
+        rng = np.random.default_rng(3)
+        net = Network(
+            [
+                DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8)),
+                ReLU(),
+                GlobalAveragePool(),
+                FullyConnected(init_fc(rng, 6, 4)),
+            ]
+        )
+        path = tmp_path / "bad.ccm"
+        save_model(net, path)
+        with pytest.raises(
+            ModelFormatError, match="layer 3: fc layer expects 6 input channels, .* 8"
+        ):
+            load_model(path)
+
+    def test_conv_after_gap_does_not_chain(self, tmp_path):
+        rng = np.random.default_rng(4)
+        net = Network(
+            [
+                DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8)),
+                GlobalAveragePool(),
+                DenseConvLayer(init_dense_kernel(rng, (1, 1), 8, 8)),
+            ]
+        )
+        path = tmp_path / "bad.ccm"
+        save_model(net, path)
+        with pytest.raises(
+            ModelFormatError, match="layer 2: conv layer takes 4-D input, .* 2-D"
+        ):
+            load_model(path)
+
     def test_unknown_kind(self, tmp_path):
         meta = {
             "format": MODEL_MAGIC, "precision": "f64", "endianness": "little",
