@@ -7,8 +7,6 @@ kernel positions and input blocks, transform back. Per block that is
 O(N log N) instead of the O(N^2) matrix-vector product.
 """
 
-import time
-
 import numpy as np
 
 from circconv import (
@@ -19,8 +17,8 @@ from circconv import (
     conv_block,
     conv_naive,
     expand,
-    kernel_spectra,
 )
+from circconv.verification import probe_fft_path
 
 rng = np.random.default_rng(1)
 
@@ -37,24 +35,7 @@ print("max |fft - naive| =", np.abs(y_fast - y_naive).max())
 print("max |fft - block| =", np.abs(y_fast - y_block).max())
 
 # the gap opens as N grows: same spatial work, one 256x256 circulant block
-big = PartitionConfig(n=256, c_in=256, c_out=256)
-base = CirculantBaseTensor(rng.standard_normal((3, 3, 256, 1)), big)
-x = rng.standard_normal((10, 10, 256))
-dense = expand(base)
-w_spec = kernel_spectra(base)
-
-
-def clock(fn, reps=5):
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-t_naive = clock(lambda: conv_block(x, dense, big))
-t_fast = clock(lambda: circ_forward(x, base, w_spec=w_spec))
-print(f"\nN=256: naive {t_naive * 1e3:.2f} ms, fft {t_fast * 1e3:.2f} ms, "
-      f"speedup {t_naive / t_fast:.1f}x")
+row = probe_fft_path(256, 8, 3, rng, reps=5, inner=1)
+print(f"\nN=256: naive {row['naive_ms']:.2f} ms, fft {row['fft_ms']:.2f} ms, "
+      f"speedup {row['speedup']:.1f}x")
 print("(see also: circconv bench --sizes 64,256,512)")

@@ -10,8 +10,6 @@ training from scratch and convert-then-retrain.
 
 from .analysis import (
     CostReport,
-    DEFAULT_FLOP_MODEL,
-    FlopModel,
     LayerSpec,
     PRESETS,
     RESNET32_BLOCK_SCHEMES,

@@ -1,8 +1,8 @@
 """Parameter and FLOP accounting, compression-scheme evaluation, reports.
 
-Counting conventions are declared in one place (FlopModel) and are
-overridable; every report embeds the exact formula text so numbers are
-reproducible from the report alone.
+The FLOP counting convention is fixed: MAC_COST and the transform and slot
+cost functions implement it, and FLOP_CONVENTION states it. Every report
+embeds that text, so its numbers are reproducible from the report alone.
 """
 
 import json
@@ -54,91 +54,44 @@ class LayerSpec:
         )
 
 
-@dataclass(frozen=True)
-class FlopModel:
-    """Floating-point operation counting conventions (all counts are real ops).
+MAC_COST = 2  # real ops of one dense multiply-accumulate
 
-    A dense multiply-accumulate costs mac_cost. A length-N transform costs
-    fft_n_logn * N * log2(N); with half_spectrum set, transforms of real
-    fibers (and inverses back to real fibers) exploit conjugate symmetry:
-    the transform is costed at half, and per-slot spectral work runs over
-    the N//2 + 1 unique bins, of which the DC bin (and the Nyquist bin for
-    even N) hold real values and are costed with real multiplies and adds
-    (1 op each) while interior bins are complex (complex_mult_cost and
-    complex_add_cost ops). At N=2 both bins are real, so the whole pipeline
-    uses real arithmetic only; with n2_real_butterfly set its transforms
-    are costed as one add and one subtract (2 ops). Inverse transforms add
-    a 1/N normalization (2 ops per complex bin, 1 per real bin).
-    """
-
-    mac_cost: int = 2
-    complex_mult_cost: int = 6
-    complex_add_cost: int = 2
-    fft_n_logn: float = 5.0
-    half_spectrum: bool = True
-    n2_real_butterfly: bool = True
-    count_kernel_spectra: bool = True
-
-    def bins(self, n):
-        return n // 2 + 1 if self.half_spectrum else n
-
-    def _real_bins(self, n):
-        if not self.half_spectrum:
-            return 0
-        return 1 if n % 2 else 2  # DC, plus Nyquist for even N
-
-    def fft_cost(self, n):
-        if n <= 1:
-            return 0.0
-        if n == 2 and self.n2_real_butterfly:
-            return 2.0
-        cost = self.fft_n_logn * n * math.log2(n)
-        return cost / 2.0 if self.half_spectrum else cost
-
-    def _per_bin(self, n, complex_cost):
-        real = min(self._real_bins(n), self.bins(n))
-        return real * 1.0 + (self.bins(n) - real) * float(complex_cost)
-
-    def ifft_cost(self, n):
-        if n <= 1:
-            return 0.0
-        return self.fft_cost(n) + self._per_bin(n, 2)
-
-    def slot_mult_cost(self, n):
-        """Spectral product of one input-fiber/kernel-fiber pair."""
-        if n == 1:
-            return 1.0
-        return self._per_bin(n, self.complex_mult_cost)
-
-    def slot_add_cost(self, n):
-        """Accumulating one product into the per-site spectral sum."""
-        if n == 1:
-            return 1.0
-        return self._per_bin(n, self.complex_add_cost)
-
-    def describe(self):
-        return (
-            "FLOP convention: dense conv = {mac} * W2*H2 * W1*H1 * (C_in/groups) * C_out. "
-            "circconv (per group; R, S channel blocks of size N, B = {bins} spectral bins"
-            "{realbins}): per output site R forward transforms + W1*H1*R*S spectral "
-            "multiply-accumulates ({mult} and {add} ops per complex bin, 1 per real bin) "
-            "+ S inverse transforms (transform + normalization per bin); plus one-time "
-            "W1*H1*R*S kernel-fiber transforms{onetime}. Transform cost: 0 at N=1, "
-            "{n2} at N=2, else {c}*N*log2(N){half}."
-        ).format(
-            mac=self.mac_cost,
-            bins="N//2+1" if self.half_spectrum else "N",
-            realbins=", DC/Nyquist bins real" if self.half_spectrum else "",
-            mult=self.complex_mult_cost,
-            add=self.complex_add_cost,
-            onetime="" if self.count_kernel_spectra else " (excluded)",
-            n2="2 real ops (real-only butterfly)" if self.n2_real_butterfly else "5*2*1 ops",
-            c=self.fft_n_logn,
-            half=" halved for real input/output" if self.half_spectrum else "",
-        )
+FLOP_CONVENTION = (
+    "FLOP convention: dense conv = 2 * W2*H2 * W1*H1 * (C_in/groups) * C_out. "
+    "circconv (per group; R, S channel blocks of size N, B = N//2+1 spectral bins, "
+    "DC/Nyquist bins real): per output site R forward transforms + W1*H1*R*S "
+    "spectral multiply-accumulates (6 and 2 ops per complex bin, 1 per real bin) "
+    "+ S inverse transforms (transform + normalization per bin); plus one-time "
+    "W1*H1*R*S kernel-fiber transforms. Transform cost: 0 at N=1, 2 real ops "
+    "(real-only butterfly) at N=2, else 5.0*N*log2(N) halved for real input/output."
+)
 
 
-DEFAULT_FLOP_MODEL = FlopModel()
+def _per_bin(n, complex_cost):
+    """Ops of one elementwise step over the N//2+1 unique bins of a real
+    fiber's spectrum: 1 per real bin (DC, and Nyquist for even N) and
+    complex_cost per complex bin."""
+    real = 1 if n % 2 else 2
+    return real + (n // 2 + 1 - real) * complex_cost
+
+
+def transform_cost(n):
+    """Real ops of one length-N transform of a real fiber, or back to one."""
+    if n == 1:
+        return 0.0
+    if n == 2:
+        return 2.0
+    return 5.0 * n * math.log2(n) / 2.0
+
+
+def _inverse_transform_cost(n):
+    """A transform back to a real fiber plus its 1/N normalization per bin."""
+    return 0.0 if n == 1 else transform_cost(n) + _per_bin(n, 2)
+
+
+def slot_cost(n):
+    """Spectral multiply-accumulate of one input-fiber/kernel-fiber pair."""
+    return float(_per_bin(n, 6) + _per_bin(n, 2))
 
 
 def param_count(layer):
@@ -156,33 +109,20 @@ def bias_count(layer):
     return layer.c_out if layer.bias else 0
 
 
-def flop_count(layer, model=DEFAULT_FLOP_MODEL):
-    """Forward-pass FLOPs of a layer under the declared counting model."""
+def flop_count(layer):
+    """Forward-pass FLOPs of a layer under FLOP_CONVENTION."""
     k1, k2 = layer.kernel
     w2, h2 = layer.out_spatial
     sites = w2 * h2
     if layer.kind == "fc":
-        return int(round(model.mac_cost * layer.c_in * layer.c_out))
+        return MAC_COST * layer.c_in * layer.c_out
     if layer.kind == "conv":
-        return int(
-            round(
-                model.mac_cost
-                * sites
-                * k1
-                * k2
-                * (layer.c_in // layer.groups)
-                * layer.c_out
-            )
-        )
+        return MAC_COST * sites * k1 * k2 * (layer.c_in // layer.groups) * layer.c_out
     cfg = layer.partition()
     n, r, s = cfg.n, cfg.r, cfg.s
     slots = k1 * k2 * r * s
-    per_site = (
-        r * model.fft_cost(n)
-        + slots * (model.slot_mult_cost(n) + model.slot_add_cost(n))
-        + s * model.ifft_cost(n)
-    )
-    one_time = slots * model.fft_cost(n) if model.count_kernel_spectra else 0.0
+    per_site = r * transform_cost(n) + slots * slot_cost(n) + s * _inverse_transform_cost(n)
+    one_time = slots * transform_cost(n)
     return int(round(layer.groups * (sites * per_site + one_time)))
 
 
@@ -284,7 +224,7 @@ def dense_baseline(model):
     ]
 
 
-def evaluate_scheme(model, scheme, baseline=None, flop_model=DEFAULT_FLOP_MODEL):
+def evaluate_scheme(model, scheme, baseline=None):
     """Apply a compression scheme and report costs against a baseline.
 
     scheme may be None to report the model as-is. The baseline defaults to
@@ -308,8 +248,8 @@ def evaluate_scheme(model, scheme, baseline=None, flop_model=DEFAULT_FLOP_MODEL)
         0,
     )
     for layer, ref in zip(compressed, baseline):
-        p, f = param_count(layer), flop_count(layer, flop_model)
-        bp, bf = param_count(ref), flop_count(ref, flop_model)
+        p, f = param_count(layer), flop_count(layer)
+        bp, bf = param_count(ref), flop_count(ref)
         bias = bias_count(layer)
         rows.append(
             {
@@ -338,7 +278,7 @@ def evaluate_scheme(model, scheme, baseline=None, flop_model=DEFAULT_FLOP_MODEL)
     tot["conv_flops_pct"] = _pct(tot["conv_flops"], tot["baseline_conv_flops"])
     tot["model_params_pct"] = _pct(tot["model_params"], tot["baseline_model_params"])
     tot["model_flops_pct"] = _pct(tot["model_flops"], tot["baseline_model_flops"])
-    report = CostReport(rows=rows, totals=tot, flop_convention=flop_model.describe())
+    report = CostReport(rows=rows, totals=tot, flop_convention=FLOP_CONVENTION)
     partial = [
         layer.name
         for layer in compressed

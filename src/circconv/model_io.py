@@ -8,9 +8,11 @@ A model file is a human-readable manifest followed by raw parameter blobs:
     payload: one little-endian scalar blob per parameter, in manifest order
 
 Scalars are stored as float64 by default ("f64"); "f32" stores float32,
-which round-trips exactly for the values actually stored. Loading is pure
-data: nothing in the file is ever executed, and every shape and partition
-declared by the manifest is validated before the network is returned.
+which round-trips exactly for the values actually stored. Stored values
+are finite: the writers refuse, and the readers reject, anything else.
+Loading is pure data: nothing in the file is ever executed, and every
+shape and partition declared by the manifest is validated before the
+network is returned.
 
 Tensor files use the same layout with tag "circconv-tensor/1" and a single
 blob. A compression-scheme file is a JSON object mapping layer or block
@@ -43,17 +45,31 @@ def _layer_manifest(layer):
     }
 
 
+def _stored(arr, precision, what):
+    """The bytes of arr as stored at precision. Raises ModelFormatError
+    naming what when a stored value is non-finite; a finite float64 beyond
+    float32's range is stored as inf."""
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(arr, dtype=_DTYPES[precision])
+    if not np.all(np.isfinite(stored)):
+        raise ModelFormatError(f"{what} holds non-finite values as stored at {precision}")
+    return stored.tobytes()
+
+
 def save_model(net, path, precision="f64"):
-    """Write a network; load_model(path) restores it bit-exactly at f64."""
+    """Write a network; load_model(path) restores it bit-exactly at f64.
+
+    Raises ModelFormatError, before writing, when a parameter is
+    non-finite as stored at the given precision.
+    """
     if precision not in _DTYPES:
         raise ModelFormatError(f"unknown precision {precision!r}")
-    dtype = _DTYPES[precision]
     manifests, blobs = [], []
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         manifests.append(_layer_manifest(layer))
         blobs.extend(
-            np.ascontiguousarray(a, dtype=dtype).tobytes()
-            for a in layer.params().values()
+            _stored(a, precision, f"layer {i} ({layer.kind}): parameter {name!r}")
+            for name, a in layer.params().items()
         )
     manifest = json.dumps(
         {
@@ -115,7 +131,10 @@ def _read_blob(fh, shape, dtype, where):
         raise ModelFormatError(
             f"truncated blob for {where}: expected {nbytes} bytes, got {len(raw)}"
         )
-    return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+    arr = np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ModelFormatError(f"{where} holds non-finite values")
+    return arr
 
 
 def load_model(path):
@@ -141,15 +160,10 @@ def load_model(path):
                 raise ModelFormatError(f"{where}: unknown layer kind {kind!r}")
             params = {
                 p.get("name"): _read_blob(
-                    fh, p.get("shape", ()), dtype, f"{where} {p.get('name')!r}"
+                    fh, p.get("shape", ()), dtype, f"{where}: parameter {p.get('name')!r}"
                 )
                 for p in meta.get("params", [])
             }
-            for name, arr in params.items():
-                if not np.all(np.isfinite(arr)):
-                    raise ModelFormatError(
-                        f"{where}: parameter {name!r} holds non-finite values"
-                    )
             try:
                 layer = LAYER_KINDS[kind].from_fields(meta, params)
             except KeyError as exc:
@@ -185,10 +199,12 @@ def load_model(path):
 
 
 def save_tensor(path, arr, precision="f64"):
-    """Write one array in the tensor file format."""
+    """Write one array in the tensor file format; like save_model, refuses
+    values that are non-finite as stored."""
     if precision not in _DTYPES:
         raise ModelFormatError(f"unknown precision {precision!r}")
     arr = np.asarray(arr, dtype=np.float64)
+    blob = _stored(arr, precision, "tensor")
     manifest = json.dumps(
         {
             "format": TENSOR_MAGIC,
@@ -201,10 +217,11 @@ def save_tensor(path, arr, precision="f64"):
         fh.write(TENSOR_MAGIC.encode() + b"\n")
         fh.write(str(len(manifest)).encode() + b"\n")
         fh.write(manifest)
-        fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[precision]).tobytes())
+        fh.write(blob)
 
 
 def load_tensor(path):
+    """Read a tensor file; rejects non-finite values as load_model does."""
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, TENSOR_MAGIC, path)
         arr = _read_blob(fh, manifest.get("shape", ()), dtype, f"{path}: tensor")

@@ -23,7 +23,7 @@ from .circulant import CirculantBaseTensor, CompressionScheme, PartitionConfig, 
 from .convops import (
     ConvGeometry,
     circ_backward,
-    # unused here, but perfbench's tracer looks both up as nn attributes
+    # unused here, but perfbench's tracer looks it up as an nn attribute
     circ_backward_input,
     circ_backward_weight,
     circ_forward,
@@ -63,6 +63,10 @@ class Layer:
     requires (None: any) and out_rank the rank it returns (None: its
     input's); with the c_in and c_out fields they say how layers chain.
     The defaults describe a layer without parameters.
+
+    forward(xb) returns the output and a cache; backward(cache, gyb,
+    need_dx=True) returns the input gradient, or None when need_dx is
+    false, and the gradients named as in params().
     """
 
     kind = None
@@ -137,12 +141,15 @@ class CircConvLayer(Layer):
         y += self.bias
         return y, xb
 
-    def backward(self, cache, gyb):
+    def backward(self, cache, gyb, need_dx=True):
         xb = cache
         # Summed before the FFT passes: after OpenBLAS's complex GEMM, numpy's
         # strided SSE reduction loops run ~10x slower until the next AVX call.
         dbias = gyb.sum(axis=(0, 1, 2))
-        dbase, dx = circ_backward(xb, gyb, self.base, self.geometry)
+        if need_dx:
+            dbase, dx = circ_backward(xb, gyb, self.base, self.geometry)
+        else:
+            dbase, dx = circ_backward_weight(xb, gyb, self.base, self.geometry), None
         return dx, {"base": dbase, "bias": dbias}
 
 
@@ -187,10 +194,10 @@ class DenseConvLayer(Layer):
         y += self.bias
         return y, xb
 
-    def backward(self, cache, gyb):
+    def backward(self, cache, gyb, need_dx=True):
         xb = cache
         dw = conv_naive_backward_weight(xb, gyb, self.w.shape[:2], self.geometry)
-        dx = conv_naive_backward_input(gyb, self.w, self.geometry)
+        dx = conv_naive_backward_input(gyb, self.w, self.geometry) if need_dx else None
         return dx, {"w": dw, "bias": gyb.sum(axis=(0, 1, 2))}
 
 
@@ -200,8 +207,8 @@ class ReLU(Layer):
     def forward(self, xb):
         return np.maximum(xb, 0.0), xb > 0
 
-    def backward(self, cache, gyb):
-        return gyb * cache, {}
+    def backward(self, cache, gyb, need_dx=True):
+        return (gyb * cache if need_dx else None), {}
 
 
 class GlobalAveragePool(Layer):
@@ -216,7 +223,9 @@ class GlobalAveragePool(Layer):
             raise ShapeError(f"expected a (B, W, H, C) input, got {xb.shape}")
         return xb.mean(axis=(1, 2)), xb.shape
 
-    def backward(self, cache, gyb):
+    def backward(self, cache, gyb, need_dx=True):
+        if not need_dx:
+            return None, {}
         b, w, h, c = cache
         return np.broadcast_to(
             gyb[:, None, None, :] / (w * h), (b, w, h, c)
@@ -253,9 +262,10 @@ class FullyConnected(Layer):
             )
         return xb @ self.matrix + self.bias, xb
 
-    def backward(self, cache, gyb):
+    def backward(self, cache, gyb, need_dx=True):
         xb = cache
-        return gyb @ self.matrix.T, {"matrix": xb.T @ gyb, "bias": gyb.sum(axis=0)}
+        dx = gyb @ self.matrix.T if need_dx else None
+        return dx, {"matrix": xb.T @ gyb, "bias": gyb.sum(axis=0)}
 
 
 LAYER_KINDS = {
@@ -315,7 +325,8 @@ def backward_pass(net, cache, labels):
     """Gradients of the mean cross-entropy loss over all free parameters.
 
     Only the stored parameters are differentiated; for circulant layers
-    that is the base tensor, never its dense expansion.
+    that is the base tensor, never its dense expansion. The first layer's
+    input gradient, which nothing uses, is not computed.
     """
     if cache.version != net.version:
         raise ContractError(
@@ -324,7 +335,7 @@ def backward_pass(net, cache, labels):
     _, grad = softmax_cross_entropy(cache.logits, labels)
     grads = [None] * len(net.layers)
     for i in reversed(range(len(net.layers))):
-        grad, grads[i] = net.layers[i].backward(cache.layer_caches[i], grad)
+        grad, grads[i] = net.layers[i].backward(cache.layer_caches[i], grad, need_dx=i > 0)
     return grads
 
 
@@ -408,6 +419,21 @@ class ToyTaskSpec:
     label_noise: float = 0.12
 
 
+def _toy_net(rng, spec, conv, weights, bias=None):
+    """conv -> ReLU -> GAP -> FC at the toy task's shapes, the conv layer
+    built by conv(weights, bias) and padded to keep the spatial size; the
+    FC matrix is drawn from rng last."""
+    pad = (spec.kernel[0] // 2, spec.kernel[1] // 2)
+    return Network(
+        [
+            conv(weights, bias=bias, geometry=ConvGeometry(pad=pad)),
+            ReLU(),
+            GlobalAveragePool(),
+            FullyConnected(init_fc(rng, spec.hidden, spec.classes)),
+        ]
+    )
+
+
 def make_toy_task(seed, spec=ToyTaskSpec()):
     """Random inputs labeled by a planted dense conv-relu-pool-fc teacher.
 
@@ -419,18 +445,10 @@ def make_toy_task(seed, spec=ToyTaskSpec()):
     x = rng.standard_normal(
         (spec.n_samples, spec.spatial[0], spec.spatial[1], spec.channels)
     )
-    pad = (spec.kernel[0] // 2, spec.kernel[1] // 2)
-    teacher = Network(
-        [
-            DenseConvLayer(
-                init_dense_kernel(rng, spec.kernel, spec.channels, spec.hidden),
-                bias=rng.normal(0.0, 0.1, spec.hidden),
-                geometry=ConvGeometry(pad=pad),
-            ),
-            ReLU(),
-            GlobalAveragePool(),
-            FullyConnected(init_fc(rng, spec.hidden, spec.classes)),
-        ]
+    teacher = _toy_net(
+        rng, spec, DenseConvLayer,
+        init_dense_kernel(rng, spec.kernel, spec.channels, spec.hidden),
+        rng.normal(0.0, 0.1, spec.hidden),
     )
     logits, _ = forward_pass(teacher, x)
     labels = (logits - logits.mean(axis=0)).argmax(axis=1)
@@ -442,35 +460,16 @@ def make_toy_task(seed, spec=ToyTaskSpec()):
 
 def make_dense_toy_net(seed, spec=ToyTaskSpec()):
     rng = np.random.default_rng(seed)
-    pad = (spec.kernel[0] // 2, spec.kernel[1] // 2)
-    return Network(
-        [
-            DenseConvLayer(
-                init_dense_kernel(rng, spec.kernel, spec.channels, spec.hidden),
-                geometry=ConvGeometry(pad=pad),
-            ),
-            ReLU(),
-            GlobalAveragePool(),
-            FullyConnected(init_fc(rng, spec.hidden, spec.classes)),
-        ]
+    return _toy_net(
+        rng, spec, DenseConvLayer,
+        init_dense_kernel(rng, spec.kernel, spec.channels, spec.hidden),
     )
 
 
 def make_circ_toy_net(seed, n, spec=ToyTaskSpec()):
     rng = np.random.default_rng(seed)
-    pad = (spec.kernel[0] // 2, spec.kernel[1] // 2)
     config = PartitionConfig(n=n, c_in=spec.channels, c_out=spec.hidden)
-    return Network(
-        [
-            CircConvLayer(
-                init_circ_base(rng, spec.kernel, config),
-                geometry=ConvGeometry(pad=pad),
-            ),
-            ReLU(),
-            GlobalAveragePool(),
-            FullyConnected(init_fc(rng, spec.hidden, spec.classes)),
-        ]
-    )
+    return _toy_net(rng, spec, CircConvLayer, init_circ_base(rng, spec.kernel, config))
 
 
 # ---------------------------------------------------------------------------

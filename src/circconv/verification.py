@@ -6,13 +6,20 @@ passes against the per-sample dense oracles, gradient correctness against
 finite differences and the diagonal-sum oracle,
 projection optimality, spectral identities, and training-time structure
 preservation. Output is deterministic for a fixed seed.
+
+probe_fft_path is the one timing of the FFT path against the loop oracle:
+`circconv bench` prints its rows, and check_fft_advantage (acceptance
+criterion 8) reads one at N = 256. Timings are not deterministic, so
+run_verification does not include that check.
 """
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
+from .analysis import LayerSpec, flop_count
 from .circulant import (
     CirculantBaseTensor,
     PartitionConfig,
@@ -32,6 +39,7 @@ from .convops import (
     conv_naive,
     conv_naive_backward_input,
     conv_naive_backward_weight,
+    kernel_spectra,
 )
 from .nn import CircConvLayer, SgdConfig, make_circ_toy_net, make_toy_task, train
 
@@ -401,6 +409,82 @@ def check_spectral(seed, tol_dft=1e-10, tol_prop=1e-9):
         f"all N<=32 incl. primes: direct-DFT defect {worst_dft:.3e} <= {tol_dft:.0e}, "
         f"Parseval {worst_parseval:.3e} and convolution theorem {worst_conv:.3e} "
         f"<= {tol_prop:.0e}",
+    )
+
+
+def _best_time(fn, reps, inner):
+    """Best of reps runs of the mean time of inner calls, in seconds."""
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / inner)
+    return best
+
+
+def probe_fft_path(n, spatial, kernel, rng, reps, inner):
+    """The FFT path against the loop oracle on one N x N circulant block.
+
+    Draws the base tensor, then a (spatial + kernel - 1)^2 input with N
+    channels, from rng; times conv_block on the dense expansion and
+    circ_forward with precomputed kernel spectra, each the best of reps
+    runs of inner calls; and counts both paths' FLOPs with flop_count.
+    Returns the row that `circconv bench` prints.
+    """
+    cfg = PartitionConfig(n=n, c_in=n, c_out=n)
+    base = CirculantBaseTensor(rng.standard_normal((kernel, kernel, n, 1)), cfg)
+    x = rng.standard_normal((spatial + kernel - 1, spatial + kernel - 1, n))
+    dense = expand(base)
+    w_spec = kernel_spectra(base)
+    g = ConvGeometry()
+
+    def naive():
+        return conv_block(x, dense, cfg, g)
+
+    def fast():
+        return circ_forward(x, base, g, w_spec=w_spec)
+
+    gap = float(np.max(np.abs(naive() - fast())))
+    t_naive = _best_time(naive, reps, inner)
+    t_fast = _best_time(fast, reps, inner)
+    shape = dict(
+        name="bench", kernel=(kernel, kernel), c_in=n, c_out=n,
+        in_spatial=(spatial, spatial), out_spatial=(spatial, spatial),
+    )
+    f_naive = flop_count(LayerSpec(kind="conv", **shape))
+    f_fast = flop_count(LayerSpec(kind="circconv", n=n, **shape))
+    return {
+        "N": n,
+        "naive_ms": t_naive * 1e3,
+        "fft_ms": t_fast * 1e3,
+        "speedup": t_naive / t_fast,
+        "flops_naive": f_naive,
+        "flops_fft": f_fast,
+        "flop_ratio": f_fast / f_naive,
+        "max_abs_diff": gap,
+    }
+
+
+def check_fft_advantage(seed):
+    """Counted FLOPs strictly below dense for N >= 4, at 2N channels and at
+    16 channels, and the FFT path at N = 256 at least 2x faster than the
+    loop oracle (best of 7 runs of 3 calls), its outputs within 1e-9."""
+    shape = dict(name="c", kernel=(3, 3), in_spatial=(8, 8), out_spatial=(8, 8))
+    sweep = [(2 * n, n) for n in (4, 8, 16, 32, 64, 128, 256)]
+    sweep += [(16, n) for n in (4, 8, 16)]  # fixed channel count, varying partition
+    counted_ok = all(
+        flop_count(LayerSpec(kind="circconv", c_in=c, c_out=c, n=n, **shape))
+        < flop_count(LayerSpec(kind="conv", c_in=c, c_out=c, **shape))
+        for c, n in sweep
+    )
+    row = probe_fft_path(256, 8, 3, np.random.default_rng(seed), reps=7, inner=3)
+    return PropertyResult(
+        "fft-path-advantage",
+        counted_ok and row["speedup"] >= 2.0 and row["max_abs_diff"] <= 1e-9,
+        f"counted FLOPs strictly below dense for N>=4: {counted_ok}; measured "
+        f"N=256 speedup {row['speedup']:.1f}x >= 2x ({row['naive_ms']:.2f}ms naive "
+        f"vs {row['fft_ms']:.2f}ms fft, single-threaded)",
     )
 
 

@@ -1,11 +1,8 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from circconv.analysis import (
-    DEFAULT_FLOP_MODEL,
-    FlopModel,
+    MAC_COST,
     LayerSpec,
     PRESETS,
     RESNET32_BLOCK_SCHEMES,
@@ -16,6 +13,8 @@ from circconv.analysis import (
     flop_count,
     param_count,
     resnet32,
+    slot_cost,
+    transform_cost,
 )
 from circconv.circulant import CirculantBaseTensor, CompressionScheme, PartitionConfig
 from circconv.convops import ConvGeometry, circ_forward
@@ -90,38 +89,33 @@ class TestFlopCount:
 
 
 class CountedFastPath:
-    """Pure-Python execution of the spectral fast path with counter hooks.
+    """Execution of the spectral fast path with an op counter, on the half
+    spectra the FLOP convention counts.
 
-    The FFT is a recursive complex radix-2 with every butterfly counted
-    (one complex multiply, two complex adds); spectral products and
-    accumulations are counted per executed slot. The run returns real
-    outputs so correctness is checked against circ_forward.
+    Spectral products and accumulations run in Python over the N//2 + 1
+    unique bins of each fiber and are counted per bin: 1 op on a real
+    (DC or Nyquist) bin, 6 and 2 ops on a complex bin. Each inverse
+    transform's 1/N normalization runs and is counted the same way, per
+    bin. A transform is charged the convention's price, transform_cost(N),
+    since that price is a convention and not a count of butterflies. The
+    run returns real outputs, so correctness is checked against
+    circ_forward.
     """
 
-    def __init__(self):
+    def __init__(self, n):
+        self.n = n
         self.flops = 0
+        self.real = [k == 0 or 2 * k == n for k in range(n // 2 + 1)]
 
-    def fft(self, x):
-        n = len(x)
-        if n == 1:
-            return list(x)
-        even = self.fft(x[0::2])
-        odd = self.fft(x[1::2])
-        out = [0j] * n
-        for k in range(n // 2):
-            tw = cmath.exp(-2j * cmath.pi * k / n) * odd[k]
-            self.flops += 6  # complex multiply
-            out[k] = even[k] + tw
-            out[k + n // 2] = even[k] - tw
-            self.flops += 4  # two complex adds
-        return out
+    def fft(self, fiber):
+        self.flops += transform_cost(self.n)
+        return list(np.fft.rfft(fiber))
 
-    def ifft(self, x):
-        n = len(x)
-        conj = [v.conjugate() for v in x]  # sign flips, not counted
-        out = self.fft(conj)
-        self.flops += 2 * n  # 1/N normalization of each complex bin
-        return [v.conjugate() / n for v in out]
+    def ifft(self, spectrum):
+        scaled = [v / self.n for v in spectrum]
+        self.flops += sum(1 if real else 2 for real in self.real)
+        self.flops += transform_cost(self.n)
+        return np.fft.irfft(scaled, self.n, norm="forward")
 
     def run(self, x, base, g):
         cfg = base.config
@@ -134,7 +128,7 @@ class CountedFastPath:
         h2 = xp.shape[1] - k2 + 1
         # input spectra: once per padded input site and block
         xs = {
-            (u, v, j): self.fft(list(xp[u, v, j * n : (j + 1) * n].astype(complex)))
+            (u, v, j): self.fft(xp[u, v, j * n : (j + 1) * n])
             for u in range(xp.shape[0])
             for v in range(xp.shape[1])
             for j in range(r)
@@ -142,36 +136,33 @@ class CountedFastPath:
         # kernel spectra: once per layer
         fib = base.fibers()
         ws = {
-            (a, b, j, i): self.fft(list(fib[a, b, j, :, i].astype(complex)))
+            (a, b, j, i): self.fft(fib[a, b, j, :, i])
             for a in range(k1)
             for b in range(k2)
             for j in range(r)
             for i in range(s)
         }
+        mult = sum(1 if real else 6 for real in self.real)
+        add = sum(1 if real else 2 for real in self.real)
         y = np.zeros((w2, h2, cfg.padded_out))
         for u in range(w2):
             for v in range(h2):
                 for i in range(s):
-                    acc = [0j] * n
+                    acc = [0j] * len(self.real)
                     for a in range(k1):
                         for b in range(k2):
                             for j in range(r):
                                 xf = xs[(u + a, v + b, j)]
                                 wf = ws[(a, b, j, i)]
-                                prod = [xf[k] * wf[k] for k in range(n)]
-                                self.flops += 6 * n
-                                acc = [acc[k] + prod[k] for k in range(n)]
-                                self.flops += 2 * n
-                    out = self.ifft(acc)
-                    y[u, v, i * n : (i + 1) * n] = [c.real for c in out]
+                                prod = [p * q for p, q in zip(xf, wf)]
+                                self.flops += mult
+                                acc = [p + q for p, q in zip(acc, prod)]
+                                self.flops += add
+                    y[u, v, i * n : (i + 1) * n] = self.ifft(acc)
         return y[:, :, : cfg.c_out]
 
 
 class TestInstrumentedFlopCount:
-    # counting model matching the instrumented executor: full complex
-    # spectra, complex butterflies at every length
-    model = FlopModel(half_spectrum=False, n2_real_butterfly=False)
-
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_formula_tracks_instrumented_execution(self, n):
         rng = np.random.default_rng(n)
@@ -184,13 +175,13 @@ class TestInstrumentedFlopCount:
             PartitionConfig(n=n, c_in=r * n, c_out=s * n),
         )
         g = ConvGeometry()
-        counted = CountedFastPath()
+        counted = CountedFastPath(n)
         y = counted.run(x, base, g)
         ref = circ_forward(x, base, g)
         assert np.max(np.abs(y - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
         layer = circ_layer("c", (k, k), r * n, s * n, n, (out_sp, out_sp))
-        formula = flop_count(layer, self.model)
+        formula = flop_count(layer)
         assert abs(formula - counted.flops) <= 0.05 * counted.flops, (
             formula,
             counted.flops,
@@ -272,12 +263,7 @@ class TestEvaluateScheme:
         # real DC/Nyquist bins keep the spectral slot cost monotone: without
         # them N=2 would cost more than dense and with a flat butterfly
         # discount 2 -> 4 would go back up
-        model = DEFAULT_FLOP_MODEL
-        dense_slot = lambda n: model.mac_cost * n * n
-        ratios = [
-            (model.slot_mult_cost(n) + model.slot_add_cost(n)) / dense_slot(n)
-            for n in (1, 2, 4, 8, 16, 32)
-        ]
+        ratios = [slot_cost(n) / (MAC_COST * n * n) for n in (1, 2, 4, 8, 16, 32)]
         assert ratios[0] == 1.0
         for prev, nxt in zip(ratios, ratios[1:]):
             assert nxt < prev

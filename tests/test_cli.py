@@ -1,4 +1,9 @@
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -12,8 +17,11 @@ from circconv.nn import (
     ReLU,
     ToyTaskSpec,
     forward_pass,
+    make_circ_toy_net,
     make_dense_toy_net,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -228,6 +236,34 @@ class TestConvertAndInfer:
         assert err.startswith("error: ConfigError: layer 0 has stride 2")
         assert not (tmp_path / "bad.ccm").exists()
 
+    def test_non_finite_results_exit_1_and_write_nothing(self, capsys, tmp_path):
+        circ_path, dense_path = tmp_path / "circ.ccm", tmp_path / "dense.ccm"
+        save_model(make_circ_toy_net(seed=1, n=2), circ_path)
+        huge = make_dense_toy_net(seed=1)
+        huge.layers[0].w[:] = 1.5e308  # finite; the diagonal means overflow
+        save_model(huge, dense_path)
+        big, nan = tmp_path / "big.cct", tmp_path / "nan.cct"
+        save_tensor(big, np.full((12, 12, 4), 1e308))
+        save_tensor(nan, np.ones((12, 12, 4)))
+        nan.write_bytes(nan.read_bytes()[:-8] + struct.pack("<d", np.nan))
+        out = tmp_path / "out"
+        cases = {
+            "infer-nan": ("infer", "--model", str(circ_path), "--input", str(nan),
+                          "--output", str(out), "nan.cct: tensor holds non-finite"),
+            "infer-overflow": ("infer", "--model", str(circ_path), "--input", str(big),
+                               "--output", str(out), "tensor holds non-finite"),
+            "convert-overflow": ("convert", "--model-in", str(dense_path), "--scheme", "2",
+                                 "--model-out", str(out),
+                                 "layer 0 (circconv): parameter 'base' holds non-finite"),
+        }
+        for name, (*argv, message) in cases.items():
+            code, _, err = run(capsys, *argv)
+            assert code == 1, name
+            assert message in err and err.count("\n") == 1, (name, err)
+            assert sorted(os.listdir(tmp_path)) == sorted(
+                ["big.cct", "circ.ccm", "dense.ccm", "nan.cct"]
+            ), name
+
     def test_failed_output_leaves_no_partial_file(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=4, spec=ToyTaskSpec())
         dense_path = tmp_path / "dense.ccm"
@@ -295,6 +331,29 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out_path.exists()
         assert not out_path.with_name(out_path.name + ".tmp").exists()
+
+    def test_numeric_failures_print_one_stderr_line(self, tmp_path):
+        # a subprocess, because pytest captures numpy's warnings in-process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        model, big = tmp_path / "m.ccm", tmp_path / "big.cct"
+        save_model(make_circ_toy_net(seed=1, n=2), model)
+        save_tensor(big, np.full((12, 12, 4), 1e308))
+        for argv in (
+            ["train", "--lr", "1e6", "--steps", "50", "--model-out", str(tmp_path / "d.ccm")],
+            ["infer", "--model", str(model), "--input", str(big),
+             "--output", str(tmp_path / "y.cct")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "circconv.cli", *argv], cwd=tmp_path, env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (
+                proc.stderr
+            )
 
     def test_from_model_continues_training(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=10, spec=ToyTaskSpec())

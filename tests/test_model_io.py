@@ -200,11 +200,34 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
         net = sample_net()
-        net.layers[2].w[0, 0, 1, 2] = bad
         path = tmp_path / "bad.ccm"
+        net.layers[2].w[0, 0, 1, 2] = bad
+        with pytest.raises(
+            ModelFormatError, match=r"layer 2 \(conv\): parameter 'w' holds non-finite"
+        ):
+            save_model(net, path)
+        assert not path.exists()
+        # a file written by other means is still rejected at load
+        net.layers[2].w[0, 0, 1, 2] = 1234.5
         save_model(net, path)
+        raw = path.read_bytes()
+        assert raw.count(struct.pack("<d", 1234.5)) == 1
+        path.write_bytes(raw.replace(struct.pack("<d", 1234.5), struct.pack("<d", bad)))
         with pytest.raises(ModelFormatError, match="layer 2: parameter 'w' holds non-finite"):
             load_model(path)
+
+    def test_value_beyond_f32_range_is_refused_at_f32(self, tmp_path):
+        net = sample_net()
+        net.layers[0].base.base[0, 0, 0, 0] = 1e39  # finite at f64, inf at f32
+        path = tmp_path / "m.ccm"
+        with pytest.raises(
+            ModelFormatError,
+            match=r"layer 0 \(circconv\): parameter 'base' .* as stored at f32",
+        ):
+            save_model(net, path, precision="f32")
+        assert not path.exists()
+        save_model(net, path)
+        assert load_model(path).layers[0].base.base[0, 0, 0, 0] == 1e39
 
     def test_fields_must_match_param_shapes(self, tmp_path):
         # c_out says 4, but the kernel blob declares 2 output channels

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from circconv import nn
 from circconv.circulant import (
     CirculantBaseTensor,
     CompressionScheme,
@@ -174,6 +175,40 @@ class TestBackwardPass:
         np.testing.assert_allclose(grads_c["base"], diag_summed, atol=1e-9)
         np.testing.assert_allclose(grads_c["bias"], grads_d["bias"], atol=1e-12)
         assert "w" not in grads_c  # only free parameters are differentiated
+
+    def test_first_layer_input_gradient_is_skipped(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cfg = PartitionConfig(n=2, c_in=4, c_out=4)
+        g = ConvGeometry(pad=(1, 1))
+        net = Network([
+            CircConvLayer(init_circ_base(rng, (3, 3), cfg), geometry=g), ReLU(),
+            CircConvLayer(init_circ_base(rng, (3, 3), cfg), geometry=g),
+            GlobalAveragePool(), FullyConnected(rng.standard_normal((4, 3))),
+        ])
+        x = rng.standard_normal((3, 6, 6, 4))
+        labels = np.array([0, 1, 2])
+        _, cache = forward_pass(net, x)
+        _, grad = softmax_cross_entropy(cache.logits, labels)
+        want = [None] * len(net.layers)
+        for i in reversed(range(len(net.layers))):
+            grad, want[i] = net.layers[i].backward(cache.layer_caches[i], grad)
+
+        calls = []
+
+        def counted(name):
+            fn = getattr(nn, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("circ_backward", "circ_backward_weight", "circ_backward_input"):
+            monkeypatch.setattr(nn, name, counted(name))
+        got = backward_pass(net, cache, labels)
+        assert calls == ["circ_backward", "circ_backward_weight"]
+        assert params_equal(got, want)
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(6)
