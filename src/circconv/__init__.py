@@ -52,7 +52,6 @@ from .errors import (
     DivergenceError,
     ModelFormatError,
     ShapeError,
-    UnsupportedGeometryError,
 )
 from .model_io import (
     load_model,

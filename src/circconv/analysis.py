@@ -59,9 +59,10 @@ MAC_COST = 2  # real ops of one dense multiply-accumulate
 FLOP_CONVENTION = (
     "FLOP convention: dense conv = 2 * W2*H2 * W1*H1 * (C_in/groups) * C_out. "
     "circconv (per group; R, S channel blocks of size N, B = N//2+1 spectral bins, "
-    "DC/Nyquist bins real): per output site R forward transforms + W1*H1*R*S "
-    "spectral multiply-accumulates (6 and 2 ops per complex bin, 1 per real bin) "
-    "+ S inverse transforms (transform + normalization per bin); plus one-time "
+    "DC/Nyquist bins real): per unpadded input site R forward transforms; per "
+    "output site W1*H1*R*S spectral multiply-accumulates (6 and 2 ops per complex "
+    "bin, 1 per real bin) + S inverse transforms (transform + normalization per "
+    "bin); plus one-time "
     "W1*H1*R*S kernel-fiber transforms. Transform cost: 0 at N=1, 2 real ops "
     "(real-only butterfly) at N=2, else 5.0*N*log2(N) halved for real input/output."
 )
@@ -121,9 +122,10 @@ def flop_count(layer):
     cfg = layer.partition()
     n, r, s = cfg.n, cfg.r, cfg.s
     slots = k1 * k2 * r * s
-    per_site = r * transform_cost(n) + slots * slot_cost(n) + s * _inverse_transform_cost(n)
-    one_time = slots * transform_cost(n)
-    return int(round(layer.groups * (sites * per_site + one_time)))
+    in_sites = layer.in_spatial[0] * layer.in_spatial[1]
+    transforms = (in_sites * r + slots) * transform_cost(n)  # input and kernel fibers
+    per_site = slots * slot_cost(n) + s * _inverse_transform_cost(n)
+    return int(round(layer.groups * (transforms + sites * per_site)))
 
 
 def compressible_blocks(model):

@@ -223,7 +223,7 @@ class CompressionScheme:
         if not self.ratios:
             raise ConfigError("compression scheme must list at least one ratio")
         for v in self.ratios:
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"compression ratios must be positive integers, got {v!r}")
 
     @classmethod

@@ -130,7 +130,7 @@ def cmd_convert(args):
         after = sum(
             layer.base.num_free_parameters
             if isinstance(layer, nn.CircConvLayer)
-            else layer.w.size  # a strided layer stays dense at ratio 1
+            else layer.w.size  # ratio 1 leaves a layer dense
             for layer in (converted.layers[i] for i in conv_idx)
         )
         print(f"scheme={scheme} conv_params_before={before} conv_params_after={after}")

@@ -5,8 +5,8 @@ All paths use the cross-correlation index convention (kernel not flipped):
     y[w2, h2, c2] = sum over (w1, h1, c0) of
         xp[w2*stride + w1, h2*stride + h1, c0] * w[w1, h1, c0, c2]
 
-over the zero-padded input xp. conv_naive is the ground-truth oracle and
-accepts any stride; the block and FFT paths require stride 1.
+over the zero-padded input xp. conv_naive is the ground-truth oracle. In
+every path a kernel offset reads a strided slice of the padded input.
 
 With the first-row fiber convention of the circulant module, each
 fiber-times-slice product against a circulant block is a circular
@@ -36,7 +36,9 @@ flipped, conjugated, transposed kernel spectra with that window matrix.
 The weight gradient is the product of the same window matrix with the
 conjugated spectra of the unpadded input sites, whose rows are the kernel
 offsets flipped. Leaving out the padding sites is exact because their
-spectra are zero.
+spectra are zero. At stride s the loop runs on grad_y dilated by s - 1
+zero sites between outputs, plus zero trailing sites where the stride
+skipped the input's last rows or columns.
 
 The batch is processed in groups of consecutive samples whose window
 matrix stays under _GROUP_BYTES: a whole-batch matrix of many megabytes is
@@ -52,7 +54,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import spectral
-from .errors import ShapeError, UnsupportedGeometryError
+from .errors import ShapeError
 from .tensor import DTYPE, as_tensor3, as_tensor4
 
 # Upper bound, in bytes, on the window matrix of one group of samples: half
@@ -63,11 +65,8 @@ _GROUP_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class ConvGeometry:
-    """Symmetric per-side spatial zero padding and stride.
-
-    The FFT fast paths support stride 1 only; conv_naive accepts any
-    stride >= 1.
-    """
+    """Symmetric per-side spatial zero padding and stride, honoured by
+    every convolution path."""
 
     pad: tuple = (0, 0)
     stride: int = 1
@@ -88,6 +87,23 @@ class ConvGeometry:
                 f"kernel {kernel_size} larger than padded input {in_size} + 2*{self.pad}"
             )
         return out
+
+
+def _in_size(out_hw, kernel_size, g, in_size=None):
+    """in_size, or by default the smallest input size that gives out_hw (at
+    stride 1 the only one); ShapeError unless it gives out_hw."""
+    if in_size is None:
+        in_size = [(o - 1) * g.stride + k - 2 * p for o, k, p in zip(out_hw, kernel_size, g.pad)]
+    if min(in_size) < 1 or g.out_size(in_size, kernel_size) != tuple(out_hw):
+        raise ShapeError(f"grad_y size {tuple(out_hw)} inconsistent with input {in_size}, {g}")
+    return tuple(in_size)
+
+
+def _window(t, a, b, out_hw, stride):
+    """The sites of a padded (..., W, H, C) array that kernel offset (a, b)
+    reads, one per output site: a view."""
+    w_end, h_end = a + (out_hw[0] - 1) * stride + 1, b + (out_hw[1] - 1) * stride + 1
+    return t[..., a:w_end:stride, b:h_end:stride, :]
 
 
 def _pad_spatial(x, pad):
@@ -133,11 +149,10 @@ def conv_naive(x, w, g=ConvGeometry()):
     k1, k2 = w.shape[0], w.shape[1]
     w2, h2 = g.out_size(xb.shape[1:3], (k1, k2))
     xp = _pad_spatial(xb, g.pad)
-    s = g.stride
     y = np.zeros((xb.shape[0], w2, h2, w.shape[3]), dtype=DTYPE)
     for a in range(k1):
         for b in range(k2):
-            win = xp[:, a : a + (w2 - 1) * s + 1 : s, b : b + (h2 - 1) * s + 1 : s, :]
+            win = _window(xp, a, b, (w2, h2), g.stride)
             y += np.tensordot(win, w[a, b], axes=([3], [0]))
     return y[0] if single else y
 
@@ -145,11 +160,8 @@ def conv_naive(x, w, g=ConvGeometry()):
 def conv_block(x, w, config, g=ConvGeometry()):
     """Block-partitioned forward pass, fiber-times-slice over channel blocks.
 
-    Matches conv_naive on the (channel-padded) kernel entry for entry;
-    stride 1 only.
+    Matches conv_naive on the (channel-padded) kernel entry for entry.
     """
-    if g.stride != 1:
-        raise UnsupportedGeometryError("block path requires stride 1; use conv_naive")
     x = as_tensor3(x, "input")
     w = as_tensor4(w, "kernel")
     if x.shape[2] != config.c_in or w.shape[2] != config.c_in or w.shape[3] != config.c_out:
@@ -166,7 +178,7 @@ def conv_block(x, w, config, g=ConvGeometry()):
     y = np.zeros((w2, h2, config.padded_out), dtype=DTYPE)
     for a in range(k1):
         for b in range(k2):
-            win = xp[a : a + w2, b : b + h2, :]
+            win = _window(xp, a, b, (w2, h2), g.stride)
             for j in range(r):
                 fib = win[:, :, j * n : (j + 1) * n]
                 for i in range(s):
@@ -177,15 +189,9 @@ def conv_block(x, w, config, g=ConvGeometry()):
     return np.ascontiguousarray(y[:, :, : config.c_out])
 
 
-def _check_stride(g):
-    if g.stride != 1:
-        raise UnsupportedGeometryError("FFT path requires stride 1; use conv_naive")
-
-
 def _circ_input(x, base, g):
-    """The validated input batch of a stride-1 FFT pass, whether x was one
-    sample, and the output spatial size."""
-    _check_stride(g)
+    """The validated input batch of an FFT pass, whether x was one sample,
+    and the output spatial size."""
     xb, single = _as_batch(x, "input")
     if xb.shape[3] != base.config.c_in:
         raise ShapeError(
@@ -226,25 +232,26 @@ def _group_size(n, out_hw, kernel_size, blocks):
     return max(1, _GROUP_BYTES // per_sample)
 
 
-def _grouped_windows(t, pad, blocks, n, kernel_size):
+def _grouped_windows(t, g, blocks, n, kernel_size):
     """The gather every pass multiplies, a group of samples at a time.
 
     Yields (group, cols): group slices the batch axis of t, and cols is
     the group's (F, blocks*K1*K2, G*W2*H2) window matrix over the spectra
-    S = _spectra(t[group], pad, blocks, n): row (j, a, c) holds
-    S[:, j, g, w + a, h + c] at column (g, w, h), one window position per
-    column. Each copied run is a whole output row of H2 sites. Groups hold
-    as many consecutive samples as keep cols under _GROUP_BYTES.
+    S = _spectra(t[group], g.pad, blocks, n): with s = g.stride, row
+    (j, a, c) holds S[:, j, i, s*w + a, s*h + c] at column (i, w, h), one
+    window position per column. Each copied run is a whole output row of
+    H2 sites. Groups hold as many consecutive samples as keep cols under
+    _GROUP_BYTES.
     """
     k1, k2 = kernel_size
     f = n // 2 + 1
-    out_hw = (t.shape[1] + 2 * pad[0] - k1 + 1, t.shape[2] + 2 * pad[1] - k2 + 1)
-    step = _group_size(n, out_hw, kernel_size, blocks)
+    s = g.stride
+    step = _group_size(n, g.out_size(t.shape[1:3], kernel_size), kernel_size, blocks)
     for start in range(0, t.shape[0], step):
         group = slice(start, start + step)
-        spec = _spectra(t[group], pad, blocks, n)
+        spec = _spectra(t[group], g.pad, blocks, n)
         # (F, blocks, G, W2, H2, K1, K2) view, gathered offsets before positions
-        windows = sliding_window_view(spec, kernel_size, axis=(3, 4))
+        windows = sliding_window_view(spec, kernel_size, axis=(3, 4))[:, :, :, ::s, ::s]
         cols = np.ascontiguousarray(windows.transpose(0, 1, 5, 6, 2, 3, 4))
         yield group, cols.reshape(f, blocks * k1 * k2, -1)
 
@@ -261,7 +268,7 @@ def kernel_spectra(base):
 
 
 def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
-    """FFT fast path for a block-circulant kernel; stride 1 only.
+    """FFT fast path for a block-circulant kernel.
 
     x is one (W, H, C_in) sample or a (B, W, H, C_in) batch; the result
     has the same rank. For every output site and output block i the
@@ -275,15 +282,15 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
     f = ws.shape[0]
     kern = ws.transpose(0, 4, 3, 1, 2).reshape(f, cfg.s, -1)  # (F, S, R*K1*K2)
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
-    for group, cols in _grouped_windows(xb, g.pad, cfg.r, cfg.n, base.kernel_size):
+    for group, cols in _grouped_windows(xb, g, cfg.r, cfg.n, base.kernel_size):
         ys = np.matmul(kern, cols).reshape(f, cfg.s, -1, w2, h2)
         y[group] = _fibers(ys, cfg.n)[..., : cfg.c_out]
     return y[0] if single else y
 
 
-def _backward(gb, base, g, xb=None, with_dx=True):
+def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     """The one backward loop, over the windows of a validated
-    (B, W2, H2, C_out) grad batch (see the module docstring).
+    (B, W2, H2, C_out) grad batch of an in_size input (see the module docstring).
 
     Returns (dbase, dx); dbase is None when xb is None, and dx is None
     unless with_dx. Row (i, a, c) of cols @ conj(X)^T holds the gradient
@@ -292,9 +299,13 @@ def _backward(gb, base, g, xb=None, with_dx=True):
     cfg = base.config
     k1, k2 = base.kernel_size
     f = cfg.n // 2 + 1
+    if g.stride > 1:  # the grad of the stride-1 pass over the same input
+        full = ConvGeometry(g.pad).out_size(in_size, (k1, k2))
+        gb, strided = np.zeros((gb.shape[0], *full, gb.shape[3]), dtype=DTYPE), gb
+        gb[:, :: g.stride, :: g.stride] = strided
     w2, h2 = gb.shape[1:3]
     pw, ph = g.pad
-    w0, h0 = w2 + k1 - 1 - 2 * pw, h2 + k2 - 1 - 2 * ph
+    w0, h0 = in_size
     # a pad of k - 1 - p per side makes the windows land on the unpadded
     # input sites; where that is negative, crop grad_y instead
     qw, qh = k1 - 1 - pw, k2 - 1 - ph
@@ -307,8 +318,8 @@ def _backward(gb, base, g, xb=None, with_dx=True):
         dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
     if xb is not None:
         acc = np.zeros((f, cfg.s * k1 * k2, cfg.r), dtype=np.complex128)
-    pad = (max(0, qw), max(0, qh))
-    for group, cols in _grouped_windows(gb, pad, cfg.s, cfg.n, (k1, k2)):
+    g_grad = ConvGeometry((max(0, qw), max(0, qh)))
+    for group, cols in _grouped_windows(gb, g_grad, cfg.s, cfg.n, (k1, k2)):
         if dx is not None:
             dxs = np.matmul(kern, cols).reshape(f, cfg.r, -1, w0, h0)
             dx[group] = _fibers(dxs, cfg.n)[..., : cfg.c_in]
@@ -348,7 +359,7 @@ def circ_backward(x, grad_y, base, g=ConvGeometry()):
     equal size; dx has the rank of x.
     """
     xb, gb, single = _weight_inputs(x, grad_y, base, g)
-    dbase, dx = _backward(gb, base, g, xb)
+    dbase, dx = _backward(gb, base, g, xb.shape[1:3], xb)
     return dbase, (dx[0] if single else dx)
 
 
@@ -362,41 +373,37 @@ def circ_backward_weight(x, grad_y, base, g=ConvGeometry()):
     gradient. Returns an array shaped like base.base, (W1, H1, R*N, S).
     """
     xb, gb, _ = _weight_inputs(x, grad_y, base, g)
-    return _backward(gb, base, g, xb, with_dx=False)[0]
+    return _backward(gb, base, g, xb.shape[1:3], xb, with_dx=False)[0]
 
 
-def circ_backward_input(grad_y, base, g=ConvGeometry()):
-    """Gradient of a scalar loss w.r.t. the layer input; stride 1 only.
+def circ_backward_input(grad_y, base, g=ConvGeometry(), in_size=None):
+    """Gradient of a scalar loss w.r.t. the layer input.
 
-    grad_y is one sample or a batch; the result has the same rank. Equal
+    grad_y is one sample or a batch; the result has the same rank. in_size
+    is the input's spatial size, by default the smallest input that gives
+    grad_y's size; a size that does not give it raises ShapeError. Equal
     to the transposed convolution of grad_y against the dense expansion,
     computed by the backward loop of circ_backward without the weight
     gradient. Output positions falling outside the feature map contribute
     zero, and gradient flow into channel padding is dropped.
     """
-    _check_stride(g)
     cfg = base.config
     gb, single = _as_batch(grad_y, "grad_y")
-    k1, k2 = base.kernel_size
     if gb.shape[3] != cfg.c_out:
         raise ShapeError(
             f"grad_y has {gb.shape[3]} channels, partition expects {cfg.c_out}"
         )
-    pw, ph = g.pad
-    if gb.shape[1] + k1 - 1 - 2 * pw < 1 or gb.shape[2] + k2 - 1 - 2 * ph < 1:
-        raise ShapeError("grad_y spatial dims inconsistent with geometry")
-    dx = _backward(gb, base, g)[1]
+    in_size = _in_size(gb.shape[1:3], base.kernel_size, g, in_size)
+    dx = _backward(gb, base, g, in_size)[1]
     return dx[0] if single else dx
 
 
 def conv_naive_backward_weight(x, grad_y, kernel_size, g=ConvGeometry()):
-    """Dense kernel gradient for the naive path; stride 1 only.
+    """Dense kernel gradient for the naive path.
 
     x and grad_y are one sample each or batches of equal size; batch
     contributions are summed.
     """
-    if g.stride != 1:
-        raise UnsupportedGeometryError("dense backward supports stride 1 only")
     xb, _ = _as_batch(x, "input")
     gb, _ = _as_batch(grad_y, "grad_y")
     k1, k2 = kernel_size
@@ -411,18 +418,18 @@ def conv_naive_backward_weight(x, grad_y, kernel_size, g=ConvGeometry()):
     for a in range(k1):
         for b in range(k2):
             dw[a, b] = np.tensordot(
-                xp[:, a : a + w2, b : b + h2], gb, axes=([0, 1, 2], [0, 1, 2])
+                _window(xp, a, b, (w2, h2), g.stride), gb, axes=([0, 1, 2], [0, 1, 2])
             )
     return dw
 
 
-def conv_naive_backward_input(grad_y, w, g=ConvGeometry()):
-    """Dense input gradient (transposed convolution); stride 1 only.
+def conv_naive_backward_input(grad_y, w, g=ConvGeometry(), in_size=None):
+    """Dense input gradient (transposed convolution).
 
-    grad_y is one sample or a batch; the result has the same rank.
+    grad_y is one sample or a batch; the result has the same rank. in_size
+    is the input's spatial size, as in circ_backward_input. Each kernel
+    offset scatters its product with grad_y into the sites it read.
     """
-    if g.stride != 1:
-        raise UnsupportedGeometryError("dense backward supports stride 1 only")
     gb, single = _as_batch(grad_y, "grad_y")
     w = as_tensor4(w, "kernel")
     if gb.shape[3] != w.shape[3]:
@@ -430,17 +437,12 @@ def conv_naive_backward_input(grad_y, w, g=ConvGeometry()):
             f"grad_y has {gb.shape[3]} channels, kernel produces {w.shape[3]}"
         )
     k1, k2 = w.shape[0], w.shape[1]
-    w2, h2 = gb.shape[1:3]
+    w0, h0 = _in_size(gb.shape[1:3], (k1, k2), g, in_size)
     pw, ph = g.pad
-    w0, h0 = w2 + k1 - 1 - 2 * pw, h2 + k2 - 1 - 2 * ph
-    if w0 < 1 or h0 < 1:
-        raise ShapeError("grad_y spatial dims inconsistent with geometry")
-    w0p, h0p = w0 + 2 * pw, h0 + 2 * ph
-    gz = _pad_spatial(gb, (k1 - 1, k2 - 1))
-    dxp = np.zeros((gb.shape[0], w0p, h0p, w.shape[2]), dtype=DTYPE)
+    dxp = np.zeros((gb.shape[0], w0 + 2 * pw, h0 + 2 * ph, w.shape[2]), dtype=DTYPE)
     for a in range(k1):
         for b in range(k2):
-            win = gz[:, k1 - 1 - a : k1 - 1 - a + w0p, k2 - 1 - b : k2 - 1 - b + h0p]
-            dxp += np.tensordot(win, w[a, b], axes=([3], [1]))
+            win = _window(dxp, a, b, gb.shape[1:3], g.stride)
+            win += np.tensordot(gb, w[a, b], axes=([3], [1]))
     dx = np.ascontiguousarray(dxp[:, pw : pw + w0, ph : ph + h0, :])
     return dx[0] if single else dx

@@ -18,10 +18,6 @@ class ContractError(CircConvError, RuntimeError):
     a bug in the caller, not bad user input."""
 
 
-class UnsupportedGeometryError(CircConvError, ValueError):
-    """The fast path does not support the requested geometry (stride > 1)."""
-
-
 class DivergenceError(CircConvError, ArithmeticError):
     """Training produced a non-finite loss; no update was applied."""
 

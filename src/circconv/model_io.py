@@ -20,6 +20,8 @@ names to integer ratios.
 """
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -124,14 +126,13 @@ def _read_blob(fh, shape, dtype, where):
         raise ModelFormatError(f"{where}: bad shape {shape!r}") from exc
     if any(v < 0 for v in shape):
         raise ModelFormatError(f"{where}: negative shape {shape}")
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    nbytes = count * dtype.itemsize
-    raw = fh.read(nbytes)
-    if len(raw) != nbytes:
+    nbytes = math.prod(shape) * dtype.itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes > left:  # before reading: a declared size may exceed memory
         raise ModelFormatError(
-            f"truncated blob for {where}: expected {nbytes} bytes, got {len(raw)}"
+            f"truncated blob for {where}: expected {nbytes} bytes, got {left}"
         )
-    arr = np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+    arr = np.frombuffer(fh.read(nbytes), dtype=dtype).astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{where} holds non-finite values")
     return arr
@@ -241,7 +242,7 @@ def load_scheme_file(path):
         raise ModelFormatError(f"{path}: scheme file must map names to ratios")
     out = {}
     for name, ratio in data.items():
-        if not isinstance(ratio, int) or ratio < 1:
+        if isinstance(ratio, bool) or not isinstance(ratio, int) or ratio < 1:
             raise ModelFormatError(
                 f"{path}: ratio for {name!r} must be a positive integer, got {ratio!r}"
             )

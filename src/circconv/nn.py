@@ -32,13 +32,7 @@ from .convops import (
     conv_naive_backward_weight,
     kernel_spectra,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    ShapeError,
-    UnsupportedGeometryError,
-)
+from .errors import ConfigError, ContractError, DivergenceError, ShapeError
 from .tensor import DTYPE
 
 
@@ -91,11 +85,6 @@ class CircConvLayer(Layer):
     in_rank = 4
 
     def __init__(self, base, bias=None, geometry=ConvGeometry()):
-        """Stride 1 only, because the FFT passes of this layer require it."""
-        if geometry.stride != 1:
-            raise UnsupportedGeometryError(
-                f"circconv layers require stride 1, got {geometry.stride}"
-            )
         self.base = base
         self.bias = (
             np.zeros(base.config.c_out, dtype=DTYPE)
@@ -195,9 +184,9 @@ class DenseConvLayer(Layer):
         return y, xb
 
     def backward(self, cache, gyb, need_dx=True):
-        xb = cache
-        dw = conv_naive_backward_weight(xb, gyb, self.w.shape[:2], self.geometry)
-        dx = conv_naive_backward_input(gyb, self.w, self.geometry) if need_dx else None
+        xb, g = cache, self.geometry
+        dw = conv_naive_backward_weight(xb, gyb, self.w.shape[:2], g)
+        dx = conv_naive_backward_input(gyb, self.w, g, xb.shape[1:3]) if need_dx else None
         return dx, {"w": dw, "bias": gyb.sum(axis=(0, 1, 2))}
 
 
@@ -525,10 +514,10 @@ def convert_network(net_dense, scheme):
 
     scheme lists one partition size per dense conv layer, in layer order;
     returns (converted Network, total squared projection error). The input
-    network is left untouched (no shared parameter arrays). Circulant
-    layers run at stride 1 only: a strided layer at ratio 1 stays dense,
-    which is the same kernel with zero projection error, and a strided
-    layer at a higher ratio raises ConfigError.
+    network is left untouched (no shared parameter arrays). As in
+    analysis.apply_scheme, ratio 1 leaves a layer dense: the same kernel,
+    with zero projection error. A converted layer keeps its geometry,
+    stride included.
     """
     idxs = conv_layer_indices(net_dense)
     if len(scheme) != len(idxs):
@@ -536,18 +525,11 @@ def convert_network(net_dense, scheme):
             f"scheme lists {len(scheme)} ratios but the network has "
             f"{len(idxs)} dense conv layers"
         )
-    for i, n in zip(idxs, scheme.ratios):
-        stride = net_dense.layers[i].geometry.stride
-        if stride != 1 and n != 1:
-            raise ConfigError(
-                f"layer {i} has stride {stride}; circconv layers require stride 1, "
-                f"so it can only keep ratio 1 (got {n})"
-            )
     layers = [copy.deepcopy(layer) for layer in net_dense.layers]
     total_err = 0.0
     for i, n in zip(idxs, scheme.ratios):
         dense = layers[i]
-        if dense.geometry.stride != 1:
+        if n == 1:
             continue
         config = PartitionConfig(
             n=n, c_in=dense.w.shape[2], c_out=dense.w.shape[3]

@@ -88,6 +88,13 @@ def _random_instance(rng, n, kernels=(1, 3, 5)):
     return x, base, g
 
 
+def _ragged_width(size, kernel_size, g):
+    """size, grown by the fewest sites that leave a ragged remainder along
+    the width, (W + 2p - k) % stride == 1, and none along the height."""
+    rems = zip(size, kernel_size, g.pad, (1, 0))
+    return tuple(v + (rem - (v + 2 * p - k)) % g.stride for v, k, p, rem in rems)
+
+
 def check_forward_equivalence(seed, trials, sizes=(1, 2, 3, 4, 8, 16), tol=1e-9):
     """circ_forward == conv_naive == conv_block on the dense expansion.
 
@@ -116,24 +123,26 @@ def check_forward_equivalence(seed, trials, sizes=(1, 2, 3, 4, 8, 16), tol=1e-9)
 def check_gradients(seed, trials=50, fd_tol=1e-4, oracle_tol=1e-9):
     """Both backward passes of L = 0.5 * ||y - target||^2 vs central finite
     differences at every coordinate, and the weight gradient vs the
-    dense-expansion diagonal-sum oracle."""
+    dense-expansion diagonal-sum oracle, at strides 1-3 (_ragged_width)."""
     rng = np.random.default_rng(seed)
     h = 1e-5
-    worst_fd, worst_oracle = 0.0, 0.0
+    worst_fd, worst_oracle, strided = 0.0, 0.0, 0
     for _ in range(trials):
         n = int(rng.choice([1, 2, 3, 4]))
         r, s = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         k = int(rng.choice([1, 2]))
         spatial = int(rng.integers(k + 1, 5))
+        stride = int(rng.integers(1, 4))
+        strided += stride > 1
         cfg = PartitionConfig(n=n, c_in=r * n, c_out=s * n)
         base = CirculantBaseTensor(rng.standard_normal((k, k, r * n, s)), cfg)
-        x = rng.standard_normal((spatial, spatial, r * n))
-        g = ConvGeometry()
+        g = ConvGeometry(stride=stride)
+        x = rng.standard_normal((*_ragged_width((spatial, spatial), (k, k), g), r * n))
         y = circ_forward(x, base, g)
         target = rng.standard_normal(y.shape)
         gy = y - target
         got_w = circ_backward_weight(x, gy, base, g)
-        got_x = circ_backward_input(gy, base, g)
+        got_x = circ_backward_input(gy, base, g, in_size=x.shape[:2])
 
         diag = _diagonal_sums(conv_naive_backward_weight(x, gy, (k, k), g), cfg)
         worst_oracle = max(worst_oracle, _rel(got_w, diag))
@@ -158,7 +167,8 @@ def check_gradients(seed, trials=50, fd_tol=1e-4, oracle_tol=1e-9):
     return PropertyResult(
         "gradient-correctness",
         worst_fd <= fd_tol and worst_oracle <= oracle_tol,
-        f"{trials} nets, every coordinate: fd rel {worst_fd:.3e} <= {fd_tol:.0e}, "
+        f"{trials} nets ({strided} at stride 2-3 with a ragged width), every "
+        f"coordinate: fd rel {worst_fd:.3e} <= {fd_tol:.0e}, "
         f"oracle rel {worst_oracle:.3e} <= {oracle_tol:.0e}",
     )
 
@@ -176,10 +186,11 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     """All FFT passes on batches, against the dense oracles per sample.
 
     Each instance draws N in (1, 2, 3, 5, 8), channel counts that leave
-    partial blocks, a kernel of 1-5 and a pad of 0-2 on each axis, and runs
-    batches of 1, 3 and one spanning at least two groups of the
-    contraction with a ragged last group (its spatial size is chosen so
-    that a group holds 2-4 samples). The first three instances always
+    partial blocks, a kernel of 1-5 and a pad of 0-2 on each axis and a
+    stride of 1-3 (inputs sized by _ragged_width), and runs batches of 1, 3
+    and one spanning at least two groups of the contraction with a ragged
+    last group (its spatial size is chosen so that a group holds 2-4
+    samples). The first three instances always
     include the cases where the weight gradient's alignment of grad_y
     windows with input sites could slip: a 1x1 kernel at pad 2, so grad_y
     is cropped, then R < S, then R > S. The forward pass and the input
@@ -194,12 +205,14 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     if instances < 3:
         raise ValueError("check_batched_passes needs at least 3 instances")
     rng = np.random.default_rng(seed)
-    worst, worst_stack, ragged = 0.0, 0.0, True
+    worst, worst_stack, ragged, strided = 0.0, 0.0, True, 0
     for i in range(instances):
         n = int(rng.choice((1, 2, 3, 5, 8)))
         c_in, c_out = (int(c) for c in rng.integers(1, 3 * n + 1, size=2))
         k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
         pw, ph = (int(p) for p in rng.integers(0, 3, size=2))
+        stride = int(rng.integers(1, 4))
+        strided += stride > 1
         if i == 0:
             k1 = k2 = 1
             pw = ph = 2
@@ -210,7 +223,7 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
         base = CirculantBaseTensor(
             rng.standard_normal((k1, k2, cfg.padded_in, cfg.s)), cfg
         )
-        g = ConvGeometry(pad=(pw, ph))
+        g = ConvGeometry(pad=(pw, ph), stride=stride)
         dense = expand(base)[:, :, :c_in, :c_out]
         # the largest spatial size at which a group of every pass holds
         # between 2 and per_group samples, whatever the pass's block count
@@ -218,6 +231,7 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
         cap = _group_size(n, (1, 1), (k1, k2), max(cfg.r, cfg.s))
         for side in range(max(1, int(np.sqrt(cap // per_group))), 0, -1):
             big = (max(1, side + k1 - 1 - 2 * pw), max(1, side + k2 - 1 - 2 * ph))
+            big = _ragged_width(big, (k1, k2), g)
             steps = (
                 _group_size(n, g.out_size(big, (k1, k2)), (k1, k2), cfg.r),
                 _group_size(n, big, (k1, k2), cfg.s),
@@ -226,12 +240,13 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
                 break
         ragged &= min(steps) > 1
         small = [int(rng.integers(max(1, k - 2 * p), 9)) for k, p in ((k1, pw), (k2, ph))]
+        small = _ragged_width(small, (k1, k2), g)
         for batch, (w, h) in ((1, small), (3, small), (_ragged_batch(steps), big)):
             xb = rng.standard_normal((batch, w, h, c_in))
             y = circ_forward(xb, base, g)
             gy = rng.standard_normal(y.shape)
             dw = circ_backward_weight(xb, gy, base, g)
-            dx = circ_backward_input(gy, base, g)
+            dx = circ_backward_input(gy, base, g, in_size=(w, h))
             dw_both, dx_both = circ_backward(xb, gy, base, g)
             dw_ref = _diagonal_sums(
                 sum(conv_naive_backward_weight(xi, gi, (k1, k2), g) for xi, gi in zip(xb, gy)),
@@ -239,7 +254,7 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
             )
             worst = max(worst, _rel(dw, dw_ref), _rel(dw_both, dw_ref))
             for b in range(batch):
-                dx_ref = conv_naive_backward_input(gy[b], dense, g)
+                dx_ref = conv_naive_backward_input(gy[b], dense, g, in_size=(w, h))
                 worst = max(
                     worst,
                     _rel(y[b], conv_naive(xb[b], dense, g)),
@@ -251,13 +266,14 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
                 _rel(dw_both, dw),
                 _rel(dx_both, dx),
                 _rel(y, np.stack([circ_forward(xi, base, g) for xi in xb])),
-                _rel(dx, np.stack([circ_backward_input(gi, base, g) for gi in gy])),
+                _rel(dx, np.stack([circ_backward_input(gi, base, g, (w, h)) for gi in gy])),
                 _rel(dw, sum(circ_backward_weight(xi, gi, base, g) for xi, gi in zip(xb, gy))),
             )
     return PropertyResult(
         "batched-passes",
         ragged and worst <= tol and worst_stack <= stack_tol,
-        f"{instances} instances incl. cropped grad_y, R<S and R>S x batches (1, 3, "
+        f"{instances} instances incl. cropped grad_y, R<S and R>S, {strided} at "
+        f"stride 2-3 with a ragged width, x batches (1, 3, "
         f">=2 groups with a ragged last group: {ragged}): oracle rel {worst:.3e} "
         f"<= {tol:.0e}, batched vs single-sample and joint vs single-gradient "
         f"rel {worst_stack:.3e} <= {stack_tol:.0e}",
@@ -450,7 +466,7 @@ def probe_fft_path(n, spatial, kernel, rng, reps, inner):
     t_fast = _best_time(fast, reps, inner)
     shape = dict(
         name="bench", kernel=(kernel, kernel), c_in=n, c_out=n,
-        in_spatial=(spatial, spatial), out_spatial=(spatial, spatial),
+        in_spatial=x.shape[:2], out_spatial=(spatial, spatial),
     )
     f_naive = flop_count(LayerSpec(kind="conv", **shape))
     f_fast = flop_count(LayerSpec(kind="circconv", n=n, **shape))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,9 @@ class CountedFastPath:
     """Execution of the spectral fast path with an op counter, on the half
     spectra the FLOP convention counts.
 
+    As in convops, only the unpadded input sites are transformed; a
+    padding site's spectrum is zero.
+
     Spectral products and accumulations run in Python over the N//2 + 1
     unique bins of each fiber and are counted per bin: 1 op on a real
     (DC or Nyquist) bin, 6 and 2 ops on a complex bin. Each inverse
@@ -126,9 +131,14 @@ class CountedFastPath:
         xp[pw : pw + x.shape[0], ph : ph + x.shape[1], : x.shape[2]] = x
         w2 = xp.shape[0] - k1 + 1
         h2 = xp.shape[1] - k2 + 1
-        # input spectra: once per padded input site and block
+        # input spectra: once per unpadded input site and block
+        zero = [0j] * len(self.real)
         xs = {
-            (u, v, j): self.fft(xp[u, v, j * n : (j + 1) * n])
+            (u, v, j): (
+                self.fft(xp[u, v, j * n : (j + 1) * n])
+                if pw <= u < pw + x.shape[0] and ph <= v < ph + x.shape[1]
+                else zero
+            )
             for u in range(xp.shape[0])
             for v in range(xp.shape[1])
             for j in range(r)
@@ -181,7 +191,7 @@ class TestInstrumentedFlopCount:
         assert np.max(np.abs(y - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
         layer = circ_layer("c", (k, k), r * n, s * n, n, (out_sp, out_sp))
-        formula = flop_count(layer)
+        formula = flop_count(replace(layer, in_spatial=x.shape[:2]))
         assert abs(formula - counted.flops) <= 0.05 * counted.flops, (
             formula,
             counted.flops,

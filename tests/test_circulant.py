@@ -240,3 +240,7 @@ class TestCompressionScheme:
             CompressionScheme.parse("1-x-2")
         with pytest.raises(ConfigError):
             CompressionScheme((1, 0, 2))
+
+    def test_rejects_boolean_ratio(self):
+        with pytest.raises(ConfigError, match="got True"):
+            CompressionScheme((2, True))

@@ -12,11 +12,14 @@ from circconv.convops import ConvGeometry
 from circconv.model_io import load_model, load_tensor, save_model, save_tensor
 from circconv.nn import (
     DenseConvLayer,
+    FullyConnected,
     GlobalAveragePool,
     Network,
     ReLU,
     ToyTaskSpec,
     forward_pass,
+    init_dense_kernel,
+    init_fc,
     make_circ_toy_net,
     make_dense_toy_net,
 )
@@ -208,33 +211,48 @@ class TestConvertAndInfer:
         assert "dense model" in err
         assert not (tmp_path / "again.ccm").exists()
 
-    def test_strided_layer_keeps_ratio_1_and_rejects_more(self, capsys, tmp_path):
+    def test_strided_model_trains_converts_and_reloads(self, capsys, tmp_path):
+        # a stride-2 dense model on the toy task's 12x12x4 inputs and 4 classes
         rng = np.random.default_rng(5)
+        stride2, pad1 = ConvGeometry(stride=2), ConvGeometry(pad=(1, 1))
         net = Network([
-            DenseConvLayer(rng.standard_normal((3, 3, 4, 8)), geometry=ConvGeometry(stride=2)),
+            DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8), geometry=stride2),
             ReLU(),
-            DenseConvLayer(rng.standard_normal((3, 3, 8, 8)), geometry=ConvGeometry(pad=(1, 1))),
+            DenseConvLayer(init_dense_kernel(rng, (3, 3), 8, 8), geometry=pad1),
+            ReLU(),
             GlobalAveragePool(),
+            FullyConnected(init_fc(rng, 8, 4)),
         ])
         dense_path, circ_path = tmp_path / "dense.ccm", tmp_path / "circ.ccm"
         save_model(net, dense_path)
-        code, out, _ = run(
-            capsys, "convert", "--model-in", str(dense_path),
-            "--scheme", "1-2", "--model-out", str(circ_path), "--report",
-        )
-        assert code == 0
-        assert "conv_params_before=864 conv_params_after=576" in out
-        loaded = load_model(circ_path)
-        assert [layer.kind for layer in loaded.layers] == ["conv", "relu", "circconv", "gap"]
-        np.testing.assert_array_equal(loaded.layers[0].w, net.layers[0].w)
+        code, out, err = run(capsys, "train", "--from-model", str(dense_path), "--steps", "3")
+        assert code == 0, err
+        assert "final loss=" in out
 
-        code, _, err = run(
+        code, out, err = run(
             capsys, "convert", "--model-in", str(dense_path),
-            "--scheme", "2-2", "--model-out", str(tmp_path / "bad.ccm"),
+            "--scheme", "2-2", "--model-out", str(circ_path), "--report",
         )
-        assert code == 1
-        assert err.startswith("error: ConfigError: layer 0 has stride 2")
-        assert not (tmp_path / "bad.ccm").exists()
+        assert code == 0, err
+        assert "conv_params_before=864 conv_params_after=432" in out
+        loaded = load_model(circ_path)
+        assert [layer.kind for layer in loaded.layers] == [
+            "circconv", "relu", "circconv", "relu", "gap", "fc"
+        ]
+        assert loaded.layers[0].geometry == stride2
+
+        x = rng.standard_normal((12, 12, 4))
+        x_path, y_path = tmp_path / "x.cct", tmp_path / "y.cct"
+        save_tensor(x_path, x)
+        code, _, err = run(
+            capsys, "infer", "--model", str(circ_path),
+            "--input", str(x_path), "--output", str(y_path),
+        )
+        assert code == 0, err
+        np.testing.assert_array_equal(load_tensor(y_path), forward_pass(loaded, x[None])[0][0])
+        code, out, err = run(capsys, "train", "--from-model", str(circ_path), "--steps", "3")
+        assert code == 0, err
+        assert "final loss=" in out
 
     def test_non_finite_results_exit_1_and_write_nothing(self, capsys, tmp_path):
         circ_path, dense_path = tmp_path / "circ.ccm", tmp_path / "dense.ccm"

@@ -19,7 +19,7 @@ from circconv.convops import (
     conv_naive_backward_weight,
     kernel_spectra,
 )
-from circconv.errors import ShapeError, UnsupportedGeometryError
+from circconv.errors import ShapeError
 from circconv.verification import check_batched_passes
 
 
@@ -92,6 +92,37 @@ class TestConvNaive:
         with pytest.raises(ShapeError):
             conv_naive(np.zeros((4, 4, 3)), np.zeros((1, 1, 2, 2)))
 
+    def test_backward_passes_are_adjoint_to_forward(self):
+        # conv_naive (checked against loop_conv above) is linear in x and in
+        # w, so <conv_naive(x, w), gy> must equal <x, dx> and <w, dw>
+        rng = np.random.default_rng(30)
+        w = rng.standard_normal((3, 2, 3, 4))
+        for stride in (1, 2, 3):
+            g = ConvGeometry(pad=(1, 0), stride=stride)
+            gy = rng.standard_normal((2, 4, 3, 4))
+            smallest = (3 * stride + 1, 2 * stride + 2)  # (out - 1) * s + k - 2p
+            # None gives the smallest input; each larger one leaves trailing
+            # rows and columns that the stride skips
+            larger = [(smallest[0] + e, smallest[1] + e) for e in range(1, stride)]
+            for in_size in [None, *larger]:
+                dx = conv_naive_backward_input(gy, w, g, in_size=in_size)
+                assert dx.shape == (2, *(in_size or smallest), 3)
+                x = rng.standard_normal(dx.shape)
+                lhs = np.sum(conv_naive(x, w, g) * gy)
+                assert abs(lhs - np.sum(x * dx)) <= 1e-12 * max(1.0, abs(lhs)), stride
+                dw = conv_naive_backward_weight(x, gy, (3, 2), g)
+                assert abs(lhs - np.sum(w * dw)) <= 1e-12 * max(1.0, abs(lhs)), stride
+
+    def test_backward_input_size_must_give_grad_size(self):
+        g = ConvGeometry(stride=2)
+        gy = np.zeros((3, 3, 2))
+        w = np.zeros((3, 3, 2, 2))
+        assert conv_naive_backward_input(gy, w, g).shape == (7, 7, 2)
+        assert conv_naive_backward_input(gy, w, g, in_size=(8, 7)).shape == (8, 7, 2)
+        for bad in [(6, 7), (9, 7), (0, 7)]:
+            with pytest.raises(ShapeError, match="inconsistent"):
+                conv_naive_backward_input(gy, w, g, in_size=bad)
+
     def test_batch_matches_single_samples(self):
         rng = np.random.default_rng(27)
         xb = rng.standard_normal((3, 6, 5, 3))
@@ -132,13 +163,16 @@ class TestConvBlock:
         got = conv_block(x, dense, base.config)
         assert rel_diff(got, conv_naive(x, dense)) <= 1e-12
 
-    def test_rejects_stride(self):
-        cfg = PartitionConfig(n=1, c_in=2, c_out=2)
-        with pytest.raises(UnsupportedGeometryError):
-            conv_block(
-                np.zeros((4, 4, 2)), np.zeros((1, 1, 2, 2)), cfg,
-                ConvGeometry(stride=2),
-            )
+    def test_strided_matches_naive(self):
+        rng = np.random.default_rng(31)
+        base = random_base(rng, 3, 2, 2, 2, 2, c_in=3, c_out=4)
+        dense = expand(base)[:, :, :3, :4]
+        for stride, size in [(2, (7, 6)), (2, (8, 5)), (3, (9, 7)), (3, (10, 8))]:
+            x = rng.standard_normal((*size, 3))
+            g = ConvGeometry(pad=(0, 1), stride=stride)
+            got, want = conv_block(x, dense, base.config, g), conv_naive(x, dense, g)
+            assert got.shape == want.shape
+            assert rel_diff(got, want) <= 1e-12, (stride, size)
 
 
 class TestCircForward:
@@ -211,11 +245,16 @@ class TestCircForward:
         )
         assert rel_diff(lhs, rhs) <= 1e-10
 
-    def test_rejects_stride(self):
+    def test_strided_matches_naive(self):
         rng = np.random.default_rng(13)
-        base = random_base(rng, 1, 1, 2, 1, 1)
-        with pytest.raises(UnsupportedGeometryError):
-            circ_forward(np.zeros((4, 4, 2)), base, ConvGeometry(stride=2))
+        base = random_base(rng, 3, 2, 4, None, None, c_in=6, c_out=7)
+        dense = expand(base)[:, :, :6, :7]
+        for stride, size in [(2, (7, 6)), (2, (8, 5)), (3, (9, 7)), (3, (10, 8))]:
+            xb = rng.standard_normal((2, *size, 6))
+            g = ConvGeometry(pad=(0, 1), stride=stride)
+            want = conv_naive(xb, dense, g)
+            assert want.shape[1:3] == g.out_size(size, (3, 2))
+            assert rel_diff(circ_forward(xb, base, g), want) <= 1e-10, (stride, size)
 
 
 def dense_weight_grad_diag_sum(x, grad_y, base, g):

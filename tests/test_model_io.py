@@ -10,6 +10,7 @@ from circconv.convops import ConvGeometry
 from circconv.errors import ModelFormatError
 from circconv.model_io import (
     MODEL_MAGIC,
+    TENSOR_MAGIC,
     load_model,
     load_scheme_file,
     load_tensor,
@@ -71,6 +72,28 @@ class TestRoundTrip:
         y0, _ = forward_pass(net, x)
         y1, _ = forward_pass(loaded, x)
         np.testing.assert_array_equal(y0, y1)
+
+    def test_strided_circconv_round_trips_bit_exactly(self, tmp_path):
+        rng = np.random.default_rng(2)
+        g = ConvGeometry(pad=(1, 1), stride=2)
+        cfg = PartitionConfig(n=2, c_in=4, c_out=6)
+        net = Network([
+            CircConvLayer(init_circ_base(rng, (3, 3), cfg), rng.standard_normal(6), g),
+            ReLU(),
+            GlobalAveragePool(),
+            FullyConnected(init_fc(rng, 6, 3)),
+        ])
+        p1, p2 = tmp_path / "a.ccm", tmp_path / "b.ccm"
+        save_model(net, p1)
+        loaded = load_model(p1)
+        assert loaded.layers[0].geometry == g
+        for a, b in zip(net.layers, loaded.layers):
+            for k, v in a.params().items():
+                np.testing.assert_array_equal(v, b.params()[k])
+        save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        x = rng.standard_normal((2, 7, 6, 4))
+        np.testing.assert_array_equal(forward_pass(net, x)[0], forward_pass(loaded, x)[0])
 
     def test_empty_network(self, tmp_path):
         path = tmp_path / "empty.ccm"
@@ -172,29 +195,6 @@ class TestValidation:
             + manifest + blob
         )
         with pytest.raises(ModelFormatError, match="does not tile"):
-            load_model(path)
-
-    def test_circconv_stride_rejected(self, tmp_path):
-        meta = {
-            "format": MODEL_MAGIC, "precision": "f64", "endianness": "little",
-            "layers": [
-                {
-                    "kind": "circconv", "kernel": [1, 1], "c_in": 4, "c_out": 4,
-                    "n": 2, "pad": [0, 0], "stride": 2,
-                    "params": [
-                        {"name": "base", "shape": [1, 1, 4, 2]},
-                        {"name": "bias", "shape": [4]},
-                    ],
-                }
-            ],
-        }
-        manifest = json.dumps(meta).encode()
-        path = tmp_path / "bad.ccm"
-        path.write_bytes(
-            MODEL_MAGIC.encode() + b"\n" + str(len(manifest)).encode() + b"\n"
-            + manifest + b"\x00" * (4 * 2 + 4) * 8
-        )
-        with pytest.raises(ModelFormatError, match="stride 1"):
             load_model(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -353,6 +353,22 @@ class TestTensorFiles:
         with pytest.raises(ModelFormatError, match="truncated"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("shape", [[2**40], [2**32, 2**32]])
+    def test_declared_size_beyond_the_file_is_refused(self, tmp_path, shape):
+        # refused before reading: 2**40 doubles would not fit in memory, and
+        # 2**64 elements wrap to 0 in int64 arithmetic
+        manifest = json.dumps(
+            {"format": TENSOR_MAGIC, "precision": "f64", "endianness": "little",
+             "shape": shape}
+        ).encode()
+        path = tmp_path / "big.cct"
+        path.write_bytes(
+            TENSOR_MAGIC.encode() + b"\n" + str(len(manifest)).encode() + b"\n"
+            + manifest + b"\x00" * 16
+        )
+        with pytest.raises(ModelFormatError, match="truncated blob .* got 16"):
+            load_tensor(path)
+
 
 class TestSchemeFiles:
     def test_mapping_parses(self, tmp_path):
@@ -364,4 +380,10 @@ class TestSchemeFiles:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"conv1": 1.5}))
         with pytest.raises(ModelFormatError):
+            load_scheme_file(path)
+
+    def test_rejects_boolean_ratio(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"conv1": True}))
+        with pytest.raises(ModelFormatError, match="positive integer, got True"):
             load_scheme_file(path)

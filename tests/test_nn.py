@@ -9,13 +9,7 @@ from circconv.circulant import (
     expand,
 )
 from circconv.convops import ConvGeometry, circ_backward_weight, circ_forward
-from circconv.errors import (
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    ShapeError,
-    UnsupportedGeometryError,
-)
+from circconv.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from circconv.nn import (
     CircConvLayer,
     DenseConvLayer,
@@ -39,6 +33,7 @@ from circconv.nn import (
     softmax_cross_entropy,
     train,
 )
+from circconv.verification import _diagonal_sums
 
 SMALL = ToyTaskSpec(n_samples=48, spatial=(6, 6), channels=4, classes=3, hidden=4)
 
@@ -94,11 +89,27 @@ class TestForwardPass:
         y_dense, _ = forward_pass(dense_net, x)
         np.testing.assert_allclose(y_circ, y_dense, atol=1e-10)
 
-    def test_circ_layer_rejects_stride(self):
-        cfg = PartitionConfig(n=2, c_in=2, c_out=2)
-        base = init_circ_base(np.random.default_rng(0), (1, 1), cfg)
-        with pytest.raises(UnsupportedGeometryError, match="require stride 1"):
-            CircConvLayer(base, geometry=ConvGeometry(stride=2))
+    def test_strided_circ_layer_matches_dense_twin(self):
+        rng = np.random.default_rng(0)
+        cfg = PartitionConfig(n=2, c_in=3, c_out=5)
+        base = init_circ_base(rng, (3, 3), cfg)
+        g = ConvGeometry(pad=(1, 1), stride=2)
+        circ = CircConvLayer(base, bias=rng.standard_normal(5), geometry=g)
+        dense = DenseConvLayer(expand(base)[:, :, :3, :5], bias=circ.bias, geometry=g)
+        x = rng.standard_normal((3, 8, 7, 3))  # width even, height odd
+        y_circ, c_circ = circ.forward(x)
+        y_dense, c_dense = dense.forward(x)
+        assert y_circ.shape == (3, 4, 4, 5)
+        np.testing.assert_allclose(y_circ, y_dense, atol=1e-10)
+        gy = rng.standard_normal(y_circ.shape)
+        dx_circ, g_circ = circ.backward(c_circ, gy)
+        dx_dense, g_dense = dense.backward(c_dense, gy)
+        assert dx_circ.shape == x.shape
+        np.testing.assert_allclose(dx_circ, dx_dense, atol=1e-10)
+        np.testing.assert_allclose(
+            g_circ["base"], _diagonal_sums(g_dense["w"], cfg), atol=1e-10
+        )
+        np.testing.assert_array_equal(g_circ["bias"], g_dense["bias"])
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -363,15 +374,22 @@ class TestConvertAndRetrain:
         l_conv, _ = evaluate(converted, x, y)
         assert abs(l_dense - l_conv) <= 1e-10
 
-    def test_n1_conversion_is_identity(self):
+    def test_ratio_1_keeps_every_layer_dense(self):
         rng = np.random.default_rng(23)
-        spec = SMALL
-        dense = make_dense_toy_net(seed=24, spec=spec)
-        converted, err = convert_network(dense, CompressionScheme((1,)))
+        net = Network([
+            DenseConvLayer(rng.standard_normal((3, 3, 4, 4)), geometry=ConvGeometry(stride=2)),
+            ReLU(),
+            DenseConvLayer(rng.standard_normal((3, 3, 4, 4)), geometry=ConvGeometry(pad=(1, 1))),
+            GlobalAveragePool(),
+        ])
+        converted, err = convert_network(net, CompressionScheme((1, 1)))
         assert err == 0.0
-        np.testing.assert_array_equal(
-            expand(converted.layers[0].base), dense.layers[0].w
-        )
+        for i in (0, 2):
+            layer, source = converted.layers[i], net.layers[i]
+            assert isinstance(layer, DenseConvLayer)
+            assert layer.geometry == source.geometry
+            np.testing.assert_array_equal(layer.w, source.w)
+            assert layer.w is not source.w
 
     def test_toy_task_recovery(self):
         spec = ToyTaskSpec(n_samples=96, spatial=(8, 8), channels=4, classes=3)
@@ -386,19 +404,19 @@ class TestConvertAndRetrain:
         assert report["loss_after_retrain"] <= 1.1 * l0
         assert report["projection_sq_error"] > 0
 
-    def test_strided_layer_stays_dense_at_ratio_1(self):
+    def test_strided_layer_converts_at_ratio_2(self):
         rng = np.random.default_rng(30)
-        strided = DenseConvLayer(
-            rng.standard_normal((3, 3, 4, 4)), geometry=ConvGeometry(stride=2)
-        )
+        g = ConvGeometry(pad=(1, 1), stride=2)
+        strided = DenseConvLayer(rng.standard_normal((3, 3, 4, 4)), geometry=g)
         net = Network([strided, ReLU(), GlobalAveragePool()])
-        converted, err = convert_network(net, CompressionScheme((1,)))
-        assert err == 0.0
-        assert isinstance(converted.layers[0], DenseConvLayer)
-        np.testing.assert_array_equal(converted.layers[0].w, strided.w)
-        assert converted.layers[0].w is not strided.w
-        with pytest.raises(ConfigError, match="layer 0 has stride 2"):
-            convert_network(net, CompressionScheme((2,)))
+        converted, err = convert_network(net, CompressionScheme((2,)))
+        layer = converted.layers[0]
+        assert isinstance(layer, CircConvLayer)
+        assert layer.geometry == g and layer.base.config.n == 2
+        assert err == pytest.approx(np.sum((expand(layer.base) - strided.w) ** 2))
+        x = rng.standard_normal((2, 7, 7, 4))
+        twin = DenseConvLayer(expand(layer.base), bias=layer.bias, geometry=g)
+        np.testing.assert_allclose(layer.forward(x)[0], twin.forward(x)[0], atol=1e-10)
 
     def test_scheme_length_mismatch(self):
         dense = make_dense_toy_net(seed=29, spec=SMALL)
