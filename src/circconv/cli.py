@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: analyze (cost reports), convert (dense model to circulant),
-verify (property suites), bench (naive vs FFT path), train (toy tasks),
+verify (property suites), bench (dense vs FFT path), train (toy tasks),
 infer (run a saved model on a tensor file). Every command is deterministic
 under a fixed --seed; failures exit nonzero with a single-line error and
 partially written output files are removed.
@@ -167,12 +167,14 @@ def cmd_bench(args):
     else:
         print(
             f"{'N':>6}{'naive ms':>12}{'fft ms':>12}{'speedup':>9}"
+            f"{'dense ms':>12}{'vs dense':>10}"
             f"{'naive FLOPs':>14}{'fft FLOPs':>12}{'ratio':>8}"
         )
         for r in rows:
             print(
                 f"{r['N']:>6}{r['naive_ms']:>12.3f}{r['fft_ms']:>12.3f}"
-                f"{r['speedup']:>9.1f}{r['flops_naive']:>14}{r['flops_fft']:>12}"
+                f"{r['speedup']:>9.1f}{r['dense_ms']:>12.3f}{r['dense_speedup']:>10.2f}"
+                f"{r['flops_naive']:>14}{r['flops_fft']:>12}"
                 f"{r['flop_ratio']:>8.3f}"
             )
         print(
@@ -265,7 +267,7 @@ def build_parser():
                    help="partition sizes sampled by the equivalence sweep")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="naive vs FFT path: counted FLOPs and wall time")
+    p = sub.add_parser("bench", help="loop oracle and dense BLAS vs FFT path: FLOPs and wall time")
     p.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
                    default=[64, 256])
     p.add_argument("--spatial", type=int, default=8)

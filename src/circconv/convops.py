@@ -20,25 +20,35 @@ The FFT passes and the conv_naive oracles take one (W, H, C) sample or a
 (B, W, H, C) batch; a sample runs as a batch of one. The FFT passes share
 one gather and one product, in the frequency domain as in fbfft
 (Vasilache et al., arXiv:1412.7580) and Mathieu, Henaff & LeCun
-(arXiv:1312.5851). The half spectra are laid out blocks-major with the
-positions last, (F, blocks, B, W, H) with F = N//2 + 1, and the windows
-under every kernel offset are gathered into one
-(F, blocks*K1*K2, B*W2*H2) matrix, so every copied run is a whole output
-row. The forward pass is one batched matmul per frequency bin of the
-(F, S, R*K1*K2) kernel matrix with the window matrix of the input.
+(arXiv:1312.5851), and run in float64 throughout. A real fiber's
+spectrum is conjugate-symmetric, so it is stored as N reals in the
+halfcomplex layout (as in CirCNN, Ding et al., arXiv:1708.08917): Re X_0,
+then Re X_{N/2} (even N only), then Re X_k, Im X_k for each complex bin
+k. The spectra are laid out blocks-major with the positions last,
+(N, blocks, B, rows, hq), in padded rows of hq sites plus a zero slack
+row, and the windows under every kernel offset are gathered into one
+(N, blocks*K1*K2, B*W2*q) matrix by one strided view, with q = hq / s
+columns per output row; the last q - H2 of them are junk and are dropped
+after the product. At stride 1 every copied run is a whole sample. The
+product is a real GEMM per real bin and, per complex bin, a real GEMM of
+the 2x2 blocks [[Re, -Im], [Im, Re]] of the complex kernel matrix with
+the [Re; Im] rows of the window matrix. The forward kernel matrix is the
+(N//2+1, S, R*K1*K2) kernel spectra, split this way once per call.
 
 Both backward passes run one loop, circ_backward, over the windows of
 grad_y. grad_y is padded by k - 1 - p zero sites per side, or cropped
 where p > k - 1, so that its window positions are exactly the unpadded
 input sites, and it is transformed and gathered once per group for both
-gradients. The input gradient is the product of the (F, R, S*K1*K2)
+gradients. The input gradient is the product of the (N//2+1, R, S*K1*K2)
 flipped, conjugated, transposed kernel spectra with that window matrix.
 The weight gradient is the product of the same window matrix with the
-conjugated spectra of the unpadded input sites, whose rows are the kernel
-offsets flipped. Leaving out the padding sites is exact because their
-spectra are zero. At stride s the loop runs on grad_y dilated by s - 1
-zero sites between outputs, plus zero trailing sites where the stride
-skipped the input's last rows or columns.
+conjugated spectra of the unpadded input sites, laid out on the window
+matrix's columns with zeros in the junk ones; its rows are the kernel
+offsets flipped. It is accumulated over the groups in real arithmetic and
+made complex once, before its inverse transform. Leaving out the padding
+sites is exact because their spectra are zero. At stride s the loop runs
+on grad_y dilated by s - 1 zero sites between outputs, plus zero trailing
+sites where the stride skipped the input's last rows or columns.
 
 The batch is processed in groups of consecutive samples whose window
 matrix stays under _GROUP_BYTES: a whole-batch matrix of many megabytes is
@@ -51,10 +61,10 @@ bit-reproducible.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import spectral
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import DTYPE, as_tensor3, as_tensor4
 
 # Upper bound, in bytes, on the window matrix of one group of samples: half
@@ -201,59 +211,130 @@ def _circ_input(x, base, g):
     return xb, single, g.out_size(xb.shape[1:3], base.kernel_size)
 
 
-def _spectra(t, pad, blocks, n):
-    """Blocks-major, positions-last half spectra of zero-padded channel fibers.
+def _real_bins(n):
+    """How many bins of a length-n real fiber's spectrum are real: the DC
+    bin and, at even n, the Nyquist bin."""
+    return 2 - n % 2
+
+
+def _spectra(t, blocks, n, shape, at=(0, 0)):
+    """Blocks-major, positions-last halfcomplex spectra of channel fibers.
 
     t is (B, W, H, C) with C <= blocks*N; it is padded with zero channels
-    up to blocks*N and by pad zero sites on each spatial side. Returns
-    shape (N//2+1, blocks, B, W + 2*pw, H + 2*ph). Padding sites have zero
-    spectra, so only the sites of t are transformed.
+    up to blocks*N. Returns a float64 (N, blocks, B, *shape) buffer that
+    holds the spectrum of site (w, h) of t at (at[0] + w, at[1] + h) and
+    zeros everywhere else. Along the first axis each fiber's N reals are
+    Re X_0, then Re X_{N/2} (even N only), then Re X_k, Im X_k for each
+    complex bin k = 1..(N-1)//2; the imaginary parts left out are zero.
+    Only the sites of t are transformed.
     """
     b, w, h, c = t.shape
-    pw, ph = pad
     if c != blocks * n:
         t = np.concatenate([t, np.zeros((b, w, h, blocks * n - c), dtype=DTYPE)], axis=3)
-    s = spectral.rfft_last(t.reshape(b, w, h, blocks, n))
-    out = np.zeros((n // 2 + 1, blocks, b, w + 2 * pw, h + 2 * ph), dtype=np.complex128)
-    out[:, :, :, pw : pw + w, ph : ph + h] = s.transpose(4, 3, 0, 1, 2)
+    # (2F, blocks, B, W, H): Re X_0, Im X_0, Re X_1, Im X_1, ...
+    v = spectral.rfft_last(t.reshape(b, w, h, blocks, n)).view(DTYPE).transpose(4, 3, 0, 1, 2)
+    out = np.zeros((n, blocks, b, *shape), dtype=DTYPE)
+    nr = _real_bins(n)
+    sites = out[:, :, :, at[0] : at[0] + w, at[1] : at[1] + h]
+    sites[:nr] = v[: nr * n : n]
+    sites[nr:] = v[2 : n + 2 - nr]
     return out
 
 
-def _fibers(spec, n):
-    """Inverse of _spectra's transform: (F, blocks, B, W, H) -> (B, W, H, blocks*N)."""
-    _, blocks, b, w, h = spec.shape
-    return spectral.irfft_last(spec.transpose(2, 3, 4, 1, 0), n).reshape(b, w, h, blocks * n)
+def _fibers(spec, n, h2):
+    """Inverse of _spectra's transform: (N, blocks, B, W2, q) halfcomplex
+    spectra -> (B, W2, H2, blocks*N) fibers, dropping the q - H2 junk
+    columns at the end of every row."""
+    _, blocks, b, w2, _ = spec.shape
+    spec = spec[..., :h2].transpose(2, 3, 4, 1, 0)  # (B, W2, H2, blocks, N)
+    z = np.zeros((b, w2, h2, blocks, n // 2 + 1), dtype=np.complex128)
+    v = z.view(DTYPE)
+    nr = _real_bins(n)
+    v[..., : nr * n : n] = spec[..., :nr]
+    v[..., 2 : n + 2 - nr] = spec[..., nr:]
+    return spectral.irfft_last(z, n).reshape(b, w2, h2, blocks * n)
 
 
-def _group_size(n, out_hw, kernel_size, blocks):
-    """Samples per group: as many as keep the window matrix under _GROUP_BYTES."""
-    rows = out_hw[0] * out_hw[1]
-    per_sample = 16 * (n // 2 + 1) * rows * kernel_size[0] * kernel_size[1] * blocks
-    return max(1, _GROUP_BYTES // per_sample)
+def _grid(hw, g, kernel_size):
+    """(W2, H2, q) of a window gather over hw sites: the output size and
+    the columns of a window row, q = ceil((H + 2*ph) / s) >= H2."""
+    w2, h2 = g.out_size(hw, kernel_size)
+    return w2, h2, -(-(hw[1] + 2 * g.pad[1]) // g.stride)
+
+
+def _group_size(rows, width):
+    """Samples per group: as many as keep a window matrix of rows rows and
+    width columns per sample under _GROUP_BYTES."""
+    return max(1, _GROUP_BYTES // (np.dtype(DTYPE).itemsize * rows * width))
+
+
+def _checked_view(a, shape, strides):
+    """as_strided(a, shape, strides), or ContractError if the view would
+    reach past the end of a (strides are nonnegative)."""
+    last = sum((d - 1) * st for d, st in zip(shape, strides))
+    if min(shape) < 1 or min(strides) < 0 or last + a.itemsize > a.nbytes:
+        raise ContractError(
+            f"window view {shape} with strides {strides} overruns its {a.nbytes}-byte buffer"
+        )
+    return as_strided(a, shape, strides, writeable=False)
 
 
 def _grouped_windows(t, g, blocks, n, kernel_size):
     """The gather every pass multiplies, a group of samples at a time.
 
     Yields (group, cols): group slices the batch axis of t, and cols is
-    the group's (F, blocks*K1*K2, G*W2*H2) window matrix over the spectra
-    S = _spectra(t[group], g.pad, blocks, n): with s = g.stride, row
-    (j, a, c) holds S[:, j, i, s*w + a, s*h + c] at column (i, w, h), one
-    window position per column. Each copied run is a whole output row of
-    H2 sites. Groups hold as many consecutive samples as keep cols under
-    _GROUP_BYTES.
+    the group's (N, blocks*K1*K2, G*W2*q) window matrix, with
+    (W2, H2, q) = _grid(...). Each sample's halfcomplex spectra are laid
+    out in padded rows of hq = q*s sites plus one zero slack row:
+    S = _spectra(t[group], blocks, n, (W + 2*pw + 1, hq), g.pad). With
+    s = g.stride, row (j, a, c) of cols holds S[:, j, i, s*w + a, s*h + c]
+    at column (i, w, h), so one view of S with strides (hq, 1) over the
+    kernel offsets and (s*hq, s) over the positions is copied once. At
+    stride 1 each copied run is a sample's whole W2*hq plane. Columns
+    h >= H2 of each output row are junk, read past the row's end or from
+    the slack row; the passes drop them. Groups hold as many consecutive
+    samples as keep cols under _GROUP_BYTES.
     """
     k1, k2 = kernel_size
-    f = n // 2 + 1
     s = g.stride
-    step = _group_size(n, g.out_size(t.shape[1:3], kernel_size), kernel_size, blocks)
+    w2, _, q = _grid(t.shape[1:3], g, kernel_size)
+    rows = (t.shape[1] + 2 * g.pad[0] + 1, q * s)
+    step = _group_size(n * blocks * k1 * k2, w2 * q)
     for start in range(0, t.shape[0], step):
         group = slice(start, start + step)
-        spec = _spectra(t[group], g.pad, blocks, n)
-        # (F, blocks, G, W2, H2, K1, K2) view, gathered offsets before positions
-        windows = sliding_window_view(spec, kernel_size, axis=(3, 4))[:, :, :, ::s, ::s]
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 5, 6, 2, 3, 4))
-        yield group, cols.reshape(f, blocks * k1 * k2, -1)
+        spec = _spectra(t[group], blocks, n, rows, g.pad)
+        st_n, st_j, st_i, st_w, st_h = spec.strides
+        windows = _checked_view(
+            spec,
+            (n, blocks, k1, k2, spec.shape[2], w2, q),
+            (st_n, st_j, st_w, st_h, st_i, s * st_w, s * st_h),
+        )
+        yield group, windows.copy().reshape(n, blocks * k1 * k2, -1)
+
+
+def _split(kern, n):
+    """Real GEMM operands of (N//2+1, M, K) complex bin matrices: the
+    (nr, M, K) matrices of the real bins and the (fc, 2M, 2K) blocks
+    [[Re, -Im], [Im, Re]] of the complex bins, which act on a halfcomplex
+    [Re; Im] pair of rows."""
+    nr = _real_bins(n)
+    real = np.ascontiguousarray(kern[[0, n // 2][:nr]].real)
+    cplx = kern[1 : 1 + (n - nr) // 2]
+    re, im = cplx.real, cplx.imag
+    return real, np.concatenate([np.concatenate([re, -im], 2), np.concatenate([im, re], 2)], 1)
+
+
+def _product(kern, cols):
+    """(N, M, P) halfcomplex product of _split kernels with an (N, K, P)
+    halfcomplex window matrix."""
+    real, cplx = kern
+    nr, fc = real.shape[0], cplx.shape[0]
+    n, _, p = cols.shape
+    out = np.empty((n, real.shape[1], p), dtype=DTYPE)
+    np.matmul(real, cols[:nr], out=out[:nr])
+    if fc:
+        np.matmul(cplx, cols[nr:].reshape(fc, -1, p), out=out[nr:].reshape(fc, -1, p))
+    return out
 
 
 def kernel_spectra(base):
@@ -274,17 +355,21 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
     has the same rank. For every output site and output block i the
     channel fiber is ifft(sum over (w1, h1, j) of fft(input fiber j) *
     fft(base fiber j, i)). Pass a precomputed kernel_spectra() result as
-    w_spec to amortize the kernel transforms across calls.
+    w_spec to amortize the kernel transforms across calls; one of another
+    shape raises ShapeError.
     """
     cfg = base.config
     xb, single, (w2, h2) = _circ_input(x, base, g)
     ws = kernel_spectra(base) if w_spec is None else w_spec
-    f = ws.shape[0]
-    kern = ws.transpose(0, 4, 3, 1, 2).reshape(f, cfg.s, -1)  # (F, S, R*K1*K2)
+    want = (cfg.n // 2 + 1, *base.kernel_size, cfg.r, cfg.s)
+    if np.shape(ws) != want:
+        raise ShapeError(f"w_spec shape {np.shape(ws)} does not match this base's {want}")
+    kern = _split(ws.transpose(0, 4, 3, 1, 2).reshape(want[0], cfg.s, -1), cfg.n)
+    q = _grid(xb.shape[1:3], g, base.kernel_size)[2]
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
     for group, cols in _grouped_windows(xb, g, cfg.r, cfg.n, base.kernel_size):
-        ys = np.matmul(kern, cols).reshape(f, cfg.s, -1, w2, h2)
-        y[group] = _fibers(ys, cfg.n)[..., : cfg.c_out]
+        ys = _product(kern, cols).reshape(cfg.n, cfg.s, -1, w2, q)
+        y[group] = _fibers(ys, cfg.n, h2)[..., : cfg.c_out]
     return y[0] if single else y
 
 
@@ -297,8 +382,9 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     at kernel offset (K1-1-a, K2-1-c), hence the flip.
     """
     cfg = base.config
+    n = cfg.n
     k1, k2 = base.kernel_size
-    f = cfg.n // 2 + 1
+    f, nr = n // 2 + 1, _real_bins(n)
     if g.stride > 1:  # the grad of the stride-1 pass over the same input
         full = ConvGeometry(g.pad).out_size(in_size, (k1, k2))
         gb, strided = np.zeros((gb.shape[0], *full, gb.shape[3]), dtype=DTYPE), gb
@@ -311,25 +397,42 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     qw, qh = k1 - 1 - pw, k2 - 1 - ph
     cw, ch = max(0, -qw), max(0, -qh)
     gb = gb[:, cw : w2 - cw, ch : h2 - ch]
-    dx = acc = None
+    g_grad = ConvGeometry((max(0, qw), max(0, qh)))
+    q = _grid(gb.shape[1:3], g_grad, (k1, k2))[2]
+    m = cfg.s * k1 * k2
+    dx = None
     if with_dx:
         ws = kernel_spectra(base)
-        kern = np.conj(ws[:, ::-1, ::-1]).transpose(0, 3, 4, 1, 2).reshape(f, cfg.r, -1)
+        kern = _split(
+            np.conj(ws[:, ::-1, ::-1]).transpose(0, 3, 4, 1, 2).reshape(f, cfg.r, -1), n
+        )
         dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
-    if xb is not None:
-        acc = np.zeros((f, cfg.s * k1 * k2, cfg.r), dtype=np.complex128)
-    g_grad = ConvGeometry((max(0, qw), max(0, qh)))
-    for group, cols in _grouped_windows(gb, g_grad, cfg.s, cfg.n, (k1, k2)):
+    fc = (n - nr) // 2
+    acc_r = np.zeros((nr, m, cfg.r), dtype=DTYPE)
+    acc_c = np.zeros((fc, 2 * m, 2 * cfg.r), dtype=DTYPE)
+    for group, cols in _grouped_windows(gb, g_grad, cfg.s, n, (k1, k2)):
         if dx is not None:
-            dxs = np.matmul(kern, cols).reshape(f, cfg.r, -1, w0, h0)
-            dx[group] = _fibers(dxs, cfg.n)[..., : cfg.c_in]
-        if acc is not None:
-            xs = _spectra(xb[group], (0, 0), cfg.r, cfg.n).reshape(f, cfg.r, -1)
-            acc += np.matmul(cols, np.conj(xs).swapaxes(1, 2))
-    if acc is None:
+            dxs = _product(kern, cols).reshape(n, cfg.r, -1, w0, q)
+            dx[group] = _fibers(dxs, n, h0)[..., : cfg.c_in]
+        if xb is not None:
+            # the input spectra on the grid of cols, zero in its junk columns
+            xs = _spectra(xb[group], cfg.r, n, (w0, q)).reshape(n, cfg.r, -1)
+            acc_r += np.matmul(cols[:nr], xs[:nr].swapaxes(1, 2))
+            if fc:
+                p = xs.shape[2]
+                xc = xs[nr:].reshape(fc, 2 * cfg.r, p).swapaxes(1, 2)
+                acc_c += np.matmul(cols[nr:].reshape(fc, 2 * m, p), xc)
+    if xb is None:
         return None, dx
-    dws = acc.reshape(f, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
-    dfib = spectral.irfft_last(dws.transpose(2, 3, 4, 1, 0), cfg.n)  # (W1, H1, R, S, N)
+    # cols @ conj(X)^T: the real bins directly, the complex bins from the
+    # 2x2 blocks [Re C; Im C] @ [Re X, Im X]
+    dws = np.empty((f, m, cfg.r), dtype=np.complex128)
+    dws[[0, n // 2][:nr]] = acc_r
+    blk = acc_c.reshape(fc, 2, m, 2, cfg.r)
+    dws[1 : 1 + fc].real = blk[:, 0, :, 0] + blk[:, 1, :, 1]
+    dws[1 : 1 + fc].imag = blk[:, 1, :, 0] - blk[:, 0, :, 1]
+    dws = dws.reshape(f, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
+    dfib = spectral.irfft_last(dws.transpose(2, 3, 4, 1, 0), n)  # (W1, H1, R, S, N)
     dbase = np.ascontiguousarray(
         dfib.transpose(0, 1, 2, 4, 3).reshape(k1, k2, cfg.padded_in, cfg.s)
     )

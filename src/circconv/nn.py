@@ -132,8 +132,8 @@ class CircConvLayer(Layer):
 
     def backward(self, cache, gyb, need_dx=True):
         xb = cache
-        # Summed before the FFT passes: after OpenBLAS's complex GEMM, numpy's
-        # strided SSE reduction loops run ~10x slower until the next AVX call.
+        # Summed before the FFT passes, while grad_y is still in cache: after
+        # them the same sum measured 1.3-1.6x slower at 16x16, batch 16.
         dbias = gyb.sum(axis=(0, 1, 2))
         if need_dx:
             dbase, dx = circ_backward(xb, gyb, self.base, self.geometry)

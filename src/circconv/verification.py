@@ -7,10 +7,11 @@ finite differences and the diagonal-sum oracle,
 projection optimality, spectral identities, and training-time structure
 preservation. Output is deterministic for a fixed seed.
 
-probe_fft_path is the one timing of the FFT path against the loop oracle:
-`circconv bench` prints its rows, and check_fft_advantage (acceptance
-criterion 8) reads one at N = 256. Timings are not deterministic, so
-run_verification does not include that check.
+probe_fft_path is the one timing of the FFT path against the loop oracle
+and the dense BLAS path: `circconv bench` prints its rows, and
+check_fft_advantage (acceptance criterion 8) reads one at N = 256.
+Timings are not deterministic, so run_verification does not include that
+check.
 """
 
 import time
@@ -30,6 +31,7 @@ from .circulant import (
 )
 from .convops import (
     ConvGeometry,
+    _grid,
     _group_size,
     circ_backward,
     circ_backward_input,
@@ -182,15 +184,61 @@ def _ragged_batch(steps):
     return b
 
 
+def _batched_instance(seed, i):
+    """Instance i of check_batched_passes at seed, drawn from its own
+    generator so that it can be rebuilt alone: (base, g, small, big,
+    batch, ragged).
+
+    small is an input size for batches of 1 and 3. big is the largest
+    spatial size at which a group of both passes' window gathers holds 2
+    to 4 samples (the forward pass gathers the input at g; the backward
+    pass gathers, at stride 1, W rows of H + K2 - 1 columns), and batch
+    spans at least two groups of each with a ragged last group; ragged
+    says whether such a size exists.
+    """
+    rng = np.random.default_rng([seed, i])
+    n = int(rng.choice((1, 2, 3, 5, 8)))
+    c_in, c_out = (int(c) for c in rng.integers(1, 3 * n + 1, size=2))
+    k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
+    pw, ph = (int(p) for p in rng.integers(0, 3, size=2))
+    stride = int(rng.integers(1, 4))
+    if i == 0:
+        k1 = k2 = 1
+        pw = ph = 2
+    elif i in (1, 2):
+        one, three = int(rng.integers(1, n + 1)), int(rng.integers(2 * n + 1, 3 * n + 1))
+        c_in, c_out = (one, three) if i == 1 else (three, one)
+    cfg = PartitionConfig(n=n, c_in=c_in, c_out=c_out)
+    base = CirculantBaseTensor(rng.standard_normal((k1, k2, cfg.padded_in, cfg.s)), cfg)
+    g = ConvGeometry(pad=(pw, ph), stride=stride)
+    per_group = int(rng.integers(2, 5))
+    offsets = n * k1 * k2
+    cap = _group_size(offsets * max(cfg.r, cfg.s), 1)
+    for side in range(max(1, int(np.sqrt(cap // per_group))), 0, -1):
+        big = (max(1, side + k1 - 1 - 2 * pw), max(1, side + k2 - 1 - 2 * ph))
+        big = _ragged_width(big, (k1, k2), g)
+        w2, _, q = _grid(big, g, (k1, k2))
+        steps = (
+            _group_size(offsets * cfg.r, w2 * q),
+            _group_size(offsets * cfg.s, big[0] * (big[1] + k2 - 1)),
+        )
+        if min(steps) > 1:
+            break
+    small = [int(rng.integers(max(1, k - 2 * p), 9)) for k, p in ((k1, pw), (k2, ph))]
+    small = _ragged_width(small, (k1, k2), g)
+    return base, g, small, big, _ragged_batch(steps), min(steps) > 1
+
+
 def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     """All FFT passes on batches, against the dense oracles per sample.
 
-    Each instance draws N in (1, 2, 3, 5, 8), channel counts that leave
-    partial blocks, a kernel of 1-5 and a pad of 0-2 on each axis and a
-    stride of 1-3 (inputs sized by _ragged_width), and runs batches of 1, 3
-    and one spanning at least two groups of the contraction with a ragged
-    last group (its spatial size is chosen so that a group holds 2-4
-    samples). The first three instances always
+    Each instance (_batched_instance, drawn from seed and its index; the
+    inputs are drawn from seed) has N in (1, 2, 3, 5, 8), channel
+    counts that leave partial blocks, a kernel of 1-5 and a pad of 0-2 on
+    each axis and a stride of 1-3 (inputs sized by _ragged_width), and
+    runs batches of 1, 3 and one spanning at least two groups of the
+    contraction with a ragged last group (its spatial size is chosen so
+    that a group holds 2-4 samples). The first three instances always
     include the cases where the weight gradient's alignment of grad_y
     windows with input sites could slip: a 1x1 kernel at pad 2, so grad_y
     is cropped, then R < S, then R > S. The forward pass and the input
@@ -207,42 +255,14 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     rng = np.random.default_rng(seed)
     worst, worst_stack, ragged, strided = 0.0, 0.0, True, 0
     for i in range(instances):
-        n = int(rng.choice((1, 2, 3, 5, 8)))
-        c_in, c_out = (int(c) for c in rng.integers(1, 3 * n + 1, size=2))
-        k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
-        pw, ph = (int(p) for p in rng.integers(0, 3, size=2))
-        stride = int(rng.integers(1, 4))
-        strided += stride > 1
-        if i == 0:
-            k1 = k2 = 1
-            pw = ph = 2
-        elif i in (1, 2):
-            one, three = int(rng.integers(1, n + 1)), int(rng.integers(2 * n + 1, 3 * n + 1))
-            c_in, c_out = (one, three) if i == 1 else (three, one)
-        cfg = PartitionConfig(n=n, c_in=c_in, c_out=c_out)
-        base = CirculantBaseTensor(
-            rng.standard_normal((k1, k2, cfg.padded_in, cfg.s)), cfg
-        )
-        g = ConvGeometry(pad=(pw, ph), stride=stride)
-        dense = expand(base)[:, :, :c_in, :c_out]
-        # the largest spatial size at which a group of every pass holds
-        # between 2 and per_group samples, whatever the pass's block count
-        per_group = int(rng.integers(2, 5))
-        cap = _group_size(n, (1, 1), (k1, k2), max(cfg.r, cfg.s))
-        for side in range(max(1, int(np.sqrt(cap // per_group))), 0, -1):
-            big = (max(1, side + k1 - 1 - 2 * pw), max(1, side + k2 - 1 - 2 * ph))
-            big = _ragged_width(big, (k1, k2), g)
-            steps = (
-                _group_size(n, g.out_size(big, (k1, k2)), (k1, k2), cfg.r),
-                _group_size(n, big, (k1, k2), cfg.s),
-            )
-            if min(steps) > 1:
-                break
-        ragged &= min(steps) > 1
-        small = [int(rng.integers(max(1, k - 2 * p), 9)) for k, p in ((k1, pw), (k2, ph))]
-        small = _ragged_width(small, (k1, k2), g)
-        for batch, (w, h) in ((1, small), (3, small), (_ragged_batch(steps), big)):
-            xb = rng.standard_normal((batch, w, h, c_in))
+        base, g, small, big, ragged_batch, is_ragged = _batched_instance(seed, i)
+        cfg = base.config
+        k1, k2 = base.kernel_size
+        strided += g.stride > 1
+        ragged &= is_ragged
+        dense = expand(base)[:, :, : cfg.c_in, : cfg.c_out]
+        for batch, (w, h) in ((1, small), (3, small), (ragged_batch, big)):
+            xb = rng.standard_normal((batch, w, h, cfg.c_in))
             y = circ_forward(xb, base, g)
             gy = rng.standard_normal(y.shape)
             dw = circ_backward_weight(xb, gy, base, g)
@@ -440,13 +460,15 @@ def _best_time(fn, reps, inner):
 
 
 def probe_fft_path(n, spatial, kernel, rng, reps, inner):
-    """The FFT path against the loop oracle on one N x N circulant block.
+    """The FFT path against the loop oracle and the dense BLAS path on one
+    N x N circulant block.
 
     Draws the base tensor, then a (spatial + kernel - 1)^2 input with N
-    channels, from rng; times conv_block on the dense expansion and
-    circ_forward with precomputed kernel spectra, each the best of reps
-    runs of inner calls; and counts both paths' FLOPs with flop_count.
-    Returns the row that `circconv bench` prints.
+    channels, from rng; times conv_block and conv_naive on the dense
+    expansion and circ_forward with precomputed kernel spectra, each the
+    best of reps runs of inner calls; and counts the FLOPs of the dense
+    and FFT paths with flop_count. Returns the row that `circconv bench`
+    prints: speedup is over conv_block, dense_speedup over conv_naive.
     """
     cfg = PartitionConfig(n=n, c_in=n, c_out=n)
     base = CirculantBaseTensor(rng.standard_normal((kernel, kernel, n, 1)), cfg)
@@ -458,11 +480,15 @@ def probe_fft_path(n, spatial, kernel, rng, reps, inner):
     def naive():
         return conv_block(x, dense, cfg, g)
 
+    def dense_blas():
+        return conv_naive(x, dense, g)
+
     def fast():
         return circ_forward(x, base, g, w_spec=w_spec)
 
     gap = float(np.max(np.abs(naive() - fast())))
     t_naive = _best_time(naive, reps, inner)
+    t_dense = _best_time(dense_blas, reps, inner)
     t_fast = _best_time(fast, reps, inner)
     shape = dict(
         name="bench", kernel=(kernel, kernel), c_in=n, c_out=n,
@@ -475,6 +501,8 @@ def probe_fft_path(n, spatial, kernel, rng, reps, inner):
         "naive_ms": t_naive * 1e3,
         "fft_ms": t_fast * 1e3,
         "speedup": t_naive / t_fast,
+        "dense_ms": t_dense * 1e3,
+        "dense_speedup": t_dense / t_fast,
         "flops_naive": f_naive,
         "flops_fft": f_fast,
         "flop_ratio": f_fast / f_naive,

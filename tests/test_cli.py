@@ -316,7 +316,7 @@ class TestBench:
         assert code == 0
         rows = json.loads(out)
         assert rows[0]["N"] == 16
-        for key in ("naive_ms", "fft_ms", "flops_naive", "flops_fft"):
+        for key in ("naive_ms", "fft_ms", "dense_ms", "dense_speedup", "flops_naive", "flops_fft"):
             assert key in rows[0]
         assert rows[0]["max_abs_diff"] <= 1e-9
 

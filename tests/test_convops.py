@@ -7,8 +7,16 @@ from circconv.circulant import (
     circulant_from_fiber,
     expand,
 )
+from numpy.lib.stride_tricks import sliding_window_view
+
+from circconv import convops
 from circconv.convops import (
+    _GROUP_BYTES,
     ConvGeometry,
+    _checked_view,
+    _grid,
+    _grouped_windows,
+    _spectra,
     circ_backward,
     circ_backward_input,
     circ_backward_weight,
@@ -19,8 +27,8 @@ from circconv.convops import (
     conv_naive_backward_weight,
     kernel_spectra,
 )
-from circconv.errors import ShapeError
-from circconv.verification import check_batched_passes
+from circconv.errors import ContractError, ShapeError
+from circconv.verification import _batched_instance, _ragged_width, check_batched_passes
 
 
 def loop_conv(x, w, pad=(0, 0), stride=1):
@@ -225,6 +233,17 @@ class TestCircForward:
         np.testing.assert_array_equal(
             circ_forward(x, base), circ_forward(x, base, w_spec=ws)
         )
+
+    def test_rejects_kernel_spectra_of_another_layer(self):
+        rng = np.random.default_rng(30)
+        base = random_base(rng, 3, 3, 4, 2, 1)  # 8 -> 4 channels
+        x = rng.standard_normal((5, 5, 8))
+        swapped = kernel_spectra(random_base(rng, 3, 3, 4, 1, 2))  # 4 -> 8
+        with pytest.raises(ShapeError, match="w_spec"):
+            circ_forward(x, base, w_spec=swapped)
+        other_kernel = kernel_spectra(random_base(rng, 1, 1, 4, 2, 1))
+        with pytest.raises(ShapeError, match="w_spec"):
+            circ_forward(x, base, w_spec=other_kernel)
 
     def test_linearity_in_input_and_weights(self):
         rng = np.random.default_rng(12)
@@ -478,3 +497,95 @@ class TestBatchedPasses:
             circ_backward(x, np.zeros((3, 3, 2)), base)
         with pytest.raises(ShapeError):
             circ_forward(np.zeros((1, 2, 3, 3, 2)), base)
+
+
+class TestSpectralEngine:
+    def test_window_view_matches_reference_gather(self):
+        """The padded-row view stays inside its buffer, and its valid
+        columns are the windows of a plain sliding-window gather."""
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.choice((1, 2, 3, 4, 5, 8)))
+            blocks = int(rng.integers(1, 3))
+            k1, k2 = (int(k) for k in rng.integers(1, 6, size=2))
+            pw, ph = (int(p) for p in rng.integers(0, 4, size=2))
+            g = ConvGeometry(pad=(pw, ph), stride=int(rng.integers(1, 4)))
+            size = [int(rng.integers(max(1, k - 2 * p), 10)) for k, p in ((k1, pw), (k2, ph))]
+            size = _ragged_width(size, (k1, k2), g)
+            c = blocks * n - int(rng.integers(0, n))
+            t = rng.standard_normal((int(rng.integers(1, 4)), *size, c))
+            w2, h2, q = _grid(size, g, (k1, k2))
+            spec = _spectra(t, blocks, n, (size[0] + 2 * pw, size[1] + 2 * ph), g.pad)
+            ref = sliding_window_view(spec, (k1, k2), axis=(3, 4))
+            ref = ref[:, :, :, :: g.stride, :: g.stride]
+            ref = ref.transpose(0, 1, 5, 6, 2, 3, 4)  # (N, blocks, K1, K2, B, W2, H2)
+            for group, cols in _grouped_windows(t, g, blocks, n, (k1, k2)):
+                got = cols.reshape(n, blocks, k1, k2, -1, w2, q)[..., :h2]
+                np.testing.assert_array_equal(got, ref[:, :, :, :, group])
+
+    def test_window_view_out_of_bounds_is_refused(self):
+        buf = np.zeros((4, 5))
+        with pytest.raises(ContractError):
+            _checked_view(buf, (4, 6), buf.strides)
+        assert _checked_view(buf, (2, 5), (2 * buf.strides[0], 8)).shape == (2, 5)
+
+    @pytest.mark.parametrize("seed, instances", [(27, 16), (10, 12)])
+    def test_batched_check_instances_span_ragged_groups(self, monkeypatch, seed, instances):
+        """Each ragged batch of check_batched_passes spans at least two
+        groups of every pass with a shorter last group; the groups cover
+        the batch once, in order, and each multi-sample window matrix
+        stays under _GROUP_BYTES."""
+        calls = []
+        grouped_windows = convops._grouped_windows
+
+        def recording(t, *args):
+            groups = []
+            calls.append((t.shape[0], groups))
+            for group, cols in grouped_windows(t, *args):
+                groups.append((group, cols.nbytes))
+                yield group, cols
+
+        monkeypatch.setattr(convops, "_grouped_windows", recording)
+        rng = np.random.default_rng(0)
+        for i in range(instances):
+            base, g, _, big, batch, ragged = _batched_instance(seed, i)
+            assert ragged
+            x = rng.standard_normal((batch, *big, base.config.c_in))
+            calls.clear()
+            circ_backward(x, circ_forward(x, base, g), base, g)
+            assert len(calls) == 2  # the forward gather and the backward one
+            for size, groups in calls:
+                sizes = [len(range(size)[group]) for group, _ in groups]
+                assert len(groups) >= 2 and sizes[-1] < sizes[0]
+                assert [group.start for group, _ in groups] == list(np.cumsum([0] + sizes[:-1]))
+                assert sum(sizes) == size
+                assert all(b <= _GROUP_BYTES for (_, b), k in zip(groups, sizes) if k > 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_every_product_is_real(self, monkeypatch, n):
+        """Every matmul operand of the FFT passes is float64: the real bins
+        and the halfcomplex blocks of the complex bins."""
+        dtypes = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            dtypes.extend(np.asarray(a).dtype for a in args)
+            if "out" in kwargs:
+                dtypes.append(kwargs["out"].dtype)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(convops.np, "matmul", spy)
+        rng = np.random.default_rng(32)
+        base = random_base(rng, 3, 2, n, 2, 3)
+        x = rng.standard_normal((2, 6, 5, 2 * n))
+        g = ConvGeometry(pad=(1, 1), stride=2 if n == 3 else 1)
+        gy = rng.standard_normal(circ_forward(x, base, g).shape)
+        for run in (
+            lambda: circ_forward(x, base, g),
+            lambda: circ_backward(x, gy, base, g),
+            lambda: circ_backward_weight(x, gy, base, g),
+            lambda: circ_backward_input(gy, base, g, (6, 5)),
+        ):
+            dtypes.clear()
+            run()
+            assert dtypes and set(dtypes) == {np.dtype(np.float64)}
