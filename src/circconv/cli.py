@@ -269,7 +269,9 @@ def build_parser():
 
     p = sub.add_parser("bench", help="loop oracle and dense BLAS vs FFT path: FLOPs and wall time")
     p.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[64, 256])
+                   default=[8, 64, 256],
+                   help="block sizes N; 8 runs the GEMM channel transforms, 64 and "
+                        "256 run pocketfft")
     p.add_argument("--spatial", type=int, default=8)
     p.add_argument("--kernel", type=int, default=3)
     p.add_argument("--reps", type=int, default=5)

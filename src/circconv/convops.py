@@ -22,9 +22,12 @@ one gather and one product, in the frequency domain as in fbfft
 (Vasilache et al., arXiv:1412.7580) and Mathieu, Henaff & LeCun
 (arXiv:1312.5851), and run in float64 throughout. A real fiber's
 spectrum is conjugate-symmetric, so it is stored as N reals in the
-halfcomplex layout (as in CirCNN, Ding et al., arXiv:1708.08917): Re X_0,
-then Re X_{N/2} (even N only), then Re X_k, Im X_k for each complex bin
-k. The spectra are laid out blocks-major with the positions last,
+halfcomplex layout of spectral: its spectral.real_bins(N) real bins
+first, then a Re, Im pair of rows per complex bin. Only
+spectral.halfcomplex and halfcomplex_inverse pack and unpack that layout;
+at the small N of the paper's schemes each is one GEMM against a cached
+DFT matrix, above spectral's cutoff pocketfft (see spectral). The
+spectra are laid out blocks-major with the positions last,
 (N, blocks, B, rows, hq), in padded rows of hq sites plus a zero slack
 row, and the windows under every kernel offset are gathered into one
 (N, blocks*K1*K2, B*W2*q) matrix by one strided view, with q = hq / s
@@ -45,7 +48,7 @@ The weight gradient is the product of the same window matrix with the
 conjugated spectra of the unpadded input sites, laid out on the window
 matrix's columns with zeros in the junk ones; its rows are the kernel
 offsets flipped. It is accumulated over the groups in real arithmetic and
-made complex once, before its inverse transform. Leaving out the padding
+transformed back once, in halfcomplex form. Leaving out the padding
 sites is exact because their spectra are zero. At stride s the loop runs
 on grad_y dilated by s - 1 zero sites between outputs, plus zero trailing
 sites where the stride skipped the input's last rows or columns.
@@ -211,33 +214,21 @@ def _circ_input(x, base, g):
     return xb, single, g.out_size(xb.shape[1:3], base.kernel_size)
 
 
-def _real_bins(n):
-    """How many bins of a length-n real fiber's spectrum are real: the DC
-    bin and, at even n, the Nyquist bin."""
-    return 2 - n % 2
-
-
 def _spectra(t, blocks, n, shape, at=(0, 0)):
     """Blocks-major, positions-last halfcomplex spectra of channel fibers.
 
     t is (B, W, H, C) with C <= blocks*N; it is padded with zero channels
     up to blocks*N. Returns a float64 (N, blocks, B, *shape) buffer that
-    holds the spectrum of site (w, h) of t at (at[0] + w, at[1] + h) and
-    zeros everywhere else. Along the first axis each fiber's N reals are
-    Re X_0, then Re X_{N/2} (even N only), then Re X_k, Im X_k for each
-    complex bin k = 1..(N-1)//2; the imaginary parts left out are zero.
-    Only the sites of t are transformed.
+    holds the spectrum of site (w, h) of t at (at[0] + w, at[1] + h), in
+    spectral.halfcomplex's layout, and zeros everywhere else. Only the
+    sites of t are transformed.
     """
     b, w, h, c = t.shape
     if c != blocks * n:
         t = np.concatenate([t, np.zeros((b, w, h, blocks * n - c), dtype=DTYPE)], axis=3)
-    # (2F, blocks, B, W, H): Re X_0, Im X_0, Re X_1, Im X_1, ...
-    v = spectral.rfft_last(t.reshape(b, w, h, blocks, n)).view(DTYPE).transpose(4, 3, 0, 1, 2)
     out = np.zeros((n, blocks, b, *shape), dtype=DTYPE)
-    nr = _real_bins(n)
     sites = out[:, :, :, at[0] : at[0] + w, at[1] : at[1] + h]
-    sites[:nr] = v[: nr * n : n]
-    sites[nr:] = v[2 : n + 2 - nr]
+    spectral.halfcomplex(t.reshape(b, w, h, blocks, n), out=sites.transpose(0, 2, 3, 4, 1))
     return out
 
 
@@ -246,13 +237,8 @@ def _fibers(spec, n, h2):
     spectra -> (B, W2, H2, blocks*N) fibers, dropping the q - H2 junk
     columns at the end of every row."""
     _, blocks, b, w2, _ = spec.shape
-    spec = spec[..., :h2].transpose(2, 3, 4, 1, 0)  # (B, W2, H2, blocks, N)
-    z = np.zeros((b, w2, h2, blocks, n // 2 + 1), dtype=np.complex128)
-    v = z.view(DTYPE)
-    nr = _real_bins(n)
-    v[..., : nr * n : n] = spec[..., :nr]
-    v[..., 2 : n + 2 - nr] = spec[..., nr:]
-    return spectral.irfft_last(z, n).reshape(b, w2, h2, blocks * n)
+    fib = spectral.halfcomplex_inverse(spec[..., :h2].transpose(0, 2, 3, 4, 1))
+    return fib.reshape(b, w2, h2, blocks * n)
 
 
 def _grid(hw, g, kernel_size):
@@ -317,7 +303,7 @@ def _split(kern, n):
     (nr, M, K) matrices of the real bins and the (fc, 2M, 2K) blocks
     [[Re, -Im], [Im, Re]] of the complex bins, which act on a halfcomplex
     [Re; Im] pair of rows."""
-    nr = _real_bins(n)
+    nr = spectral.real_bins(n)
     real = np.ascontiguousarray(kern[[0, n // 2][:nr]].real)
     cplx = kern[1 : 1 + (n - nr) // 2]
     re, im = cplx.real, cplx.imag
@@ -384,7 +370,7 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     cfg = base.config
     n = cfg.n
     k1, k2 = base.kernel_size
-    f, nr = n // 2 + 1, _real_bins(n)
+    f, nr = n // 2 + 1, spectral.real_bins(n)
     if g.stride > 1:  # the grad of the stride-1 pass over the same input
         full = ConvGeometry(g.pad).out_size(in_size, (k1, k2))
         gb, strided = np.zeros((gb.shape[0], *full, gb.shape[3]), dtype=DTYPE), gb
@@ -424,15 +410,16 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
                 acc_c += np.matmul(cols[nr:].reshape(fc, 2 * m, p), xc)
     if xb is None:
         return None, dx
-    # cols @ conj(X)^T: the real bins directly, the complex bins from the
-    # 2x2 blocks [Re C; Im C] @ [Re X, Im X]
-    dws = np.empty((f, m, cfg.r), dtype=np.complex128)
-    dws[[0, n // 2][:nr]] = acc_r
+    # cols @ conj(X)^T in halfcomplex form: the real bins directly, the
+    # complex bins from the 2x2 blocks [Re C; Im C] @ [Re X, Im X]
+    dws = np.empty((n, m, cfg.r), dtype=DTYPE)
+    dws[:nr] = acc_r
     blk = acc_c.reshape(fc, 2, m, 2, cfg.r)
-    dws[1 : 1 + fc].real = blk[:, 0, :, 0] + blk[:, 1, :, 1]
-    dws[1 : 1 + fc].imag = blk[:, 1, :, 0] - blk[:, 0, :, 1]
-    dws = dws.reshape(f, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
-    dfib = spectral.irfft_last(dws.transpose(2, 3, 4, 1, 0), n)  # (W1, H1, R, S, N)
+    pair = dws[nr:].reshape(fc, 2, m, cfg.r)
+    pair[:, 0] = blk[:, 0, :, 0] + blk[:, 1, :, 1]
+    pair[:, 1] = blk[:, 1, :, 0] - blk[:, 0, :, 1]
+    dws = dws.reshape(n, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
+    dfib = spectral.halfcomplex_inverse(dws.transpose(0, 2, 3, 4, 1))  # (W1, H1, R, S, N)
     dbase = np.ascontiguousarray(
         dfib.transpose(0, 1, 2, 4, 3).reshape(k1, k2, cfg.padded_in, cfg.s)
     )

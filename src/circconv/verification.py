@@ -415,36 +415,73 @@ def check_projection_linearity(seed, trials=25, tol=1e-12):
     )
 
 
+def _halfcomplex_oracle(x, n):
+    """The halfcomplex layout of the bins x[0..N//2] of a length-N real
+    fiber's spectrum, written out bin by bin: Re X_0, Re X_{N/2} (even N),
+    then Re X_k, Im X_k."""
+    real = [x[0].real] + ([x[n // 2].real] if n % 2 == 0 else [])
+    return np.array(real + [v for k in range(1, (n + 1) // 2) for v in (x[k].real, x[k].imag)])
+
+
+def _halfcomplex_times(a, b):
+    """Bin-wise complex product of two length-N halfcomplex spectra."""
+    nr = 2 - len(a) % 2
+    out = a * b
+    ar, ai, br, bi = a[nr::2], a[nr + 1 :: 2], b[nr::2], b[nr + 1 :: 2]
+    out[nr::2] = ar * br - ai * bi
+    out[nr + 1 :: 2] = ar * bi + ai * br
+    return out
+
+
 def check_spectral(seed, tol_dft=1e-10, tol_prop=1e-9):
-    """The rfft_last/irfft_last pair every fast path runs, for all N <= 32:
-    half spectrum vs the direct DFT on bins 0..N//2, Parseval with interior
-    bins counted twice, and the convolution theorem."""
+    """The transforms every fast path runs, for all N <= 2 * the GEMM
+    cutoff of spectral, so both branches of the halfcomplex pair: the
+    rfft_last half spectrum and the halfcomplex spectrum against the
+    direct DFT (bins 0..N//2, and bin by bin in the halfcomplex layout),
+    Parseval with interior bins counted twice, the halfcomplex round trip,
+    and the convolution theorem through rfft_last/irfft_last and through
+    halfcomplex products."""
     rng = np.random.default_rng(seed)
-    worst_dft, worst_parseval, worst_conv = 0.0, 0.0, 0.0
-    for n in range(1, 33):
+    top = 2 * spectral._GEMM_MAX_N
+    worst_dft, worst_parseval, worst_conv, worst_round = 0.0, 0.0, 0.0, 0.0
+    for n in range(1, top + 1):
         f = rng.standard_normal(n)
         half = spectral.rfft_last(f)
         bins = np.arange(n // 2 + 1)
         direct = (f * np.exp(-2j * np.pi * np.outer(bins, np.arange(n)) / n)).sum(axis=1)
-        worst_dft = max(worst_dft, float(np.max(np.abs(half - direct))))
+        hc = spectral.halfcomplex(f)
+        worst_dft = max(
+            worst_dft,
+            float(np.max(np.abs(half - direct))),
+            float(np.max(np.abs(hc - _halfcomplex_oracle(direct, n)))),
+        )
         weight = np.ones(n // 2 + 1)
         weight[1 : (n + 1) // 2] = 2.0  # interior bins stand for their mirror too
         lhs = float(np.sum(f**2))
         rhs = float(np.sum(weight * np.abs(half) ** 2) / n)
         worst_parseval = max(worst_parseval, abs(lhs - rhs) / max(1.0, abs(lhs)))
+        round_trip = spectral.halfcomplex_inverse(hc)
+        worst_round = max(
+            worst_round, float(np.max(np.abs(round_trip - f))) / max(1.0, float(np.max(np.abs(f))))
+        )
         a, b = rng.standard_normal(n), rng.standard_normal(n)
-        got = spectral.irfft_last(spectral.rfft_last(a) * spectral.rfft_last(b), n)
         want = np.array(
             [sum(a[t] * b[(kk - t) % n] for t in range(n)) for kk in range(n)]
         )
+        prod = _halfcomplex_times(spectral.halfcomplex(a), spectral.halfcomplex(b))
         scale = max(1.0, float(np.max(np.abs(want))))
-        worst_conv = max(worst_conv, float(np.max(np.abs(got - want))) / scale)
+        for got in (
+            spectral.irfft_last(spectral.rfft_last(a) * spectral.rfft_last(b), n),
+            spectral.halfcomplex_inverse(prod),
+        ):
+            worst_conv = max(worst_conv, float(np.max(np.abs(got - want))) / scale)
+    ok = worst_dft <= tol_dft and max(worst_parseval, worst_round, worst_conv) <= tol_prop
     return PropertyResult(
         "spectral-contract",
-        worst_dft <= tol_dft and worst_parseval <= tol_prop and worst_conv <= tol_prop,
-        f"all N<=32 incl. primes: direct-DFT defect {worst_dft:.3e} <= {tol_dft:.0e}, "
-        f"Parseval {worst_parseval:.3e} and convolution theorem {worst_conv:.3e} "
-        f"<= {tol_prop:.0e}",
+        ok,
+        f"all N<={top} incl. primes, both halfcomplex branches: direct-DFT defect "
+        f"{worst_dft:.3e} <= {tol_dft:.0e}, Parseval {worst_parseval:.3e}, round trip "
+        f"{worst_round:.3e} and convolution theorem {worst_conv:.3e} <= {tol_prop:.0e}",
     )
 
 

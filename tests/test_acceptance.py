@@ -174,6 +174,7 @@ def test_criterion_8_fft_path_advantage():
 
 
 def test_criterion_9_spectral_contract():
-    """The rfft_last/irfft_last pair agrees with the direct-summation DFT for
-    all N <= 32 and satisfies Parseval and the convolution theorem."""
+    """The rfft_last/irfft_last and halfcomplex pairs agree with the
+    direct-summation DFT for all N <= 64, both halfcomplex branches, and
+    satisfy Parseval, the round trip and the convolution theorem."""
     report_check("9 spectral-contract", lambda: check_spectral(9009))

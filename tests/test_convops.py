@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from circconv.circulant import (
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
-from circconv import convops
+from circconv import convops, spectral
 from circconv.convops import (
     _GROUP_BYTES,
     ConvGeometry,
     _checked_view,
     _grid,
+    _group_size,
     _grouped_windows,
     _spectra,
     circ_backward,
@@ -561,25 +564,42 @@ class TestSpectralEngine:
                 assert sum(sizes) == size
                 assert all(b <= _GROUP_BYTES for (_, b), k in zip(groups, sizes) if k > 1)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_every_product_is_real(self, monkeypatch, n):
-        """Every matmul operand of the FFT passes is float64: the real bins
-        and the halfcomplex blocks of the complex bins."""
-        dtypes = []
+    @pytest.mark.parametrize(
+        "n, matrix_dtype",
+        [pytest.param(n, np.float64, id=str(n)) for n in (1, 2, 3, 8, spectral._GEMM_MAX_N + 1)]
+        + [
+            pytest.param(2, np.float32, id="2-float32-matrix"),
+            pytest.param(3, np.complex128, id="3-complex-matrix"),
+        ],
+    )
+    def test_every_product_is_real(self, monkeypatch, n, matrix_dtype):
+        """Every matmul operand of the FFT passes is float64: the real bins,
+        the halfcomplex blocks of the complex bins and, up to the cutoff,
+        the transform GEMMs against the cached DFT matrices. The spy sees
+        those GEMMs, so a float32 or complex transform matrix fails it."""
+        dtypes, matrices = [], []
         matmul = np.matmul
 
         def spy(*args, **kwargs):
             dtypes.extend(np.asarray(a).dtype for a in args)
+            matrices.extend(a for a in args if a.shape == (n, n))
             if "out" in kwargs:
                 dtypes.append(kwargs["out"].dtype)
             return matmul(*args, **kwargs)
 
-        monkeypatch.setattr(convops.np, "matmul", spy)
         rng = np.random.default_rng(32)
         base = random_base(rng, 3, 2, n, 2, 3)
         x = rng.standard_normal((2, 6, 5, 2 * n))
         g = ConvGeometry(pad=(1, 1), stride=2 if n == 3 else 1)
         gy = rng.standard_normal(circ_forward(x, base, g).shape)
+        dft_matrices = spectral._dft_matrices
+        mutant = matrix_dtype is not np.float64
+        if mutant:
+            monkeypatch.setattr(
+                spectral, "_dft_matrices",
+                lambda k: tuple(m.astype(matrix_dtype) for m in dft_matrices(k)),
+            )
+        monkeypatch.setattr(convops.np, "matmul", spy)
         for run in (
             lambda: circ_forward(x, base, g),
             lambda: circ_backward(x, gy, base, g),
@@ -587,5 +607,61 @@ class TestSpectralEngine:
             lambda: circ_backward_input(gy, base, g, (6, 5)),
         ):
             dtypes.clear()
-            run()
-            assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+            matrices.clear()
+            with warnings.catch_warnings():
+                # a complex mutant's spectra lose their imaginary parts
+                warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+                run()
+            assert dtypes
+            assert (set(dtypes) == {np.dtype(np.float64)}) != mutant
+            # the GEMM branch runs up to the cutoff only
+            assert bool(matrices) == (n <= spectral._GEMM_MAX_N)
+
+
+def _prime(n, step):
+    """The first prime from n on, moving by step (+1 or -1)."""
+    while n < 2 or any(n % d == 0 for d in range(2, int(n**0.5) + 1)):
+        n += step
+    return n
+
+
+class TestTransformBranches:
+    """Both halfcomplex transform branches, GEMM up to spectral._GEMM_MAX_N
+    and pocketfft above it, tied to the dense oracles."""
+
+    CUT = spectral._GEMM_MAX_N
+
+    @pytest.mark.parametrize("n", [_prime(CUT, -1), CUT, CUT + 1, _prime(CUT + 1, 1)])
+    def test_four_passes_on_both_branches(self, monkeypatch, n):
+        """All four passes against conv_naive and its two backward passes,
+        with partial blocks, stride 2 and a batch that spans two groups;
+        then the same instance through the other branch agrees to 1e-12."""
+        rng = np.random.default_rng(n)
+        base = random_base(rng, 3, 3, n, 2, 2, c_in=2 * n - 3, c_out=2 * n - 5)
+        g = ConvGeometry(pad=(1, 1), stride=2)
+        size = (9, 7)
+        w2, h2, q = _grid(size, g, (3, 3))
+        batch = _group_size(n * 2 * 9, w2 * q) + 1  # the forward gather's groups
+        x = rng.standard_normal((batch, *size, base.config.c_in))
+        gy = rng.standard_normal((batch, w2, h2, base.config.c_out))
+        dense = expand(base)[:, :, : base.config.c_in, : base.config.c_out]
+
+        def passes():
+            dw, dx = circ_backward(x, gy, base, g)
+            return (
+                circ_forward(x, base, g),
+                circ_backward_input(gy, base, g, size),
+                circ_backward_weight(x, gy, base, g),
+                dx,
+                dw,
+            )
+
+        got = passes()
+        want_w = sum(dense_weight_grad_diag_sum(x[i], gy[i], base, g) for i in range(batch))
+        want_x = conv_naive_backward_input(gy, dense, g, size)
+        want = (conv_naive(x, dense, g), want_x, want_w, want_x, want_w)
+        for a, b in zip(got, want):
+            assert rel_diff(a, b) <= 1e-9
+        monkeypatch.setattr(spectral, "_GEMM_MAX_N", n - 1 if n <= self.CUT else n)
+        for a, b in zip(passes(), got):
+            assert rel_diff(a, b) <= 1e-12

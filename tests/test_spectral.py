@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from circconv.spectral import irfft_last, rfft_last
+from circconv import spectral
+from circconv.spectral import halfcomplex, halfcomplex_inverse, irfft_last, rfft_last
 
 
 def direct_dft(f):
@@ -167,3 +168,91 @@ class TestProperties:
                         half[i, j], direct_dft(arr[i, j])[: n // 2 + 1], atol=1e-12
                     )
             np.testing.assert_allclose(irfft_last(half, n), arr, atol=1e-12)
+
+
+def halfcomplex_of(x, n):
+    """Oracle packing of the bins x[0..N//2] into the halfcomplex layout."""
+    real = [x[0].real] + ([x[n // 2].real] if n % 2 == 0 else [])
+    pairs = [v for k in range(1, (n + 1) // 2) for v in (x[k].real, x[k].imag)]
+    return np.array(real + pairs)
+
+
+def halfcomplex_times(a, b):
+    """Bin-wise complex product of two halfcomplex spectra, bin by bin."""
+    n = len(a)
+    nr = 2 - n % 2
+    out = a * b
+    for i in range(nr, n, 2):
+        out[i] = a[i] * b[i] - a[i + 1] * b[i + 1]
+        out[i + 1] = a[i] * b[i + 1] + a[i + 1] * b[i]
+    return out
+
+
+# every N up to twice the cutoff: the GEMM branch, then pocketfft, primes included
+BOTH_BRANCHES = range(1, 2 * spectral._GEMM_MAX_N + 1)
+
+
+class TestHalfcomplex:
+    """The halfcomplex pair, bins first, on both of its branches."""
+
+    @pytest.mark.parametrize("n", BOTH_BRANCHES)
+    def test_matches_direct_dft(self, n):
+        f = np.random.default_rng(n).standard_normal(n)
+        want = halfcomplex_of(direct_dft(f), n)
+        assert np.max(np.abs(halfcomplex(f) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("n", BOTH_BRANCHES)
+    def test_round_trip_and_convolution_theorem(self, n):
+        rng = np.random.default_rng(100 + n)
+        f, a, b = rng.standard_normal((3, n))
+        np.testing.assert_allclose(halfcomplex_inverse(halfcomplex(f)), f, rtol=0, atol=1e-12)
+        got = halfcomplex_inverse(halfcomplex_times(halfcomplex(a), halfcomplex(b)))
+        want = circular_convolve(a, b)
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", BOTH_BRANCHES)
+    def test_branches_agree(self, monkeypatch, n):
+        """The GEMM and pocketfft branches compute the same map, on a
+        batch of fibers and on a strided view."""
+        rng = np.random.default_rng(200 + n)
+        fibers = rng.standard_normal((3, 4, n))
+        spectra = rng.standard_normal((n, 5, 3))[:, ::2].transpose(0, 2, 1)
+        results = []
+        for cut in (n, n - 1):  # GEMM, then pocketfft
+            monkeypatch.setattr(spectral, "_GEMM_MAX_N", cut)
+            results.append((halfcomplex(fibers), halfcomplex_inverse(spectra)))
+        for gemm, pocket in zip(*results):
+            np.testing.assert_allclose(gemm, pocket, rtol=0, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, spectral._GEMM_MAX_N, spectral._GEMM_MAX_N + 1])
+    def test_bins_first_layout_and_out(self, n):
+        """(..., N) fibers give (N, ...) float64 spectra, and out, a strided
+        view, receives them; the inverse takes a strided view back."""
+        rng = np.random.default_rng(300 + n)
+        fibers = rng.standard_normal((2, 3, n))
+        spec = halfcomplex(fibers)
+        assert spec.shape == (n, 2, 3) and spec.dtype == np.float64
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(spec[:, i, j], halfcomplex(fibers[i, j]), atol=1e-12)
+        buf = np.zeros((n, 3, 5))
+        out = buf[:, :, 1:3].transpose(0, 2, 1)
+        assert halfcomplex(fibers, out=out) is out
+        np.testing.assert_array_equal(buf[:, :, 1:3], spec.transpose(0, 2, 1))
+        assert not buf[:, :, [0, 3, 4]].any()
+        np.testing.assert_allclose(halfcomplex_inverse(out), fibers, atol=1e-12)
+
+    def test_dft_matrices_are_cached_read_only(self):
+        fwd, inv = spectral._dft_matrices(8)
+        assert spectral._dft_matrices(8)[0] is fwd
+        assert fwd.dtype == inv.dtype == np.float64 and fwd.shape == inv.shape == (8, 8)
+        np.testing.assert_allclose(inv @ fwd, np.eye(8), atol=1e-14)
+        with pytest.raises(ValueError):
+            fwd[0, 0] = 0.0
+
+    def test_rejects_non_fiber(self):
+        for bad in (np.float64(1.0), np.zeros((2, 0))):
+            with pytest.raises((IndexError, ValueError)):
+                halfcomplex(bad)
+        with pytest.raises((IndexError, ValueError)):
+            halfcomplex_inverse(np.float64(1.0))
