@@ -12,6 +12,11 @@ With this convention the fiber-times-slice product of the forward pass is
 exactly a circular convolution, and the diagonal-mean projection below
 returns fibers in the same convention, so the two compose without
 re-indexing.
+
+project_tensor reads a dense kernel in place, one block row at a time, so
+it makes no block-sized gather; its error is a sum of squared differences
+over a second walk of the rows, which reads exactly 0.0 on a kernel that
+is already block-circulant.
 """
 
 from dataclasses import dataclass, field
@@ -173,6 +178,14 @@ def project_tensor(w, config):
     average the padding zeros into the diagonal means and are flagged in the
     report. Returns (CirculantBaseTensor, ProjectionReport) where the report
     carries the total squared Frobenius approximation error.
+
+    The kernel is read through its (W1, H1, R, a, S, b) block view, one
+    block row a at a time: row a of every block, shifted left by a, holds
+    fiber entries (b - a) % N, so two strided slice-adds per row build the
+    diagonal sums. The rows are added in order before dividing by N, as
+    project_matrix does. The error walks the rows a second time and sums
+    squared differences; the per-block shortcut |B|^2 - N|f|^2 would cancel,
+    and an exactly circulant kernel would no longer report exactly 0.0.
     """
     w = as_tensor4(w)
     w1, h1, c_in, c_out = w.shape
@@ -182,18 +195,24 @@ def project_tensor(w, config):
             f"({config.c_in}, {config.c_out})"
         )
     n, r, s = config.n, config.r, config.s
-    wp = np.zeros((w1, h1, config.padded_in, config.padded_out), dtype=DTYPE)
-    wp[:, :, :c_in, :c_out] = w
-    # (W1, H1, R, S, a, b) block layout
-    blocks = wp.reshape(w1, h1, r, n, s, n).transpose(0, 1, 2, 4, 3, 5)
-    k = np.arange(n)
-    gathered = blocks[..., k[:, None], (k[:, None] + k[None, :]) % n]
-    fibers = gathered.mean(axis=-2)  # (W1, H1, R, S, N)
+    if config.has_partial_blocks:
+        wp = np.zeros((w1, h1, config.padded_in, config.padded_out), dtype=DTYPE)
+        wp[:, :, :c_in, :c_out] = w
+    else:
+        wp = w
+    rows = wp.reshape(w1, h1, r, n, s, n)  # rows[..., a, :, :] is row a of each block
+    fibers = rows[:, :, :, 0].copy()  # (W1, H1, R, S, N)
+    for a in range(1, n):
+        fibers[..., : n - a] += rows[:, :, :, a, :, a:]
+        fibers[..., n - a :] += rows[:, :, :, a, :, :a]
+    fibers /= n
 
-    a = np.arange(n)
-    idx = (a[None, :] - a[:, None]) % n
-    nearest = fibers[..., idx]  # (W1, H1, R, S, a, b)
-    per_block = np.sum((blocks - nearest) ** 2, axis=(-2, -1))
+    per_block = np.zeros((w1, h1, r, s))
+    diff = np.empty_like(fibers)
+    for a in range(n):
+        np.subtract(rows[:, :, :, a, :, a:], fibers[..., : n - a], out=diff[..., a:])
+        np.subtract(rows[:, :, :, a, :, :a], fibers[..., n - a :], out=diff[..., :a])
+        per_block += np.einsum("...i,...i->...", diff, diff)
 
     base = np.ascontiguousarray(
         fibers.transpose(0, 1, 2, 4, 3).reshape(w1, h1, r * n, s)

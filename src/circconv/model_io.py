@@ -48,14 +48,15 @@ def _layer_manifest(layer):
 
 
 def _stored(arr, precision, what):
-    """The bytes of arr as stored at precision. Raises ModelFormatError
-    naming what when a stored value is non-finite; a finite float64 beyond
-    float32's range is stored as inf."""
+    """arr as stored at precision, C-contiguous: arr itself when it already
+    is, so the writer sends its buffer without a copy. Raises
+    ModelFormatError naming what when a stored value is non-finite; a
+    finite float64 beyond float32's range is stored as inf."""
     with np.errstate(over="ignore"):
         stored = np.ascontiguousarray(arr, dtype=_DTYPES[precision])
     if not np.all(np.isfinite(stored)):
         raise ModelFormatError(f"{what} holds non-finite values as stored at {precision}")
-    return stored.tobytes()
+    return stored
 
 
 def save_model(net, path, precision="f64"):
@@ -120,10 +121,14 @@ def _read_header(fh, magic, path):
 
 
 def _read_blob(fh, shape, dtype, where):
-    try:
-        shape = tuple(int(v) for v in shape)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{where}: bad shape {shape!r}") from exc
+    """The blob at the file position as a new float64 array of the declared
+    shape. It is read straight into an array of the stored dtype, which is
+    converted only when stored at f32."""
+    if not isinstance(shape, (list, tuple)) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in shape
+    ):
+        raise ModelFormatError(f"{where}: bad shape {shape!r}")
+    shape = tuple(shape)
     if any(v < 0 for v in shape):
         raise ModelFormatError(f"{where}: negative shape {shape}")
     nbytes = math.prod(shape) * dtype.itemsize
@@ -132,10 +137,15 @@ def _read_blob(fh, shape, dtype, where):
         raise ModelFormatError(
             f"truncated blob for {where}: expected {nbytes} bytes, got {left}"
         )
-    arr = np.frombuffer(fh.read(nbytes), dtype=dtype).astype(np.float64).reshape(shape)
+    arr = np.empty(shape, dtype=dtype)
+    got = fh.readinto(arr)
+    if got != nbytes:
+        raise ModelFormatError(
+            f"truncated blob for {where}: expected {nbytes} bytes, got {got}"
+        )
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"{where} holds non-finite values")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def load_model(path):
@@ -205,7 +215,7 @@ def save_tensor(path, arr, precision="f64"):
     if precision not in _DTYPES:
         raise ModelFormatError(f"unknown precision {precision!r}")
     arr = np.asarray(arr, dtype=np.float64)
-    blob = _stored(arr, precision, "tensor")
+    stored = _stored(arr, precision, "tensor")
     manifest = json.dumps(
         {
             "format": TENSOR_MAGIC,
@@ -218,7 +228,7 @@ def save_tensor(path, arr, precision="f64"):
         fh.write(TENSOR_MAGIC.encode() + b"\n")
         fh.write(str(len(manifest)).encode() + b"\n")
         fh.write(manifest)
-        fh.write(blob)
+        fh.write(stored)
 
 
 def load_tensor(path):

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import CirculantBaseTensor, CompressionScheme, PartitionConfig, project_tensor
+from .circulant import (
+    CirculantBaseTensor,
+    CompressionScheme,
+    PartitionConfig,
+    # called as an nn attribute, where perfbench's tracer patches it
+    project_tensor,
+)
 from .convops import (
     ConvGeometry,
     circ_backward,
@@ -525,19 +531,18 @@ def convert_network(net_dense, scheme):
             f"scheme lists {len(scheme)} ratios but the network has "
             f"{len(idxs)} dense conv layers"
         )
-    layers = [copy.deepcopy(layer) for layer in net_dense.layers]
-    total_err = 0.0
-    for i, n in zip(idxs, scheme.ratios):
-        dense = layers[i]
-        if n == 1:
+    ratios = dict(zip(idxs, scheme.ratios))
+    layers, total_err = [], 0.0
+    for i, layer in enumerate(net_dense.layers):
+        n = ratios.get(i, 1)
+        if n == 1:  # kept: a copy; a replaced kernel is only read
+            layers.append(copy.deepcopy(layer))
             continue
-        config = PartitionConfig(
-            n=n, c_in=dense.w.shape[2], c_out=dense.w.shape[3]
-        )
-        base, report = project_tensor(dense.w, config)
+        config = PartitionConfig(n=n, c_in=layer.w.shape[2], c_out=layer.w.shape[3])
+        base, report = project_tensor(layer.w, config)
         total_err += report.total_sq_error
-        layers[i] = CircConvLayer(
-            base, bias=dense.bias.copy(), geometry=dense.geometry
+        layers.append(
+            CircConvLayer(base, bias=layer.bias.copy(), geometry=layer.geometry)
         )
     return Network(layers), total_err
 

@@ -244,3 +244,52 @@ class TestCompressionScheme:
     def test_rejects_boolean_ratio(self):
         with pytest.raises(ConfigError, match="got True"):
             CompressionScheme((2, True))
+
+
+def _oracle_instances(count=247, seed=2024):
+    """Random projection problems: N cycles through 1..19 (primes
+    included), channels are ragged on neither side, the input side, the
+    output side or both, kernels are 1-5 on each axis, and R or S is 1
+    about every third time."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 1 + i % 19
+        r, s = (int(v) for v in rng.integers(1, 4, size=2))
+        ragged_in, ragged_out = i % 4 in (1, 3), i % 4 in (2, 3)
+        c_in = r * n - (int(rng.integers(1, n)) if ragged_in and n > 1 else 0)
+        c_out = s * n - (int(rng.integers(1, n)) if ragged_out and n > 1 else 0)
+        k1, k2 = (int(v) for v in rng.integers(1, 6, size=2))
+        yield rng.standard_normal((k1, k2, c_in, c_out)), PartitionConfig(n, c_in, c_out)
+
+
+class TestProjectTensorOracle:
+    """project_tensor against project_matrix applied block by block to the
+    zero-padded kernel, and its error against the brute-force distance."""
+
+    def test_instances_cover_the_grid(self):
+        cfgs = [cfg for _, cfg in _oracle_instances()]
+        assert len(cfgs) >= 200
+        assert {cfg.n for cfg in cfgs} == set(range(1, 20))
+        assert sum(cfg.padded_in != cfg.c_in for cfg in cfgs) >= 50
+        assert sum(cfg.padded_out != cfg.c_out for cfg in cfgs) >= 50
+        assert sum(cfg.r == 1 or cfg.s == 1 for cfg in cfgs) >= 50
+
+    def test_matches_blockwise_oracle(self):
+        for w, cfg in _oracle_instances():
+            n = cfg.n
+            projected, report = project_tensor(w, cfg)
+            wp = np.zeros(w.shape[:2] + (cfg.padded_in, cfg.padded_out))
+            wp[:, :, : cfg.c_in, : cfg.c_out] = w
+            sq = (wp - expand(projected)) ** 2
+            for k1, k2, r, s in np.ndindex(w.shape[0], w.shape[1], cfg.r, cfg.s):
+                rows, cols = slice(r * n, (r + 1) * n), slice(s * n, (s + 1) * n)
+                # both sum the diagonal entries row by row, then divide by N
+                np.testing.assert_array_equal(
+                    projected.base[k1, k2, rows, s], project_matrix(wp[k1, k2, rows, cols])
+                )
+                np.testing.assert_allclose(
+                    report.per_block_sq_error[k1, k2, r, s],
+                    sq[k1, k2, rows, cols].sum(), rtol=1e-12, atol=0,
+                )
+            np.testing.assert_allclose(report.total_sq_error, sq.sum(), rtol=1e-12, atol=0)
+            assert report.partial_padding == cfg.has_partial_blocks

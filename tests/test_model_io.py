@@ -24,13 +24,28 @@ from circconv.nn import (
     GlobalAveragePool,
     Network,
     ReLU,
+    SgdConfig,
+    backward_pass,
     forward_pass,
     init_circ_base,
     init_dense_kernel,
     init_fc,
+    sgd_step,
 )
 
 DATA = Path(__file__).parent / "data"
+
+# declared shapes that are not lists of JSON integers, each with the value
+# count int() on every entry would read them as
+NON_INTEGER_SHAPES = [([2.5], 2), (["2"], 2), ([2.0], 2), ([True, 2], 2), ("2", 2)]
+
+
+def write_raw(path, magic, meta, payload):
+    """A model or tensor file written without the package's writer."""
+    manifest = json.dumps(meta).encode()
+    path.write_bytes(
+        magic.encode() + b"\n" + str(len(manifest)).encode() + b"\n" + manifest + payload
+    )
 
 
 def sample_net(seed=0):
@@ -301,6 +316,30 @@ class TestValidation:
             load_model(path)
 
 
+    @pytest.mark.parametrize(
+        "shape, parent_count", NON_INTEGER_SHAPES, ids=[repr(s) for s, _ in NON_INTEGER_SHAPES]
+    )
+    def test_non_integer_declared_shape_refused(self, tmp_path, shape, parent_count):
+        # fc(3 -> 2) whose bias declares a shape that int() would turn into 2
+        # or (1, 2), with that many values behind it
+        meta = {
+            "format": MODEL_MAGIC, "precision": "f64", "endianness": "little",
+            "layers": [
+                {
+                    "kind": "fc", "c_in": 3, "c_out": 2,
+                    "params": [
+                        {"name": "matrix", "shape": [3, 2]},
+                        {"name": "bias", "shape": shape},
+                    ],
+                }
+            ],
+        }
+        path = tmp_path / "bad.ccm"
+        write_raw(path, MODEL_MAGIC, meta, b"\x00" * (6 + parent_count) * 8)
+        with pytest.raises(ModelFormatError, match=r"layer 0: parameter 'bias': bad shape"):
+            load_model(path)
+
+
 class TestExternalWriter:
     def test_independently_written_dense_model_loads(self, tmp_path):
         # written with struct/bytes only, no package serialization code
@@ -368,6 +407,45 @@ class TestTensorFiles:
         )
         with pytest.raises(ModelFormatError, match="truncated blob .* got 16"):
             load_tensor(path)
+
+
+    @pytest.mark.parametrize(
+        "shape, parent_count", NON_INTEGER_SHAPES, ids=[repr(s) for s, _ in NON_INTEGER_SHAPES]
+    )
+    def test_non_integer_declared_shape_refused(self, tmp_path, shape, parent_count):
+        meta = {"format": TENSOR_MAGIC, "precision": "f64", "endianness": "little",
+                "shape": shape}
+        path = tmp_path / "bad.cct"
+        write_raw(path, TENSOR_MAGIC, meta, b"\x00" * parent_count * 8)
+        with pytest.raises(ModelFormatError, match="tensor: bad shape"):
+            load_tensor(path)
+
+
+class TestLoadedArrays:
+    """load_model reads each blob into an array of its own: nothing of the
+    file or of another parameter stays behind it."""
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_every_array_is_writable_contiguous_and_owned(self, tmp_path, precision):
+        path = tmp_path / "m.ccm"
+        save_model(sample_net(), path, precision=precision)
+        arrays = [a for layer in load_model(path).params() for a in layer.values()]
+        assert len(arrays) == 6
+        for arr in arrays:
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+
+    def test_sgd_step_leaves_the_file_unchanged(self, tmp_path):
+        path = tmp_path / "m.ccm"
+        save_model(sample_net(), path)
+        before = path.read_bytes()
+        net = load_model(path)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((2, 5, 5, 4)), np.array([0, 2])
+        _, cache = forward_pass(net, x)
+        sgd_step(net, backward_pass(net, cache, y), None, SgdConfig(lr=0.5))
+        assert net.layers[0].base.base[0, 0, 0, 0] != sample_net().layers[0].base.base[0, 0, 0, 0]
+        assert path.read_bytes() == before
 
 
 class TestSchemeFiles:

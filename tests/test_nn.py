@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from circconv.circulant import (
 )
 from circconv.convops import ConvGeometry, circ_backward_weight, circ_forward
 from circconv.errors import ConfigError, ContractError, DivergenceError, ShapeError
+from circconv.model_io import load_model, save_model
 from circconv.nn import (
     CircConvLayer,
     DenseConvLayer,
@@ -36,6 +40,7 @@ from circconv.nn import (
 from circconv.verification import _diagonal_sums
 
 SMALL = ToyTaskSpec(n_samples=48, spatial=(6, 6), channels=4, classes=3, hidden=4)
+DATA = Path(__file__).parent / "data"
 
 
 def tiny_circ_net(seed, n=2, spec=SMALL):
@@ -422,3 +427,75 @@ class TestConvertAndRetrain:
         dense = make_dense_toy_net(seed=29, spec=SMALL)
         with pytest.raises(ConfigError):
             convert_network(dense, CompressionScheme((2, 2)))
+
+
+def conversion_source_net():
+    """Dense net of tests/data/convert_dense.ccm: a strided stem, then
+    layers that convert with partial blocks at N=3, at N=8 and at prime N=7."""
+    rng = np.random.default_rng(909)
+
+    def conv(kernel, c_in, c_out, geometry):
+        return DenseConvLayer(
+            rng.standard_normal((*kernel, c_in, c_out)), rng.standard_normal(c_out), geometry
+        )
+
+    return Network([
+        conv((3, 3), 3, 8, ConvGeometry(stride=2)), ReLU(),
+        conv((3, 3), 8, 10, ConvGeometry(pad=(1, 1))), ReLU(),
+        conv((2, 2), 10, 16, ConvGeometry()), ReLU(),
+        conv((3, 2), 16, 14, ConvGeometry(pad=(1, 0))), GlobalAveragePool(),
+        FullyConnected(rng.standard_normal((14, 5)), rng.standard_normal(5)),
+    ])
+
+
+def all_arrays(net):
+    return [arr for layer in net.params() for arr in layer.values()]
+
+
+class TestConversionFixture:
+    """tests/data holds conversion_source_net() as saved and the file
+    convert_network + save_model made of it at scheme 1-3-8-7, written
+    before project_tensor summed the block rows in place. A change to a
+    projected base, to the layers kept or to the file breaks these bytes."""
+
+    SCHEME = CompressionScheme.parse("1-3-8-7")
+    SQ_ERROR = 2206.3472601066183  # as computed when the fixture was written
+
+    def test_source_fixture_is_the_builder(self, tmp_path):
+        path = tmp_path / "dense.ccm"
+        save_model(conversion_source_net(), path)
+        assert path.read_bytes() == (DATA / "convert_dense.ccm").read_bytes()
+
+    def test_conversion_writes_the_fixture(self, tmp_path):
+        converted, err = convert_network(load_model(DATA / "convert_dense.ccm"), self.SCHEME)
+        assert isinstance(converted.layers[0], DenseConvLayer)
+        assert converted.layers[0].geometry.stride == 2
+        assert [converted.layers[i].base.config.n for i in (2, 4, 6)] == [3, 8, 7]
+        path = tmp_path / "circ.ccm"
+        save_model(converted, path)
+        assert path.read_bytes() == (DATA / "convert_1-3-8-7.ccm").read_bytes()
+        assert err == pytest.approx(self.SQ_ERROR, rel=1e-12, abs=0)
+
+    def test_result_shares_no_memory_with_the_source(self):
+        net = conversion_source_net()
+        digests = [hashlib.sha256(a.tobytes()).hexdigest() for a in all_arrays(net)]
+        converted, _ = convert_network(net, self.SCHEME)
+        ours, theirs = all_arrays(converted), all_arrays(net)
+        assert len(ours) == len(theirs) == 10
+        for a in ours:
+            for b in theirs:
+                assert not np.shares_memory(a, b)
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in theirs] == digests
+
+    def test_projection_is_looked_up_on_nn(self, monkeypatch):
+        # perfbench's tracer times circulant.project_tensor by patching
+        # nn.project_tensor; a call that bypasses it would read 0 there
+        calls, project = [], nn.project_tensor
+
+        def counting(w, config):
+            calls.append(config.n)
+            return project(w, config)
+
+        monkeypatch.setattr(nn, "project_tensor", counting)
+        convert_network(conversion_source_net(), self.SCHEME)
+        assert calls == [3, 8, 7]
