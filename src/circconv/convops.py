@@ -20,38 +20,35 @@ The FFT passes and the conv_naive oracles take one (W, H, C) sample or a
 (B, W, H, C) batch; a sample runs as a batch of one. The FFT passes share
 one gather and one product, in the frequency domain as in fbfft
 (Vasilache et al., arXiv:1412.7580) and Mathieu, Henaff & LeCun
-(arXiv:1312.5851), and run in float64 throughout. A real fiber's
-spectrum is conjugate-symmetric, so it is stored as N reals in the
-halfcomplex layout of spectral: its spectral.real_bins(N) real bins
-first, then a Re, Im pair of rows per complex bin. Only
-spectral.halfcomplex and halfcomplex_inverse pack and unpack that layout;
-at the small N of the paper's schemes each is one GEMM against a cached
-DFT matrix, above spectral's cutoff pocketfft (see spectral). The
-spectra are laid out blocks-major with the positions last,
+(arXiv:1312.5851), and run in float64 throughout. Every spectrum, the
+kernel spectra included, is in spectral's halfcomplex layout, N reals per
+fiber, and only spectral indexes its bins: halfcomplex and
+halfcomplex_inverse transform, at the small N of the paper's schemes as
+one GEMM against a cached DFT matrix, and gemm_operand, bin_matmul and
+bin_matmul_conj_t multiply bin by bin in real GEMMs. The spectra are
+laid out blocks-major with the positions last,
 (N, blocks, B, rows, hq), in padded rows of hq sites plus a zero slack
 row, and the windows under every kernel offset are gathered into one
 (N, blocks*K1*K2, B*W2*q) matrix by one strided view, with q = hq / s
 columns per output row; the last q - H2 of them are junk and are dropped
 after the product. At stride 1 every copied run is a whole sample. The
-product is a real GEMM per real bin and, per complex bin, a real GEMM of
-the 2x2 blocks [[Re, -Im], [Im, Re]] of the complex kernel matrix with
-the [Re; Im] rows of the window matrix. The forward kernel matrix is the
-(N//2+1, S, R*K1*K2) kernel spectra, split this way once per call.
+forward pass is bin_matmul of the (N, S, R*K1*K2) kernel spectra, made
+a GEMM operand once per call, with that matrix.
 
 Both backward passes run one loop, circ_backward, over the windows of
 grad_y. grad_y is padded by k - 1 - p zero sites per side, or cropped
 where p > k - 1, so that its window positions are exactly the unpadded
 input sites, and it is transformed and gathered once per group for both
-gradients. The input gradient is the product of the (N//2+1, R, S*K1*K2)
-flipped, conjugated, transposed kernel spectra with that window matrix.
-The weight gradient is the product of the same window matrix with the
-conjugated spectra of the unpadded input sites, laid out on the window
-matrix's columns with zeros in the junk ones; its rows are the kernel
-offsets flipped. It is accumulated over the groups in real arithmetic and
-transformed back once, in halfcomplex form. Leaving out the padding
-sites is exact because their spectra are zero. At stride s the loop runs
-on grad_y dilated by s - 1 zero sites between outputs, plus zero trailing
-sites where the stride skipped the input's last rows or columns.
+gradients. The input gradient is bin_matmul of the conjugated
+(N, R, S*K1*K2) flipped, transposed kernel spectra with that window
+matrix. The weight gradient is bin_matmul_conj_t of the same window
+matrix with the spectra of the unpadded input sites, laid out on the
+window matrix's columns with zeros in the junk ones; its rows are the
+kernel offsets flipped. It is summed over the groups and transformed
+back once. Leaving out the padding sites is exact because their spectra
+are zero. At stride s the loop runs on grad_y dilated by s - 1 zero
+sites between outputs, plus zero trailing sites where the stride skipped
+the input's last rows or columns.
 
 The batch is processed in groups of consecutive samples whose window
 matrix stays under _GROUP_BYTES: a whole-batch matrix of many megabytes is
@@ -298,40 +295,13 @@ def _grouped_windows(t, g, blocks, n, kernel_size):
         yield group, windows.copy().reshape(n, blocks * k1 * k2, -1)
 
 
-def _split(kern, n):
-    """Real GEMM operands of (N//2+1, M, K) complex bin matrices: the
-    (nr, M, K) matrices of the real bins and the (fc, 2M, 2K) blocks
-    [[Re, -Im], [Im, Re]] of the complex bins, which act on a halfcomplex
-    [Re; Im] pair of rows."""
-    nr = spectral.real_bins(n)
-    real = np.ascontiguousarray(kern[[0, n // 2][:nr]].real)
-    cplx = kern[1 : 1 + (n - nr) // 2]
-    re, im = cplx.real, cplx.imag
-    return real, np.concatenate([np.concatenate([re, -im], 2), np.concatenate([im, re], 2)], 1)
-
-
-def _product(kern, cols):
-    """(N, M, P) halfcomplex product of _split kernels with an (N, K, P)
-    halfcomplex window matrix."""
-    real, cplx = kern
-    nr, fc = real.shape[0], cplx.shape[0]
-    n, _, p = cols.shape
-    out = np.empty((n, real.shape[1], p), dtype=DTYPE)
-    np.matmul(real, cols[:nr], out=out[:nr])
-    if fc:
-        np.matmul(cplx, cols[nr:].reshape(fc, -1, p), out=out[nr:].reshape(fc, -1, p))
-    return out
-
-
 def kernel_spectra(base):
-    """Bins-first half spectra of all base fibers, (N//2+1, W1, H1, R, S).
+    """Halfcomplex spectra of all base fibers, float64 (N, W1, H1, R, S).
 
     Weights are constant within a training step, so callers may compute
     this once per layer per forward/backward batch and reuse it.
     """
-    return np.ascontiguousarray(
-        np.moveaxis(spectral.rfft_last(base.fibers().transpose(0, 1, 2, 4, 3)), -1, 0)
-    )
+    return spectral.halfcomplex(base.fibers().transpose(0, 1, 2, 4, 3))
 
 
 def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
@@ -342,19 +312,19 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
     channel fiber is ifft(sum over (w1, h1, j) of fft(input fiber j) *
     fft(base fiber j, i)). Pass a precomputed kernel_spectra() result as
     w_spec to amortize the kernel transforms across calls; one of another
-    shape raises ShapeError.
+    shape or dtype raises ShapeError.
     """
     cfg = base.config
     xb, single, (w2, h2) = _circ_input(x, base, g)
-    ws = kernel_spectra(base) if w_spec is None else w_spec
-    want = (cfg.n // 2 + 1, *base.kernel_size, cfg.r, cfg.s)
-    if np.shape(ws) != want:
-        raise ShapeError(f"w_spec shape {np.shape(ws)} does not match this base's {want}")
-    kern = _split(ws.transpose(0, 4, 3, 1, 2).reshape(want[0], cfg.s, -1), cfg.n)
+    ws = kernel_spectra(base) if w_spec is None else np.asarray(w_spec)
+    want = (cfg.n, *base.kernel_size, cfg.r, cfg.s)
+    if ws.shape != want or ws.dtype != DTYPE:
+        raise ShapeError(f"w_spec {ws.dtype} {ws.shape} does not match this base's float64 {want}")
+    kern = spectral.gemm_operand(ws.transpose(0, 4, 3, 1, 2).reshape(cfg.n, cfg.s, -1))
     q = _grid(xb.shape[1:3], g, base.kernel_size)[2]
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
     for group, cols in _grouped_windows(xb, g, cfg.r, cfg.n, base.kernel_size):
-        ys = _product(kern, cols).reshape(cfg.n, cfg.s, -1, w2, q)
+        ys = spectral.bin_matmul(kern, cols).reshape(cfg.n, cfg.s, -1, w2, q)
         y[group] = _fibers(ys, cfg.n, h2)[..., : cfg.c_out]
     return y[0] if single else y
 
@@ -370,7 +340,6 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     cfg = base.config
     n = cfg.n
     k1, k2 = base.kernel_size
-    f, nr = n // 2 + 1, spectral.real_bins(n)
     if g.stride > 1:  # the grad of the stride-1 pass over the same input
         full = ConvGeometry(g.pad).out_size(in_size, (k1, k2))
         gb, strided = np.zeros((gb.shape[0], *full, gb.shape[3]), dtype=DTYPE), gb
@@ -388,36 +357,20 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     m = cfg.s * k1 * k2
     dx = None
     if with_dx:
-        ws = kernel_spectra(base)
-        kern = _split(
-            np.conj(ws[:, ::-1, ::-1]).transpose(0, 3, 4, 1, 2).reshape(f, cfg.r, -1), n
-        )
+        ws = kernel_spectra(base)[:, ::-1, ::-1].transpose(0, 3, 4, 1, 2)
+        kern = spectral.gemm_operand(ws.reshape(n, cfg.r, -1), conj=True)
         dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
-    fc = (n - nr) // 2
-    acc_r = np.zeros((nr, m, cfg.r), dtype=DTYPE)
-    acc_c = np.zeros((fc, 2 * m, 2 * cfg.r), dtype=DTYPE)
+    dws = np.zeros((n, m, cfg.r), dtype=DTYPE)
     for group, cols in _grouped_windows(gb, g_grad, cfg.s, n, (k1, k2)):
         if dx is not None:
-            dxs = _product(kern, cols).reshape(n, cfg.r, -1, w0, q)
+            dxs = spectral.bin_matmul(kern, cols).reshape(n, cfg.r, -1, w0, q)
             dx[group] = _fibers(dxs, n, h0)[..., : cfg.c_in]
         if xb is not None:
             # the input spectra on the grid of cols, zero in its junk columns
             xs = _spectra(xb[group], cfg.r, n, (w0, q)).reshape(n, cfg.r, -1)
-            acc_r += np.matmul(cols[:nr], xs[:nr].swapaxes(1, 2))
-            if fc:
-                p = xs.shape[2]
-                xc = xs[nr:].reshape(fc, 2 * cfg.r, p).swapaxes(1, 2)
-                acc_c += np.matmul(cols[nr:].reshape(fc, 2 * m, p), xc)
+            dws += spectral.bin_matmul_conj_t(cols, xs)
     if xb is None:
         return None, dx
-    # cols @ conj(X)^T in halfcomplex form: the real bins directly, the
-    # complex bins from the 2x2 blocks [Re C; Im C] @ [Re X, Im X]
-    dws = np.empty((n, m, cfg.r), dtype=DTYPE)
-    dws[:nr] = acc_r
-    blk = acc_c.reshape(fc, 2, m, 2, cfg.r)
-    pair = dws[nr:].reshape(fc, 2, m, cfg.r)
-    pair[:, 0] = blk[:, 0, :, 0] + blk[:, 1, :, 1]
-    pair[:, 1] = blk[:, 1, :, 0] - blk[:, 0, :, 1]
     dws = dws.reshape(n, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
     dfib = spectral.halfcomplex_inverse(dws.transpose(0, 2, 3, 4, 1))  # (W1, H1, R, S, N)
     dbase = np.ascontiguousarray(

@@ -1,5 +1,5 @@
-"""1-D DFTs of real channel fibers: the half spectrum and the halfcomplex
-pair every fast path runs.
+"""1-D DFTs of real channel fibers, the half spectrum and the halfcomplex
+pair every fast path runs, and the bin-wise products of halfcomplex spectra.
 
 rfft_last is the unnormalized forward DFT of real fibers along the last
 axis, X[k] = sum_n f[n] exp(-2*pi*i*k*n/N), keeping only the N//2 + 1
@@ -20,6 +20,10 @@ the way Lavin & Gray apply their small fixed Winograd transforms
 (arXiv:1509.09308). pocketfft's per-fiber overhead outweighs its
 O(N log N) arithmetic at these lengths; above the cutoff pocketfft runs
 and its half spectrum is packed into the same layout.
+
+gemm_operand, bin_matmul and bin_matmul_conj_t multiply matrices of such
+spectra bin by bin in real GEMMs: the paper's fast multiplication of the
+circulant tensor.
 
 Arbitrary lengths are supported, including primes (numpy's pocketfft uses
 mixed radix with a Bluestein fallback).
@@ -58,7 +62,7 @@ def irfft_last(s, n):
     return np.fft.irfft(np.asarray(s, dtype=np.complex128), n, axis=-1)
 
 
-def real_bins(n):
+def _real_bins(n):
     """How many bins of a length-n real fiber's spectrum are real, and so
     lead its halfcomplex layout: the DC bin and, at even n, the Nyquist
     bin."""
@@ -68,10 +72,11 @@ def real_bins(n):
 def _pack(a, out):
     """pocketfft forward: halfcomplex spectra of the fibers a into out."""
     n = a.shape[-1]
-    nr = real_bins(n)
+    nr = _real_bins(n)
     # (2F, ...): Re X_0, Im X_0, Re X_1, Im X_1, ... (transpose, as
-    # np.moveaxis costs microseconds per call)
-    v = rfft_last(a).view(np.float64).transpose(a.ndim - 1, *range(a.ndim - 1))
+    # np.moveaxis costs microseconds per call); the view needs C-ordered fibers
+    v = rfft_last(np.ascontiguousarray(a)).view(np.float64)
+    v = v.transpose(a.ndim - 1, *range(a.ndim - 1))
     out[:nr] = v[: nr * n : n]
     out[nr:] = v[2 : n + 2 - nr]
     return out
@@ -80,7 +85,7 @@ def _pack(a, out):
 def _unpack(s):
     """pocketfft inverse: fibers of the (N, ...) halfcomplex spectra s."""
     n = s.shape[0]
-    nr = real_bins(n)
+    nr = _real_bins(n)
     z = np.zeros((*s.shape[1:], n // 2 + 1), dtype=np.complex128)
     v = z.view(np.float64).transpose(s.ndim - 1, *range(s.ndim - 1))
     v[: nr * n : n] = s[:nr]
@@ -129,3 +134,45 @@ def halfcomplex_inverse(s):
         return _unpack(s)
     _, inv = _dft_matrices(n)
     return np.matmul(s.reshape(n, -1).T, inv.T).reshape(*s.shape[1:], n)
+
+
+def gemm_operand(spec, conj=False):
+    """bin_matmul's operand for (N, M, K) halfcomplex bin matrices, or for
+    their conjugates: the (nr, M, K) real bins and the (fc, 2M, 2K) blocks
+    [[Re, -Im], [Im, Re]] of the fc complex bins."""
+    n, m, k = spec.shape
+    nr = _real_bins(n)
+    pairs = spec[nr:].reshape((n - nr) // 2, 2, m, k)
+    re, im = pairs[:, 0], (-pairs[:, 1] if conj else pairs[:, 1])
+    rows = np.concatenate([re, -im], 2), np.concatenate([im, re], 2)
+    return spec[:nr], np.concatenate(rows, 1)
+
+
+def bin_matmul(op, b):
+    """(N, M, P) halfcomplex product, bin by bin, of a gemm_operand op with
+    (N, K, P) halfcomplex bin matrices b."""
+    real, blocks = op
+    nr, fc = real.shape[0], blocks.shape[0]
+    n, _, p = b.shape
+    out = np.empty((n, real.shape[1], p))
+    np.matmul(real, b[:nr], out=out[:nr])
+    if fc:
+        np.matmul(blocks, b[nr:].reshape(fc, -1, p), out=out[nr:].reshape(fc, -1, p))
+    return out
+
+
+def bin_matmul_conj_t(a, b):
+    """(N, M, K) halfcomplex a @ conj(b)^T, bin by bin, of (N, M, P) and
+    (N, K, P) halfcomplex bin matrices: a complex bin is recombined from
+    the 2x2 blocks of [Re a; Im a] @ [Re b; Im b]^T."""
+    (n, m, p), k = a.shape, b.shape[1]
+    nr, fc = _real_bins(n), (n - 1) // 2
+    out = np.empty((n, m, k))
+    np.matmul(a[:nr], b[:nr].swapaxes(1, 2), out=out[:nr])
+    if fc:
+        bt = b[nr:].reshape(fc, 2 * k, p).swapaxes(1, 2)
+        blk = np.matmul(a[nr:].reshape(fc, 2 * m, p), bt).reshape(fc, 2, m, 2, k)
+        pair = out[nr:].reshape(fc, 2, m, k)
+        np.add(blk[:, 0, :, 0], blk[:, 1, :, 1], out=pair[:, 0])
+        np.subtract(blk[:, 1, :, 0], blk[:, 0, :, 1], out=pair[:, 1])
+    return out

@@ -97,12 +97,13 @@ def _ragged_width(size, kernel_size, g):
     return tuple(v + (rem - (v + 2 * p - k)) % g.stride for v, k, p, rem in rems)
 
 
-def check_forward_equivalence(seed, trials, sizes=(1, 2, 3, 4, 8, 16), tol=1e-9):
+def check_forward_equivalence(seed, trials, sizes=(1, 2, 3, 4, 8, 16)):
     """circ_forward == conv_naive == conv_block on the dense expansion.
 
     The trials are split evenly over sizes, in order; the first
     trials % len(sizes) sizes take one extra instance.
     """
+    tol = 1e-9
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i, n in enumerate(sizes):
@@ -122,10 +123,11 @@ def check_forward_equivalence(seed, trials, sizes=(1, 2, 3, 4, 8, 16), tol=1e-9)
     )
 
 
-def check_gradients(seed, trials=50, fd_tol=1e-4, oracle_tol=1e-9):
+def check_gradients(seed, trials=50):
     """Both backward passes of L = 0.5 * ||y - target||^2 vs central finite
     differences at every coordinate, and the weight gradient vs the
     dense-expansion diagonal-sum oracle, at strides 1-3 (_ragged_width)."""
+    fd_tol, oracle_tol = 1e-4, 1e-9
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst_fd, worst_oracle, strided = 0.0, 0.0, 0
@@ -229,7 +231,7 @@ def _batched_instance(seed, i):
     return base, g, small, big, _ragged_batch(steps), min(steps) > 1
 
 
-def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
+def check_batched_passes(seed, instances=12):
     """All FFT passes on batches, against the dense oracles per sample.
 
     Each instance (_batched_instance, drawn from seed and its index; the
@@ -252,6 +254,7 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     """
     if instances < 3:
         raise ValueError("check_batched_passes needs at least 3 instances")
+    tol, stack_tol = 1e-9, 1e-12
     rng = np.random.default_rng(seed)
     worst, worst_stack, ragged, strided = 0.0, 0.0, True, 0
     for i in range(instances):
@@ -300,8 +303,9 @@ def check_batched_passes(seed, instances=12, tol=1e-9, stack_tol=1e-12):
     )
 
 
-def check_adjoint(seed, trials=20, tol=1e-9):
+def check_adjoint(seed):
     """<forward(x), g> == <x, backward_input(g)>."""
+    trials, tol = 20, 1e-9
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -317,7 +321,8 @@ def check_adjoint(seed, trials=20, tol=1e-9):
     )
 
 
-def check_forward_linearity(seed, trials=15, tol=1e-10):
+def check_forward_linearity(seed):
+    trials, tol = 15, 1e-10
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -333,9 +338,10 @@ def check_forward_linearity(seed, trials=15, tol=1e-10):
     )
 
 
-def check_projection(seed, candidates=1000, tol=1e-12):
+def check_projection(seed):
     """Projection beats random circulant candidates on three matrices per N
     and is idempotent on matrices and block tensors."""
+    candidates, tol = 1000, 1e-12
     rng = np.random.default_rng(seed)
     beaten = True
     worst_idem = 0.0
@@ -367,9 +373,10 @@ def check_projection(seed, candidates=1000, tol=1e-12):
     )
 
 
-def check_projection_closed_form_n2(seed, trials=40, tol=1e-14):
+def check_projection_closed_form_n2(seed):
     """At N=2 the projection matches the closed-form least squares over the
     two-parameter circulant family."""
+    trials, tol = 40, 1e-14
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -383,8 +390,9 @@ def check_projection_closed_form_n2(seed, trials=40, tol=1e-14):
     )
 
 
-def check_parameter_division(seed, trials=20):
+def check_parameter_division(seed):
     """Free-parameter count is dense/N exactly when N divides both channels."""
+    trials = 20
     rng = np.random.default_rng(seed)
     ok = True
     for _ in range(trials):
@@ -399,7 +407,8 @@ def check_parameter_division(seed, trials=20):
     )
 
 
-def check_projection_linearity(seed, trials=25, tol=1e-12):
+def check_projection_linearity(seed):
+    trials, tol = 25, 1e-12
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -433,7 +442,7 @@ def _halfcomplex_times(a, b):
     return out
 
 
-def check_spectral(seed, tol_dft=1e-10, tol_prop=1e-9):
+def check_spectral(seed):
     """The transforms every fast path runs, for all N <= 2 * the GEMM
     cutoff of spectral, so both branches of the halfcomplex pair: the
     rfft_last half spectrum and the halfcomplex spectrum against the
@@ -441,6 +450,7 @@ def check_spectral(seed, tol_dft=1e-10, tol_prop=1e-9):
     Parseval with interior bins counted twice, the halfcomplex round trip,
     and the convolution theorem through rfft_last/irfft_last and through
     halfcomplex products."""
+    tol_dft, tol_prop = 1e-10, 1e-9
     rng = np.random.default_rng(seed)
     top = 2 * spectral._GEMM_MAX_N
     worst_dft, worst_parseval, worst_conv, worst_round = 0.0, 0.0, 0.0, 0.0

@@ -11,7 +11,7 @@ from circconv.circulant import (
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
-from circconv import convops, spectral
+from circconv import convops, nn, spectral
 from circconv.convops import (
     _GROUP_BYTES,
     ConvGeometry,
@@ -247,6 +247,18 @@ class TestCircForward:
         other_kernel = kernel_spectra(random_base(rng, 1, 1, 4, 2, 1))
         with pytest.raises(ShapeError, match="w_spec"):
             circ_forward(x, base, w_spec=other_kernel)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_rejects_complex_half_spectra(self, n):
+        """Complex (N//2+1, ...) half spectra are refused by their dtype,
+        also at N = 1 and 2, where their shape is the halfcomplex one."""
+        rng = np.random.default_rng(31)
+        base = random_base(rng, 3, 3, n, 2, 1)
+        x = rng.standard_normal((5, 5, 2 * n))
+        half = np.moveaxis(np.fft.rfft(base.fibers().transpose(0, 1, 2, 4, 3)), -1, 0)
+        assert (half.shape == kernel_spectra(base).shape) == (n <= 2)
+        with pytest.raises(ShapeError, match="w_spec complex128"):
+            circ_forward(x, base, w_spec=half)
 
     def test_linearity_in_input_and_weights(self):
         rng = np.random.default_rng(12)
@@ -576,8 +588,11 @@ class TestSpectralEngine:
         """Every matmul operand of the FFT passes is float64: the real bins,
         the halfcomplex blocks of the complex bins and, up to the cutoff,
         the transform GEMMs against the cached DFT matrices. The spy sees
-        those GEMMs, so a float32 or complex transform matrix fails it."""
-        dtypes, matrices = [], []
+        those GEMMs, so a float32 or complex transform matrix fails it; a
+        complex one may instead make a pass raise, as its spectra cannot
+        enter the float64 products. Up to the cutoff neither the passes
+        nor kernel_spectra call np.fft at all."""
+        dtypes, matrices, ffts = [], [], []
         matmul = np.matmul
 
         def spy(*args, **kwargs):
@@ -586,6 +601,15 @@ class TestSpectralEngine:
             if "out" in kwargs:
                 dtypes.append(kwargs["out"].dtype)
             return matmul(*args, **kwargs)
+
+        def fft_spy(name):
+            fn = getattr(np.fft, name)
+
+            def recording(*args, **kwargs):
+                ffts.append(name)
+                return fn(*args, **kwargs)
+
+            return recording
 
         rng = np.random.default_rng(32)
         base = random_base(rng, 3, 2, n, 2, 3)
@@ -600,22 +624,61 @@ class TestSpectralEngine:
                 lambda k: tuple(m.astype(matrix_dtype) for m in dft_matrices(k)),
             )
         monkeypatch.setattr(convops.np, "matmul", spy)
-        for run in (
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, fft_spy(name))
+        gemm = n <= spectral._GEMM_MAX_N
+        passes = (
             lambda: circ_forward(x, base, g),
             lambda: circ_backward(x, gy, base, g),
             lambda: circ_backward_weight(x, gy, base, g),
             lambda: circ_backward_input(gy, base, g, (6, 5)),
-        ):
+        )
+        for run in (*passes, lambda: kernel_spectra(base)):
             dtypes.clear()
             matrices.clear()
+            ffts.clear()
             with warnings.catch_warnings():
                 # a complex mutant's spectra lose their imaginary parts
                 warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-                run()
-            assert dtypes
-            assert (set(dtypes) == {np.dtype(np.float64)}) != mutant
-            # the GEMM branch runs up to the cutoff only
-            assert bool(matrices) == (n <= spectral._GEMM_MAX_N)
+                try:
+                    run()
+                except (ShapeError, TypeError):
+                    # complex kernel spectra are refused, or cannot be cast
+                    # into a float64 product
+                    assert matrix_dtype is np.complex128
+                    continue
+            # kernel_spectra multiplies nothing but the transform GEMMs
+            assert dtypes or (run not in passes and not gemm)
+            assert (set(dtypes) <= {np.dtype(np.float64)}) != mutant
+            # the GEMM branch runs up to the cutoff only, and pocketfft above it
+            assert bool(matrices) == gemm
+            assert bool(ffts) != gemm
+
+
+@pytest.mark.parametrize("n", [8, spectral._GEMM_MAX_N + 1, 64])
+def test_strided_channel_axis(n):
+    """A Fortran-ordered batch and a channel-transposed view, whose channel
+    axis is strided in memory, give bit for bit the results of the
+    C-ordered batch on both transform branches."""
+    rng = np.random.default_rng(800 + n)
+    base = random_base(rng, 3, 3, n, 2, 1)
+    g = ConvGeometry(pad=(1, 1))
+    net = nn.Network([nn.CircConvLayer(base, geometry=g)])
+    x = rng.standard_normal((2, 5, 4, 2 * n))
+    gy = rng.standard_normal((2, 5, 4, n))
+
+    def passes(x, gy):
+        return circ_forward(x, base, g), *circ_backward(x, gy, base, g), nn.forward_pass(net, x)[0]
+
+    def channels_first(a):
+        return a.transpose(0, 3, 1, 2).copy().transpose(0, 2, 3, 1)
+
+    want = passes(x, gy)
+    for layout in (np.asfortranarray, channels_first):
+        xs, gys = layout(x), layout(gy)
+        assert xs.strides[-1] != 8 and gys.strides[-1] != 8
+        for got, ref in zip(passes(xs, gys), want):
+            np.testing.assert_array_equal(got, ref)
 
 
 def _prime(n, step):

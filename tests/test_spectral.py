@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from circconv import spectral
-from circconv.spectral import halfcomplex, halfcomplex_inverse, irfft_last, rfft_last
+from circconv.spectral import (
+    bin_matmul,
+    bin_matmul_conj_t,
+    gemm_operand,
+    halfcomplex,
+    halfcomplex_inverse,
+    irfft_last,
+    rfft_last,
+)
 
 
 def direct_dft(f):
@@ -242,6 +250,17 @@ class TestHalfcomplex:
         assert not buf[:, :, [0, 3, 4]].any()
         np.testing.assert_allclose(halfcomplex_inverse(out), fibers, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [8, spectral._GEMM_MAX_N + 1, 64])
+    def test_strided_fibers(self, n):
+        """Fibers whose last axis is strided in memory transform bit for bit
+        as their C-ordered copy, on both branches."""
+        rng = np.random.default_rng(400 + n)
+        fibers = np.ascontiguousarray(rng.standard_normal((3, 4, n)))
+        fibers_first = fibers.transpose(2, 0, 1).copy().transpose(1, 2, 0)
+        for strided in (np.asfortranarray(fibers), fibers_first):
+            assert strided.strides[-1] != strided.itemsize
+            np.testing.assert_array_equal(halfcomplex(strided), halfcomplex(fibers))
+
     def test_dft_matrices_are_cached_read_only(self):
         fwd, inv = spectral._dft_matrices(8)
         assert spectral._dft_matrices(8)[0] is fwd
@@ -256,3 +275,53 @@ class TestHalfcomplex:
                 halfcomplex(bad)
         with pytest.raises((IndexError, ValueError)):
             halfcomplex_inverse(np.float64(1.0))
+
+
+def circular_correlate(a, b):
+    """sum over u of a[u + t] * b[u], indices mod N: the circular
+    convolution of a with b circularly reversed."""
+    return circular_convolve(a, b[-np.arange(len(b)) % len(b)])
+
+
+def fiber_matmul(a, b, pairwise):
+    """Oracle of a bin-wise product of (M, K, N) and (K, P, N) fiber
+    matrices: sum over k of pairwise(a[m, k], b[k, p]) at (m, p, :)."""
+    m, k, n = a.shape
+    out = np.zeros((m, b.shape[1], n))
+    for i in range(m):
+        for j in range(b.shape[1]):
+            out[i, j] = sum(pairwise(a[i, kk], b[kk, j]) for kk in range(k))
+    return out
+
+
+class TestBinProducts:
+    """gemm_operand, bin_matmul and bin_matmul_conj_t against circular
+    convolutions and correlations of fibers, on both transform branches."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", BOTH_BRANCHES)
+    def test_bin_matmul_convolves(self, n):
+        rng = np.random.default_rng(500 + n)
+        a, b = rng.standard_normal((2, 3, n)), rng.standard_normal((3, 2, n))
+        got = halfcomplex_inverse(bin_matmul(gemm_operand(halfcomplex(a)), halfcomplex(b)))
+        self.assert_close(got, fiber_matmul(a, b, circular_convolve))
+
+    @pytest.mark.parametrize("n", BOTH_BRANCHES)
+    def test_conjugate_operand_correlates(self, n):
+        rng = np.random.default_rng(600 + n)
+        a, b = rng.standard_normal((2, 3, n)), rng.standard_normal((3, 2, n))
+        op = gemm_operand(halfcomplex(a), conj=True)
+        got = halfcomplex_inverse(bin_matmul(op, halfcomplex(b)))
+        want = fiber_matmul(a, b, lambda u, v: circular_correlate(v, u))
+        self.assert_close(got, want)
+
+    @pytest.mark.parametrize("n", BOTH_BRANCHES)
+    def test_conj_t_correlates(self, n):
+        rng = np.random.default_rng(700 + n)
+        a, b = rng.standard_normal((2, 3, n)), rng.standard_normal((2, 3, n))
+        got = halfcomplex_inverse(bin_matmul_conj_t(halfcomplex(a), halfcomplex(b)))
+        want = fiber_matmul(a, b.transpose(1, 0, 2), circular_correlate)
+        self.assert_close(got, want)
