@@ -29,7 +29,6 @@ from .circulant import (
     ProjectionReport,
     circulant_from_fiber,
     expand,
-    permutation_power,
     project_matrix,
     project_tensor,
 )

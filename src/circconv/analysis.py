@@ -7,7 +7,7 @@ embeds that text, so its numbers are reproducible from the report alone.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .circulant import CompressionScheme, PartitionConfig
 from .errors import ConfigError
@@ -35,7 +35,6 @@ class LayerSpec:
     n: int = 1
     groups: int = 1
     block: object = None  # compression-scheme group label; None = never compressed
-    bias: bool = True
 
     def __post_init__(self):
         if self.kind not in SPEC_KINDS:
@@ -107,7 +106,8 @@ def param_count(layer):
 
 
 def bias_count(layer):
-    return layer.c_out if layer.bias else 0
+    """Bias parameters of a layer: one per output channel."""
+    return layer.c_out
 
 
 def flop_count(layer):
@@ -175,16 +175,8 @@ class CostReport:
     flop_convention: str
     notes: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "rows": self.rows,
-            "totals": self.totals,
-            "flop_convention": self.flop_convention,
-            "notes": self.notes,
-        }
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(asdict(self), indent=2)
 
     def to_text(self):
         lines = []

@@ -19,7 +19,7 @@ over a second walk of the rows, which reads exactly 0.0 on a kernel that
 is already block-circulant.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,16 +134,6 @@ def expand(base):
     return np.ascontiguousarray(dense)
 
 
-def permutation_power(n, i):
-    """Power Z^i of the N x N cyclic shift matrix: ones at (k, (k + i) % N)."""
-    if not 0 <= i < n:
-        raise ConfigError(f"exponent {i} outside 0..{n - 1}")
-    z = np.zeros((n, n), dtype=DTYPE)
-    k = np.arange(n)
-    z[k, (k + i) % n] = 1.0
-    return z
-
-
 def project_matrix(m):
     """First row of the Frobenius-nearest circulant matrix to m.
 
@@ -167,17 +157,15 @@ class ProjectionReport:
 
     total_sq_error: float
     per_block_sq_error: np.ndarray  # (W1, H1, R, S)
-    partial_padding: bool = False
-    notes: list = field(default_factory=list)
 
 
 def project_tensor(w, config):
     """Project every channel block of a dense kernel onto its nearest circulant.
 
     Channels are zero-padded up to (R*N, S*N) first; partially padded blocks
-    average the padding zeros into the diagonal means and are flagged in the
-    report. Returns (CirculantBaseTensor, ProjectionReport) where the report
-    carries the total squared Frobenius approximation error.
+    (config.has_partial_blocks) average the padding zeros into the diagonal
+    means. Returns (CirculantBaseTensor, ProjectionReport) where the report
+    carries the total and per-block squared Frobenius approximation error.
 
     The kernel is read through its (W1, H1, R, a, S, b) block view, one
     block row a at a time: row a of every block, shifted left by a, holds
@@ -218,14 +206,8 @@ def project_tensor(w, config):
         fibers.transpose(0, 1, 2, 4, 3).reshape(w1, h1, r * n, s)
     )
     report = ProjectionReport(
-        total_sq_error=float(per_block.sum()),
-        per_block_sq_error=per_block,
-        partial_padding=config.has_partial_blocks,
+        total_sq_error=float(per_block.sum()), per_block_sq_error=per_block
     )
-    if report.partial_padding:
-        report.notes.append(
-            "channel padding zeros participated in the diagonal means"
-        )
     return CirculantBaseTensor(base, config), report
 
 
@@ -252,10 +234,6 @@ class CompressionScheme:
         except ValueError as exc:
             raise ConfigError(f"cannot parse compression scheme {text!r}") from exc
         return cls(ratios)
-
-    @classmethod
-    def all_ones(cls, length):
-        return cls(tuple([1] * length))
 
     def __str__(self):
         return "-".join(str(v) for v in self.ratios)

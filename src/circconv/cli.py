@@ -108,7 +108,7 @@ def cmd_analyze(args):
     else:
         baseline = None
     report = analysis.evaluate_scheme(model, scheme, baseline=baseline)
-    print(report.to_json(indent=2) if args.json else report.to_text())
+    print(report.to_json() if args.json else report.to_text())
     return 0
 
 

@@ -10,13 +10,16 @@ A model file is a human-readable manifest followed by raw parameter blobs:
 Scalars are stored as float64 by default ("f64"); "f32" stores float32,
 which round-trips exactly for the values actually stored. Stored values
 are finite: the writers refuse, and the readers reject, anything else.
-Loading is pure data: nothing in the file is ever executed, and every
-shape and partition declared by the manifest is validated before the
-network is returned.
+Loading is pure data: nothing in the file is ever executed. Before the
+network is returned, loading checks the manifest's "little" endianness,
+every declared shape and partition, the rank of each parameter (4-D
+conv kernels, 2-D fc matrices), one bias value per output channel, and
+that the layers chain.
 
-Tensor files use the same layout with tag "circconv-tensor/1" and a single
-blob. A compression-scheme file is a JSON object mapping layer or block
-names to integer ratios.
+Tensor files use the same layout with tag "circconv-tensor/1" and a
+single blob, written at f64; reading accepts f32 too. A
+compression-scheme file is a JSON object mapping layer or block names to
+integer ratios.
 """
 
 import json
@@ -114,6 +117,10 @@ def _read_header(fh, magic, path):
         raise ModelFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if manifest.get("format") != magic:
         raise ModelFormatError(f"{path}: manifest format field mismatch")
+    if manifest.get("endianness") != "little":
+        raise ModelFormatError(
+            f"{path}: unsupported endianness {manifest.get('endianness')!r}"
+        )
     precision = manifest.get("precision")
     if precision not in _DTYPES:
         raise ModelFormatError(f"{path}: unknown precision {precision!r}")
@@ -209,17 +216,15 @@ def load_model(path):
     return Network(layers)
 
 
-def save_tensor(path, arr, precision="f64"):
-    """Write one array in the tensor file format; like save_model, refuses
-    values that are non-finite as stored."""
-    if precision not in _DTYPES:
-        raise ModelFormatError(f"unknown precision {precision!r}")
+def save_tensor(path, arr):
+    """Write one array as f64 in the tensor file format; like save_model,
+    refuses non-finite values."""
     arr = np.asarray(arr, dtype=np.float64)
-    stored = _stored(arr, precision, "tensor")
+    stored = _stored(arr, "f64", "tensor")
     manifest = json.dumps(
         {
             "format": TENSOR_MAGIC,
-            "precision": precision,
+            "precision": "f64",
             "endianness": "little",
             "shape": list(arr.shape),
         }

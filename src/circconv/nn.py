@@ -39,7 +39,15 @@ from .convops import (
     kernel_spectra,
 )
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
-from .tensor import DTYPE
+from .tensor import DTYPE, as_tensor4
+
+
+def _bias(bias, c_out):
+    """The bias as a float64 (c_out,) array, zeros when None."""
+    bias = np.zeros(c_out, dtype=DTYPE) if bias is None else np.asarray(bias, dtype=DTYPE)
+    if bias.shape != (c_out,):
+        raise ShapeError(f"bias length {bias.shape} does not match {c_out} outputs")
+    return bias
 
 
 def _geometry_fields(g):
@@ -92,15 +100,7 @@ class CircConvLayer(Layer):
 
     def __init__(self, base, bias=None, geometry=ConvGeometry()):
         self.base = base
-        self.bias = (
-            np.zeros(base.config.c_out, dtype=DTYPE)
-            if bias is None
-            else np.asarray(bias, dtype=DTYPE)
-        )
-        if self.bias.shape != (base.config.c_out,):
-            raise ShapeError(
-                f"bias length {self.bias.shape} does not match {base.config.c_out} outputs"
-            )
+        self.bias = _bias(bias, base.config.c_out)
         self.geometry = geometry
 
     def params(self):
@@ -155,12 +155,8 @@ class DenseConvLayer(Layer):
     in_rank = 4
 
     def __init__(self, w, bias=None, geometry=ConvGeometry()):
-        self.w = np.ascontiguousarray(w, dtype=DTYPE)
-        self.bias = (
-            np.zeros(self.w.shape[3], dtype=DTYPE)
-            if bias is None
-            else np.asarray(bias, dtype=DTYPE)
-        )
+        self.w = as_tensor4(w)
+        self.bias = _bias(bias, self.w.shape[3])
         self.geometry = geometry
 
     def params(self):
@@ -233,11 +229,11 @@ class FullyConnected(Layer):
 
     def __init__(self, matrix, bias=None):
         self.matrix = np.ascontiguousarray(matrix, dtype=DTYPE)
-        self.bias = (
-            np.zeros(self.matrix.shape[1], dtype=DTYPE)
-            if bias is None
-            else np.asarray(bias, dtype=DTYPE)
-        )
+        if self.matrix.ndim != 2:
+            raise ShapeError(
+                f"fc matrix: expected 2 axes (C_in, C_out), got shape {self.matrix.shape}"
+            )
+        self.bias = _bias(bias, self.matrix.shape[1])
 
     def params(self):
         return {"matrix": self.matrix, "bias": self.bias}

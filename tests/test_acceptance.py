@@ -112,7 +112,7 @@ def test_criterion_6_degeneration_and_monotonicity():
     """All-ones scheme is exactly 100%; raising any block ratio never raises
     parameter or FLOP counts across the seven block-wise schemes."""
     model = resnet32()
-    ones = evaluate_scheme(model, CompressionScheme.all_ones(15))
+    ones = evaluate_scheme(model, CompressionScheme((1,) * 15))
     exact_100 = all(
         row["ratio_params"] == 100.0 and row["ratio_flops"] == 100.0
         for row in ones.rows

@@ -201,7 +201,7 @@ class TestInstrumentedFlopCount:
 class TestEvaluateScheme:
     def test_all_ones_is_exactly_100(self):
         model = alexnet_v2()
-        scheme = CompressionScheme.all_ones(5)
+        scheme = CompressionScheme((1,) * 5)
         report = evaluate_scheme(model, scheme)
         for row in report.rows:
             assert row["ratio_params"] == 100.0

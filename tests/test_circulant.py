@@ -7,7 +7,6 @@ from circconv.circulant import (
     PartitionConfig,
     circulant_from_fiber,
     expand,
-    permutation_power,
     project_matrix,
     project_tensor,
 )
@@ -90,26 +89,6 @@ class TestExpand:
         assert expand(base).size == base.num_free_parameters * 4
 
 
-class TestPermutationPower:
-    def test_zeroth_power_is_identity(self):
-        np.testing.assert_array_equal(permutation_power(3, 0), np.eye(3))
-
-    def test_first_power_layout(self):
-        z = permutation_power(3, 1)
-        want = np.zeros((3, 3))
-        want[0, 1] = want[1, 2] = want[2, 0] = 1.0
-        np.testing.assert_array_equal(z, want)
-
-    def test_matches_repeated_matrix_multiply(self):
-        z1 = permutation_power(5, 1)
-        oracle = z1 @ z1 @ z1
-        np.testing.assert_array_equal(permutation_power(5, 3), oracle)
-
-    def test_rejects_out_of_range_exponent(self):
-        with pytest.raises(ConfigError):
-            permutation_power(4, 4)
-
-
 class TestProjectMatrix:
     def test_identity_on_circulant(self):
         first_row = np.array([3.0, 1.0, 2.0])
@@ -135,7 +114,7 @@ class TestProjectMatrix:
         m = rng.standard_normal((6, 6))
         w = project_matrix(m)
         for i in range(6):
-            oracle = np.sum(m * permutation_power(6, i)) / 6
+            oracle = np.sum(m * np.roll(np.eye(6), i, axis=1)) / 6
             assert abs(w[i] - oracle) <= 1e-12
 
     def test_n2_matches_closed_form_least_squares(self):
@@ -218,16 +197,6 @@ class TestProjectTensor:
         oracle = np.linalg.norm(expand(projected) - w) ** 2
         assert abs(report.total_sq_error - oracle) <= 1e-12
 
-    def test_partial_padding_flagged(self):
-        rng = np.random.default_rng(14)
-        cfg = PartitionConfig(n=4, c_in=6, c_out=4)
-        w = rng.standard_normal((1, 1, 6, 4))
-        _, report = project_tensor(w, cfg)
-        assert report.partial_padding
-        cfg_exact = PartitionConfig(n=2, c_in=6, c_out=4)
-        _, report_exact = project_tensor(w, cfg_exact)
-        assert not report_exact.partial_padding
-
 
 class TestCompressionScheme:
     def test_parse_round_trip(self):
@@ -292,4 +261,3 @@ class TestProjectTensorOracle:
                     sq[k1, k2, rows, cols].sum(), rtol=1e-12, atol=0,
                 )
             np.testing.assert_allclose(report.total_sq_error, sq.sum(), rtol=1e-12, atol=0)
-            assert report.partial_padding == cfg.has_partial_blocks

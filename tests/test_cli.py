@@ -282,6 +282,40 @@ class TestConvertAndInfer:
                 ["big.cct", "circ.ccm", "dense.ccm", "nan.cct"]
             ), name
 
+    def test_bias_of_wrong_length_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        # conv(4 -> 2) -> gap -> fc(2 -> 3), both biases declared with one value
+        meta = {
+            "format": "circconv-model/1", "precision": "f64", "endianness": "little",
+            "layers": [
+                {"kind": "conv", "kernel": [1, 1], "c_in": 4, "c_out": 2,
+                 "pad": [0, 0], "stride": 1,
+                 "params": [{"name": "w", "shape": [1, 1, 4, 2]},
+                            {"name": "bias", "shape": [1]}]},
+                {"kind": "gap", "params": []},
+                {"kind": "fc", "c_in": 2, "c_out": 3,
+                 "params": [{"name": "matrix", "shape": [2, 3]},
+                            {"name": "bias", "shape": [1]}]},
+            ],
+        }
+        manifest = json.dumps(meta).encode()
+        model = tmp_path / "bad.ccm"
+        model.write_bytes(
+            b"circconv-model/1\n" + str(len(manifest)).encode() + b"\n" + manifest
+            + struct.pack("<16d", *range(16))
+        )
+        x = tmp_path / "x.cct"
+        save_tensor(x, np.ones((3, 3, 4)))
+        out = tmp_path / "out"
+        for argv in (
+            ("infer", "--model", str(model), "--input", str(x), "--output", str(out)),
+            ("convert", "--model-in", str(model), "--scheme", "1",
+             "--model-out", str(out)),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv[0]
+            assert "ModelFormatError" in err and "layer 0: bias length" in err, err
+            assert sorted(os.listdir(tmp_path)) == ["bad.ccm", "x.cct"], argv[0]
+
     def test_failed_output_leaves_no_partial_file(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=4, spec=ToyTaskSpec())
         dense_path = tmp_path / "dense.ccm"

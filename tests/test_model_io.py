@@ -339,6 +339,59 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=r"layer 0: parameter 'bias': bad shape"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "layer, message",
+        [
+            (
+                {"kind": "conv", "kernel": [1, 1], "c_in": 3, "c_out": 2,
+                 "pad": [0, 0], "stride": 1,
+                 "params": [{"name": "w", "shape": [1, 1, 3, 2]},
+                            {"name": "bias", "shape": [1]}]},
+                r"layer 0: bias length \(1,\) does not match 2 outputs",
+            ),
+            (
+                {"kind": "fc", "c_in": 3, "c_out": 2,
+                 "params": [{"name": "matrix", "shape": [3, 2]},
+                            {"name": "bias", "shape": [1]}]},
+                r"layer 0: bias length \(1,\) does not match 2 outputs",
+            ),
+            (
+                {"kind": "conv", "kernel": [1, 1], "c_in": 3, "c_out": 2,
+                 "pad": [0, 0], "stride": 1,
+                 "params": [{"name": "w", "shape": [1, 3, 2]},
+                            {"name": "bias", "shape": [2]}]},
+                r"layer 0: kernel: expected 4 axes",
+            ),
+            (
+                {"kind": "fc", "c_in": 3, "c_out": 2,
+                 "params": [{"name": "matrix", "shape": [6]},
+                            {"name": "bias", "shape": [2]}]},
+                r"layer 0: fc matrix: expected 2 axes",
+            ),
+        ],
+        ids=["conv-bias", "fc-bias", "conv-w-3d", "fc-matrix-1d"],
+    )
+    def test_parameter_of_wrong_shape_refused(self, tmp_path, layer, message):
+        # every blob holds the values its declared shape asks for
+        meta = {
+            "format": MODEL_MAGIC, "precision": "f64", "endianness": "little",
+            "layers": [layer],
+        }
+        count = sum(int(np.prod(p["shape"])) for p in layer["params"])
+        path = tmp_path / "bad.ccm"
+        write_raw(path, MODEL_MAGIC, meta, b"\x00" * count * 8)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_big_endian_model_refused(self, tmp_path):
+        path = tmp_path / "m.ccm"
+        save_model(sample_net(), path)
+        raw = path.read_bytes()
+        # same length, so only the declared byte order changes
+        path.write_bytes(raw.replace(b'"endianness": "little"', b'"endianness": "big"   ', 1))
+        with pytest.raises(ModelFormatError, match="unsupported endianness 'big'"):
+            load_model(path)
+
 
 class TestExternalWriter:
     def test_independently_written_dense_model_loads(self, tmp_path):
@@ -418,6 +471,14 @@ class TestTensorFiles:
         path = tmp_path / "bad.cct"
         write_raw(path, TENSOR_MAGIC, meta, b"\x00" * parent_count * 8)
         with pytest.raises(ModelFormatError, match="tensor: bad shape"):
+            load_tensor(path)
+
+    def test_big_endian_tensor_refused(self, tmp_path):
+        path = tmp_path / "t.cct"
+        save_tensor(path, np.ones((2, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"endianness": "little"', b'"endianness": "big"   ', 1))
+        with pytest.raises(ModelFormatError, match="unsupported endianness 'big'"):
             load_tensor(path)
 
 

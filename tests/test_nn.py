@@ -60,6 +60,24 @@ def params_equal(a, b):
     )
 
 
+class TestLayerConstruction:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DenseConvLayer(np.zeros((1, 1, 3, 2)), bias=np.zeros(1)),
+             r"bias length \(1,\) does not match 2 outputs"),
+            (lambda: FullyConnected(np.zeros((3, 2)), bias=np.zeros(1)),
+             r"bias length \(1,\) does not match 2 outputs"),
+            (lambda: DenseConvLayer(np.zeros((1, 3, 2))), "expected 4 axes"),
+            (lambda: FullyConnected(np.zeros(6)), "expected 2 axes"),
+        ],
+        ids=["conv-bias", "fc-bias", "conv-w-3d", "fc-matrix-1d"],
+    )
+    def test_wrong_shape_raises_shape_error(self, build, message):
+        with pytest.raises(ShapeError, match=message):
+            build()
+
+
 class TestForwardPass:
     def test_zero_weight_network_outputs_biases(self):
         rng = np.random.default_rng(0)
