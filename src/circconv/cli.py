@@ -58,6 +58,12 @@ def _load_scheme(arg, labels):
     return scheme
 
 
+def _conv_blocks(net):
+    """{layer index: block label} of the dense conv layers, which convert
+    projects: the k-th is labelled conv{k} in inline schemes and files."""
+    return {i: f"conv{k}" for k, i in enumerate(nn.conv_layer_indices(net))}
+
+
 def _specs_from_network(net, spatial):
     """LayerSpec list for a loaded network, propagating spatial dims.
 
@@ -65,9 +71,10 @@ def _specs_from_network(net, spatial):
     without counted cost (relu, gap) get no spec. A layer with a kernel maps
     the spatial dims to its output size; one without (fc) follows the
     global pool, so it keeps LayerSpec's (1, 1). The dense conv layers,
-    which convert would project, are the compressible blocks.
+    which convert would project, are the compressible blocks, labelled as
+    convert labels them; rows keep their layer{i} names.
     """
-    convertible = nn.conv_layer_indices(net)
+    blocks = _conv_blocks(net)
     specs = []
     for i, layer in enumerate(net.layers):
         fields = layer.fields()
@@ -86,7 +93,7 @@ def _specs_from_network(net, spatial):
             analysis.LayerSpec(
                 kind=fields["kind"], name=name, c_in=fields["c_in"],
                 c_out=fields["c_out"], n=fields.get("n", 1),
-                block=name if i in convertible else None, **dims,
+                block=blocks.get(i), **dims,
             )
         )
     return specs
@@ -117,21 +124,20 @@ def cmd_convert(args):
     kinds = {type(l).__name__ for l in net.layers}
     if "CircConvLayer" in kinds:
         raise ConfigError("conversion input must be a dense model (kind=conv only)")
-    conv_idx = nn.conv_layer_indices(net)
-    if not conv_idx:
+    blocks = _conv_blocks(net)
+    if not blocks:
         raise ConfigError("model has no conv layers to convert")
-    labels = [f"conv{k}" for k in range(len(conv_idx))]
-    scheme = _load_scheme(args.scheme, labels)
+    scheme = _load_scheme(args.scheme, list(blocks.values()))
     converted, err = nn.convert_network(net, scheme)
     with _output_file(args.model_out) as tmp:
         model_io.save_model(converted, tmp, precision=args.precision)
     if args.report:
-        before = sum(l.w.size for i, l in enumerate(net.layers) if i in conv_idx)
+        before = sum(net.layers[i].w.size for i in blocks)
         after = sum(
             layer.base.num_free_parameters
             if isinstance(layer, nn.CircConvLayer)
             else layer.w.size  # ratio 1 leaves a layer dense
-            for layer in (converted.layers[i] for i in conv_idx)
+            for layer in (converted.layers[i] for i in blocks)
         )
         print(f"scheme={scheme} conv_params_before={before} conv_params_after={after}")
         print(

@@ -16,8 +16,11 @@ convolution with one operand circularly reversed, and the spectrum of a
 circularly reversed real fiber is the conjugate of its spectrum, so the
 backward passes conjugate one operand's spectrum.
 
-The FFT passes and the conv_naive oracles take one (W, H, C) sample or a
-(B, W, H, C) batch; a sample runs as a batch of one. The FFT passes share
+Every pass, conv_block included, takes one (W, H, C) sample or a
+(B, W, H, C) batch; a sample runs as a batch of one. Each checks its
+input once at entry, in _batch (rank and channel count) and, for the
+weight gradients, _grad_pair (grad_y against the forward output), and
+raises ShapeError there. The FFT passes share
 one gather and one product, in the frequency domain as in fbfft
 (Vasilache et al., arXiv:1412.7580) and Mathieu, Henaff & LeCun
 (arXiv:1312.5851), and run in float64 throughout. Every spectrum, the
@@ -65,7 +68,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spectral
 from .errors import ContractError, ShapeError
-from .tensor import DTYPE, as_tensor3, as_tensor4
+from .tensor import DTYPE, as_tensor4
 
 # Upper bound, in bytes, on the window matrix of one group of samples: half
 # of a 2 MiB L2 cache, leaving room for the spectra it is gathered from and
@@ -117,31 +120,40 @@ def _window(t, a, b, out_hw, stride):
 
 
 def _pad_spatial(x, pad):
-    """Zero-pad the two spatial axes of a (W, H, C) or (B, W, H, C) array."""
+    """Zero-pad the two spatial axes of a (B, W, H, C) array."""
     pw, ph = pad
     if pw == 0 and ph == 0:
         return x
-    return np.pad(x, [(0, 0)] * (x.ndim - 3) + [(pw, pw), (ph, ph), (0, 0)])
+    return np.pad(x, [(0, 0), (pw, pw), (ph, ph), (0, 0)])
 
 
-def _pad_channels(x, c_to):
-    if x.shape[2] == c_to:
-        return x
-    out = np.zeros((x.shape[0], x.shape[1], c_to), dtype=DTYPE)
-    out[:, :, : x.shape[2]] = x
-    return out
-
-
-def _as_batch(t, name):
-    """(B, W, H, C) float64 view of t, and whether t was one (W, H, C) sample."""
+def _batch(t, name, channels=None):
+    """(B, W, H, C) float64 view of t, and whether t was one (W, H, C)
+    sample: the entry check of every pass. ShapeError on another rank, or
+    on a channel count other than channels when it is given."""
     arr = np.asarray(t, dtype=DTYPE)
-    if arr.ndim == 3:
-        return arr[None], True
-    if arr.ndim != 4:
+    if arr.ndim not in (3, 4):
         raise ShapeError(
             f"{name}: expected (W, H, C) or (B, W, H, C), got shape {arr.shape}"
         )
-    return arr, False
+    if channels is not None and arr.shape[-1] != channels:
+        raise ShapeError(f"{name} has {arr.shape[-1]} channels, expected {channels}")
+    return (arr[None], True) if arr.ndim == 3 else (arr, False)
+
+
+def _grad_pair(x, grad_y, c_in, c_out, kernel_size, g):
+    """The input and grad batches of a weight-gradient pass, and whether
+    they were single samples: grad_y must have x's rank and the shape of
+    the forward output. Channel counts of None are not checked."""
+    xb, single = _batch(x, "input", c_in)
+    gb, g_single = _batch(grad_y, "grad_y", c_out)
+    w2, h2 = g.out_size(xb.shape[1:3], kernel_size)
+    if g_single != single or gb.shape[:3] != (xb.shape[0], w2, h2):
+        raise ShapeError(
+            f"grad_y shape {np.shape(grad_y)} does not match forward output "
+            f"({w2}, {h2}) for input {np.shape(x)}"
+        )
+    return xb, gb, single
 
 
 def conv_naive(x, w, g=ConvGeometry()):
@@ -150,12 +162,8 @@ def conv_naive(x, w, g=ConvGeometry()):
     x is one (W, H, C) sample or a (B, W, H, C) batch; the result has the
     same rank.
     """
-    xb, single = _as_batch(x, "input")
     w = as_tensor4(w, "kernel")
-    if xb.shape[3] != w.shape[2]:
-        raise ShapeError(
-            f"channel mismatch: input has {xb.shape[3]}, kernel expects {w.shape[2]}"
-        )
+    xb, single = _batch(x, "input", w.shape[2])
     k1, k2 = w.shape[0], w.shape[1]
     w2, h2 = g.out_size(xb.shape[1:3], (k1, k2))
     xp = _pad_spatial(xb, g.pad)
@@ -170,45 +178,37 @@ def conv_naive(x, w, g=ConvGeometry()):
 def conv_block(x, w, config, g=ConvGeometry()):
     """Block-partitioned forward pass, fiber-times-slice over channel blocks.
 
-    Matches conv_naive on the (channel-padded) kernel entry for entry.
+    x is one (W, H, C_in) sample or a (B, W, H, C_in) batch; the result
+    has the same rank. Matches conv_naive on the (channel-padded) kernel
+    entry for entry.
     """
-    x = as_tensor3(x, "input")
+    xb, single = _batch(x, "input", config.c_in)
     w = as_tensor4(w, "kernel")
-    if x.shape[2] != config.c_in or w.shape[2] != config.c_in or w.shape[3] != config.c_out:
+    if w.shape[2:] != (config.c_in, config.c_out):
         raise ShapeError(
-            f"channels {(x.shape[2], w.shape[2], w.shape[3])} do not match partition "
+            f"kernel channels {w.shape[2:]} do not match partition "
             f"({config.c_in}, {config.c_out})"
         )
     n, r, s = config.n, config.r, config.s
     k1, k2 = w.shape[0], w.shape[1]
-    w2, h2 = g.out_size(x.shape[:2], (k1, k2))
-    xp = _pad_channels(_pad_spatial(x, g.pad), config.padded_in)
+    w2, h2 = g.out_size(xb.shape[1:3], (k1, k2))
+    pw, ph = g.pad
+    xp = np.pad(xb, [(0, 0), (pw, pw), (ph, ph), (0, config.padded_in - config.c_in)])
     wp = np.zeros((k1, k2, config.padded_in, config.padded_out), dtype=DTYPE)
     wp[:, :, : config.c_in, : config.c_out] = w
-    y = np.zeros((w2, h2, config.padded_out), dtype=DTYPE)
+    y = np.zeros((xb.shape[0], w2, h2, config.padded_out), dtype=DTYPE)
     for a in range(k1):
         for b in range(k2):
             win = _window(xp, a, b, (w2, h2), g.stride)
             for j in range(r):
-                fib = win[:, :, j * n : (j + 1) * n]
+                fib = win[..., j * n : (j + 1) * n]
                 for i in range(s):
                     block = wp[a, b, j * n : (j + 1) * n, i * n : (i + 1) * n]
-                    y[:, :, i * n : (i + 1) * n] += np.tensordot(
-                        fib, block, axes=([2], [0])
+                    y[..., i * n : (i + 1) * n] += np.tensordot(
+                        fib, block, axes=([3], [0])
                     )
-    return np.ascontiguousarray(y[:, :, : config.c_out])
-
-
-def _circ_input(x, base, g):
-    """The validated input batch of an FFT pass, whether x was one sample,
-    and the output spatial size."""
-    xb, single = _as_batch(x, "input")
-    if xb.shape[3] != base.config.c_in:
-        raise ShapeError(
-            f"channel mismatch: input has {xb.shape[3]}, partition expects "
-            f"{base.config.c_in}"
-        )
-    return xb, single, g.out_size(xb.shape[1:3], base.kernel_size)
+    y = np.ascontiguousarray(y[..., : config.c_out])
+    return y[0] if single else y
 
 
 def _spectra(t, blocks, n, shape, at=(0, 0)):
@@ -315,13 +315,13 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None):
     shape or dtype raises ShapeError.
     """
     cfg = base.config
-    xb, single, (w2, h2) = _circ_input(x, base, g)
+    xb, single = _batch(x, "input", cfg.c_in)
+    w2, h2, q = _grid(xb.shape[1:3], g, base.kernel_size)
     ws = kernel_spectra(base) if w_spec is None else np.asarray(w_spec)
     want = (cfg.n, *base.kernel_size, cfg.r, cfg.s)
     if ws.shape != want or ws.dtype != DTYPE:
         raise ShapeError(f"w_spec {ws.dtype} {ws.shape} does not match this base's float64 {want}")
     kern = spectral.gemm_operand(ws.transpose(0, 4, 3, 1, 2).reshape(cfg.n, cfg.s, -1))
-    q = _grid(xb.shape[1:3], g, base.kernel_size)[2]
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
     for group, cols in _grouped_windows(xb, g, cfg.r, cfg.n, base.kernel_size):
         ys = spectral.bin_matmul(kern, cols).reshape(cfg.n, cfg.s, -1, w2, q)
@@ -379,20 +379,6 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     return dbase, dx
 
 
-def _weight_inputs(x, grad_y, base, g):
-    """The validated input and grad batches of a weight-gradient pass, and
-    whether they were single samples."""
-    cfg = base.config
-    xb, single, (w2, h2) = _circ_input(x, base, g)
-    gb, _ = _as_batch(grad_y, "grad_y")
-    if np.ndim(x) != np.ndim(grad_y) or gb.shape != (xb.shape[0], w2, h2, cfg.c_out):
-        raise ShapeError(
-            f"grad_y shape {np.shape(grad_y)} does not match forward output "
-            f"({w2}, {h2}, {cfg.c_out}) for input {np.shape(x)}"
-        )
-    return xb, gb, single
-
-
 def circ_backward(x, grad_y, base, g=ConvGeometry()):
     """Both gradients of a scalar loss in one pass: (dbase, dx).
 
@@ -401,7 +387,8 @@ def circ_backward(x, grad_y, base, g=ConvGeometry()):
     gathered once for both. x and grad_y are one sample each or batches of
     equal size; dx has the rank of x.
     """
-    xb, gb, single = _weight_inputs(x, grad_y, base, g)
+    cfg = base.config
+    xb, gb, single = _grad_pair(x, grad_y, cfg.c_in, cfg.c_out, base.kernel_size, g)
     dbase, dx = _backward(gb, base, g, xb.shape[1:3], xb)
     return dbase, (dx[0] if single else dx)
 
@@ -415,7 +402,8 @@ def circ_backward_weight(x, grad_y, base, g=ConvGeometry()):
     computed by the backward loop of circ_backward, without the input
     gradient. Returns an array shaped like base.base, (W1, H1, R*N, S).
     """
-    xb, gb, _ = _weight_inputs(x, grad_y, base, g)
+    cfg = base.config
+    xb, gb, _ = _grad_pair(x, grad_y, cfg.c_in, cfg.c_out, base.kernel_size, g)
     return _backward(gb, base, g, xb.shape[1:3], xb, with_dx=False)[0]
 
 
@@ -430,12 +418,7 @@ def circ_backward_input(grad_y, base, g=ConvGeometry(), in_size=None):
     gradient. Output positions falling outside the feature map contribute
     zero, and gradient flow into channel padding is dropped.
     """
-    cfg = base.config
-    gb, single = _as_batch(grad_y, "grad_y")
-    if gb.shape[3] != cfg.c_out:
-        raise ShapeError(
-            f"grad_y has {gb.shape[3]} channels, partition expects {cfg.c_out}"
-        )
+    gb, single = _batch(grad_y, "grad_y", base.config.c_out)
     in_size = _in_size(gb.shape[1:3], base.kernel_size, g, in_size)
     dx = _backward(gb, base, g, in_size)[1]
     return dx[0] if single else dx
@@ -447,21 +430,14 @@ def conv_naive_backward_weight(x, grad_y, kernel_size, g=ConvGeometry()):
     x and grad_y are one sample each or batches of equal size; batch
     contributions are summed.
     """
-    xb, _ = _as_batch(x, "input")
-    gb, _ = _as_batch(grad_y, "grad_y")
+    xb, gb, _ = _grad_pair(x, grad_y, None, None, kernel_size, g)
     k1, k2 = kernel_size
-    w2, h2 = g.out_size(xb.shape[1:3], kernel_size)
-    if np.ndim(x) != np.ndim(grad_y) or gb.shape[:3] != (xb.shape[0], w2, h2):
-        raise ShapeError(
-            f"grad_y shape {np.shape(grad_y)} does not match output ({w2}, {h2}) "
-            f"for input {np.shape(x)}"
-        )
     xp = _pad_spatial(xb, g.pad)
     dw = np.empty((k1, k2, xb.shape[3], gb.shape[3]), dtype=DTYPE)
     for a in range(k1):
         for b in range(k2):
             dw[a, b] = np.tensordot(
-                _window(xp, a, b, (w2, h2), g.stride), gb, axes=([0, 1, 2], [0, 1, 2])
+                _window(xp, a, b, gb.shape[1:3], g.stride), gb, axes=([0, 1, 2], [0, 1, 2])
             )
     return dw
 
@@ -473,12 +449,8 @@ def conv_naive_backward_input(grad_y, w, g=ConvGeometry(), in_size=None):
     is the input's spatial size, as in circ_backward_input. Each kernel
     offset scatters its product with grad_y into the sites it read.
     """
-    gb, single = _as_batch(grad_y, "grad_y")
     w = as_tensor4(w, "kernel")
-    if gb.shape[3] != w.shape[3]:
-        raise ShapeError(
-            f"grad_y has {gb.shape[3]} channels, kernel produces {w.shape[3]}"
-        )
+    gb, single = _batch(grad_y, "grad_y", w.shape[3])
     k1, k2 = w.shape[0], w.shape[1]
     w0, h0 = _in_size(gb.shape[1:3], (k1, k2), g, in_size)
     pw, ph = g.pad

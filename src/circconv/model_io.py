@@ -11,10 +11,12 @@ Scalars are stored as float64 by default ("f64"); "f32" stores float32,
 which round-trips exactly for the values actually stored. Stored values
 are finite: the writers refuse, and the readers reject, anything else.
 Loading is pure data: nothing in the file is ever executed. Before the
-network is returned, loading checks the manifest's "little" endianness,
-every declared shape and partition, the rank of each parameter (4-D
-conv kernels, 2-D fc matrices), one bias value per output channel, and
-that the layers chain.
+network is returned, loading checks that the manifest is a JSON object
+whose "layers" is a list of objects, each with a "params" list of
+objects, the manifest's "little" endianness, every declared shape and
+partition, the rank of each parameter (4-D conv kernels, 2-D fc
+matrices), one bias value per output channel, and that the layers
+chain.
 
 Tensor files use the same layout with tag "circconv-tensor/1" and a
 single blob, written at f64; reading accepts f32 too. A
@@ -115,6 +117,8 @@ def _read_header(fh, magic, path):
         manifest = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != magic:
         raise ModelFormatError(f"{path}: manifest format field mismatch")
     if manifest.get("endianness") != "little":
@@ -155,6 +159,14 @@ def _read_blob(fh, shape, dtype, where):
     return arr.astype(np.float64, copy=False)
 
 
+def _objects(value, where, key):
+    """value, which must be a list of JSON objects; ModelFormatError
+    naming where and key otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ModelFormatError(f"{where}: {key!r} must be a list of objects")
+    return value
+
+
 def load_model(path):
     """Parse and validate a model file; returns a Network.
 
@@ -164,14 +176,15 @@ def load_model(path):
     which stays 4-D until a gap layer makes it (B, C), and each layer's
     c_in equals the width the layers before it produce. Raises
     ModelFormatError naming the offending field or layer on version
-    mismatch, truncated blobs, non-finite parameters, shape/partition
-    inconsistencies, or layers that do not chain.
+    mismatch, a manifest of the wrong structure, truncated blobs,
+    non-finite parameters, shape/partition inconsistencies, or layers that
+    do not chain.
     """
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
         layers = []
         rank, width = 4, None  # of the activations entering the next layer
-        for i, meta in enumerate(manifest.get("layers", [])):
+        for i, meta in enumerate(_objects(manifest.get("layers"), path, "layers")):
             where = f"{path}: layer {i}"
             kind = meta.get("kind")
             if kind not in LAYER_KINDS:
@@ -180,7 +193,7 @@ def load_model(path):
                 p.get("name"): _read_blob(
                     fh, p.get("shape", ()), dtype, f"{where}: parameter {p.get('name')!r}"
                 )
-                for p in meta.get("params", [])
+                for p in _objects(meta.get("params"), where, "params")
             }
             try:
                 layer = LAYER_KINDS[kind].from_fields(meta, params)

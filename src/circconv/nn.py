@@ -68,9 +68,10 @@ class Layer:
     analysis.LayerSpec), then the convolution geometry `pad` and `stride`.
     from_fields(fields, params) rebuilds the layer from those fields and
     arrays named as in params(). in_rank is the input rank the kind
-    requires (None: any) and out_rank the rank it returns (None: its
-    input's); with the c_in and c_out fields they say how layers chain.
-    The defaults describe a layer without parameters.
+    requires (None: any), which forward_pass and load_model check, and
+    out_rank the rank it returns (None: its input's); with the c_in and
+    c_out fields they say how layers chain. The defaults describe a layer
+    without parameters.
 
     forward(xb) returns the output and a cache; backward(cache, gyb,
     need_dx=True) returns the input gradient, or None when need_dx is
@@ -127,10 +128,6 @@ class CircConvLayer(Layer):
         )
 
     def forward(self, xb):
-        if xb.ndim != 4 or xb.shape[3] != self.base.config.c_in:
-            raise ShapeError(
-                f"expected (B, W, H, {self.base.config.c_in}) input, got {xb.shape}"
-            )
         w_spec = kernel_spectra(self.base)  # constant within the step
         y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec)
         y += self.bias
@@ -177,10 +174,6 @@ class DenseConvLayer(Layer):
         return cls(params["w"], params["bias"], _geometry(fields))
 
     def forward(self, xb):
-        if xb.ndim != 4 or xb.shape[3] != self.w.shape[2]:
-            raise ShapeError(
-                f"expected (B, W, H, {self.w.shape[2]}) input, got {xb.shape}"
-            )
         y = conv_naive(xb, self.w, self.geometry)
         y += self.bias
         return y, xb
@@ -210,8 +203,6 @@ class GlobalAveragePool(Layer):
     out_rank = 2
 
     def forward(self, xb):
-        if xb.ndim != 4:
-            raise ShapeError(f"expected a (B, W, H, C) input, got {xb.shape}")
         return xb.mean(axis=(1, 2)), xb.shape
 
     def backward(self, cache, gyb, need_dx=True):
@@ -247,7 +238,7 @@ class FullyConnected(Layer):
         return cls(params["matrix"], params["bias"])
 
     def forward(self, xb):
-        if xb.ndim != 2 or xb.shape[1] != self.matrix.shape[0]:
+        if xb.shape[1] != self.matrix.shape[0]:
             raise ShapeError(
                 f"expected (B, {self.matrix.shape[0]}) input, got {xb.shape}"
             )
@@ -287,6 +278,8 @@ def forward_pass(net, xb):
     caches = []
     for i, layer in enumerate(net.layers):
         try:
+            if layer.in_rank not in (None, h.ndim):
+                raise ShapeError(f"expected a {layer.in_rank}-D input, got shape {h.shape}")
             h, c = layer.forward(h)
         except ShapeError as exc:
             raise ShapeError(
@@ -543,14 +536,14 @@ def convert_network(net_dense, scheme):
     return Network(layers), total_err
 
 
-def convert_and_retrain(net_dense, scheme, data, cfg, retrain_steps, seed=0):
-    """Dense -> projected circulant -> retrained circulant.
+def convert_and_retrain(net_dense, n, data, cfg, retrain_steps, seed=0):
+    """Dense -> projected circulant -> retrained circulant, every dense
+    conv layer at partition size n.
 
     Returns the converted network and a log with losses before conversion,
     right after conversion, and after retraining, plus the projection error.
     """
-    if isinstance(scheme, int):
-        scheme = CompressionScheme((scheme,) * len(conv_layer_indices(net_dense)))
+    scheme = CompressionScheme((n,) * len(conv_layer_indices(net_dense)))
     x, labels = data
     loss_before, acc_before = evaluate(net_dense, x, labels)
     net, approx_err = convert_network(net_dense, scheme)

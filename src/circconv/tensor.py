@@ -13,14 +13,6 @@ from .errors import ShapeError
 DTYPE = np.float64
 
 
-def as_tensor3(a, name="tensor"):
-    """Validate and return a (W, H, C) float64 array."""
-    arr = np.ascontiguousarray(a, dtype=DTYPE)
-    if arr.ndim != 3:
-        raise ShapeError(f"{name}: expected 3 axes (W, H, C), got shape {arr.shape}")
-    return arr
-
-
 def as_tensor4(a, name="kernel"):
     """Validate and return a (W1, H1, C_in, C_out) float64 array."""
     arr = np.ascontiguousarray(a, dtype=DTYPE)

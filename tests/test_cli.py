@@ -87,6 +87,27 @@ class TestAnalyze:
         assert rows[0]["kind"] == "circconv"
         assert rows[0]["ratio_params"] == 50.0
 
+    def test_one_scheme_file_serves_analyze_and_convert(self, capsys, tmp_path):
+        # both commands label the k-th dense conv layer conv{k}
+        net = make_dense_toy_net(seed=0, spec=ToyTaskSpec())
+        dense_path, circ_path = tmp_path / "d.ccm", tmp_path / "c.ccm"
+        save_model(net, dense_path)
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"conv0": 2}))
+        code, out, err = run(
+            capsys, "analyze", "--model", str(dense_path),
+            "--spatial", "12", "12", "--scheme", str(scheme), "--json",
+        )
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert rows[0]["layer"] == "layer0" and rows[0]["ratio_params"] == 50.0
+        code, _, err = run(
+            capsys, "convert", "--model-in", str(dense_path),
+            "--scheme", str(scheme), "--model-out", str(circ_path),
+        )
+        assert code == 0, err
+        assert load_model(circ_path).layers[0].base.config.n == 2
+
     def test_analyze_circulant_model_against_dense_equivalent(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=5, spec=ToyTaskSpec())
         dense_path, circ_path = tmp_path / "d.ccm", tmp_path / "c.ccm"
@@ -315,6 +336,24 @@ class TestConvertAndInfer:
             assert code == 1, argv[0]
             assert "ModelFormatError" in err and "layer 0: bias length" in err, err
             assert sorted(os.listdir(tmp_path)) == ["bad.ccm", "x.cct"], argv[0]
+
+    def test_model_without_layers_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        manifest = json.dumps(
+            {"format": "circconv-model/1", "precision": "f64", "endianness": "little"}
+        ).encode()
+        model = tmp_path / "bad.ccm"
+        model.write_bytes(
+            b"circconv-model/1\n" + str(len(manifest)).encode() + b"\n" + manifest
+        )
+        x = tmp_path / "x.cct"
+        save_tensor(x, np.ones((3, 3, 4)))
+        code, _, err = run(
+            capsys, "infer", "--model", str(model), "--input", str(x),
+            "--output", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert "ModelFormatError" in err and "'layers'" in err and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["bad.ccm", "x.cct"]
 
     def test_failed_output_leaves_no_partial_file(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=4, spec=ToyTaskSpec())

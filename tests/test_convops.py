@@ -185,6 +185,16 @@ class TestConvBlock:
             assert got.shape == want.shape
             assert rel_diff(got, want) <= 1e-12, (stride, size)
 
+    def test_batch_equals_stacked_samples(self):
+        rng = np.random.default_rng(41)
+        base = random_base(rng, 3, 2, 2, 2, 3, c_in=3, c_out=5)
+        dense = expand(base)[:, :, :3, :5]
+        xb = rng.standard_normal((4, 7, 6, 3))
+        for g in (ConvGeometry(pad=(1, 0)), ConvGeometry(pad=(0, 1), stride=2)):
+            got = conv_block(xb, dense, base.config, g)
+            want = np.stack([conv_block(x, dense, base.config, g) for x in xb])
+            np.testing.assert_array_equal(got, want)
+
 
 class TestCircForward:
     def test_n1_reduces_to_naive(self):
@@ -512,6 +522,89 @@ class TestBatchedPasses:
             circ_backward(x, np.zeros((3, 3, 2)), base)
         with pytest.raises(ShapeError):
             circ_forward(np.zeros((1, 2, 3, 3, 2)), base)
+
+
+def _entry_instance():
+    """A 3 -> 5 channel layer (N = 2, partial blocks on both sides), its
+    dense kernel, geometry, and a (2, 5, 5, 3) input with a grad_y that
+    fits it."""
+    rng = np.random.default_rng(42)
+    base = random_base(rng, 3, 3, 2, 2, 3, c_in=3, c_out=5)
+    return base, expand(base)[:, :, :3, :5], ConvGeometry(pad=(1, 1)), (
+        rng.standard_normal((2, 5, 5, 3)), rng.standard_normal((2, 5, 5, 5))
+    )
+
+
+# name -> (run(x, gy, base, w, g), the inputs it takes, those whose channel
+# count it checks); conv_naive_backward_weight takes no kernel, so it
+# computes the gradient of a kernel of any channel counts
+ENTRY_PASSES = {
+    "conv_naive": (lambda x, gy, base, w, g: conv_naive(x, w, g), "x", "x"),
+    "conv_block": (lambda x, gy, base, w, g: conv_block(x, w, base.config, g), "x", "x"),
+    "circ_forward": (lambda x, gy, base, w, g: circ_forward(x, base, g), "x", "x"),
+    "circ_backward": (lambda x, gy, base, w, g: circ_backward(x, gy, base, g), "xg", "xg"),
+    "circ_backward_weight": (
+        lambda x, gy, base, w, g: circ_backward_weight(x, gy, base, g), "xg", "xg"
+    ),
+    "circ_backward_input": (
+        lambda x, gy, base, w, g: circ_backward_input(gy, base, g), "g", "g"
+    ),
+    "conv_naive_backward_weight": (
+        lambda x, gy, base, w, g: conv_naive_backward_weight(x, gy, (3, 3), g), "xg", ""
+    ),
+    "conv_naive_backward_input": (
+        lambda x, gy, base, w, g: conv_naive_backward_input(gy, w, g), "g", "g"
+    ),
+}
+
+_BAD = {
+    "rank2": lambda t: t[0, 0],
+    "rank5": lambda t: t[None],
+    "channels": lambda t: np.concatenate([t, t[..., :1]], axis=-1),
+}
+# grad_y that does not match the forward output of x
+_BAD_GRAD = {
+    "grad-spatial": lambda x, gy: (x, gy[:, 1:]),
+    "grad-batch": lambda x, gy: (x, gy[1:]),
+    "grad-sample-of-batch": lambda x, gy: (x, gy[0]),
+    "grad-batch-of-sample": lambda x, gy: (x[0], gy),
+}
+
+
+def _refused_cases():
+    for name, (_, takes, checks_channels) in ENTRY_PASSES.items():
+        for arg in takes:
+            for how in ("rank2", "rank5", *(("channels",) if arg in checks_channels else ())):
+                yield pytest.param(name, arg, how, id=f"{name}-{arg}-{how}")
+        if takes == "xg":
+            for how in _BAD_GRAD:
+                yield pytest.param(name, "xg", how, id=f"{name}-{how}")
+
+
+class TestEntryChecks:
+    """Every pass takes a sample or a batch and refuses any other input
+    with ShapeError at entry."""
+
+    @pytest.mark.parametrize("name", ENTRY_PASSES)
+    def test_sample_and_batch_are_accepted(self, name):
+        # the instance each refusal below spoils is a valid one
+        run = ENTRY_PASSES[name][0]
+        base, w, g, (x, gy) = _entry_instance()
+        run(x, gy, base, w, g)
+        run(x[0], gy[0], base, w, g)
+
+    @pytest.mark.parametrize("name, arg, how", _refused_cases())
+    def test_bad_input_is_refused(self, name, arg, how):
+        run = ENTRY_PASSES[name][0]
+        base, w, g, (x, gy) = _entry_instance()
+        if how in _BAD_GRAD:
+            x, gy = _BAD_GRAD[how](x, gy)
+        elif arg == "x":
+            x = _BAD[how](x)
+        else:
+            gy = _BAD[how](gy)
+        with pytest.raises(ShapeError):
+            run(x, gy, base, w, g)
 
 
 class TestSpectralEngine:

@@ -40,6 +40,9 @@ DATA = Path(__file__).parent / "data"
 NON_INTEGER_SHAPES = [([2.5], 2), (["2"], 2), ([2.0], 2), ([True, 2], 2), ("2", 2)]
 
 
+HEADER = {"format": MODEL_MAGIC, "precision": "f64", "endianness": "little"}
+
+
 def write_raw(path, magic, meta, payload):
     """A model or tensor file written without the package's writer."""
     manifest = json.dumps(meta).encode()
@@ -315,6 +318,27 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="unknown layer kind"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ([], "manifest is not a JSON object"),
+            ({**HEADER}, "'layers' must be a list of objects"),
+            ({**HEADER, "layers": [3]}, "'layers' must be a list of objects"),
+            ({**HEADER, "layers": {"relu": {"kind": "relu", "params": []}}},
+             "'layers' must be a list of objects"),
+            ({**HEADER, "layers": [{"kind": "relu"}]}, "layer 0: 'params' must be"),
+            ({**HEADER, "layers": [{"kind": "relu", "params": [3]}]},
+             "layer 0: 'params' must be"),
+        ],
+        ids=["list", "no-layers", "number-layer", "layers-object", "no-params",
+             "number-param"],
+    )
+    def test_manifest_of_the_wrong_structure_refused(self, tmp_path, manifest, message):
+        path = tmp_path / "bad.ccm"
+        write_raw(path, MODEL_MAGIC, manifest, b"")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
 
     @pytest.mark.parametrize(
         "shape, parent_count", NON_INTEGER_SHAPES, ids=[repr(s) for s, _ in NON_INTEGER_SHAPES]
@@ -471,6 +495,12 @@ class TestTensorFiles:
         path = tmp_path / "bad.cct"
         write_raw(path, TENSOR_MAGIC, meta, b"\x00" * parent_count * 8)
         with pytest.raises(ModelFormatError, match="tensor: bad shape"):
+            load_tensor(path)
+
+    def test_manifest_that_is_a_list_refused(self, tmp_path):
+        path = tmp_path / "t.cct"
+        write_raw(path, TENSOR_MAGIC, [], b"")
+        with pytest.raises(ModelFormatError, match="manifest is not a JSON object"):
             load_tensor(path)
 
     def test_big_endian_tensor_refused(self, tmp_path):

@@ -144,6 +144,24 @@ class TestForwardPass:
         with pytest.raises(ShapeError, match="layer 0 .*CircConvLayer"):
             forward_pass(net, np.zeros((2, 6, 6, 5)))
 
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: tiny_circ_net(seed=3), (6, 4)),
+            (lambda: tiny_circ_net(seed=3), (6, 6, 4)),
+            (lambda: make_dense_toy_net(seed=3, spec=SMALL), (6, 4)),
+            (lambda: Network([GlobalAveragePool()]), (2, 4)),
+            # fc(4 -> 3): a matmul would broadcast over the leading axes
+            (lambda: Network([FullyConnected(np.zeros((4, 3)))]), (2, 4, 5, 4)),
+        ],
+        ids=["circ-2d", "circ-3d", "conv-2d", "gap-2d", "fc-4d"],
+    )
+    def test_input_of_the_wrong_rank_is_refused(self, build, shape):
+        net = build()
+        name = type(net.layers[0]).__name__
+        with pytest.raises(ShapeError, match=rf"layer 0 \({name}\)"):
+            forward_pass(net, np.zeros(shape))
+
 
 class TestBackwardPass:
     def test_confident_correct_head_has_zero_gradient(self):
