@@ -147,7 +147,7 @@ def apply_scheme(model, scheme):
     if len(scheme) != len(blocks):
         raise ConfigError(
             f"scheme lists {len(scheme)} ratios but the model has "
-            f"{len(blocks)} compressible blocks"
+            f"{len(blocks)} compressible blocks ({', '.join(str(b) for b in blocks)})"
         )
     ratio_of = dict(zip(blocks, scheme.ratios))
     out = []

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import analysis, model_io, nn, verification
 from .circulant import CompressionScheme
-from .convops import ConvGeometry
 from .errors import ConfigError
 from .nn import SgdConfig
 
@@ -39,7 +38,8 @@ def _output_file(path):
 
 
 def _load_scheme(arg, labels):
-    """Inline "a-b-c" text (ordered over labels) or a JSON mapping file."""
+    """Inline "a-b-c" text, or a JSON file mapping each of labels to a
+    ratio. Only parses: the scheme's length is checked where it is applied."""
     if os.path.exists(arg):
         mapping = model_io.load_scheme_file(arg)
         missing = [str(l) for l in labels if str(l) not in mapping]
@@ -49,13 +49,14 @@ def _load_scheme(arg, labels):
         if extra:
             raise ConfigError(f"scheme file names unknown blocks: {sorted(extra)}")
         return CompressionScheme(tuple(mapping[str(l)] for l in labels))
-    scheme = CompressionScheme.parse(arg)
-    if len(scheme) != len(labels):
-        raise ConfigError(
-            f"scheme lists {len(scheme)} ratios but the model has {len(labels)} "
-            f"compressible blocks ({', '.join(str(l) for l in labels)})"
-        )
-    return scheme
+    return CompressionScheme.parse(arg)
+
+
+def _at_least(value, minimum, what):
+    """Refuse a count below minimum: a run that does nothing must not
+    report success."""
+    if value < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {value}")
 
 
 def _conv_blocks(net):
@@ -83,9 +84,7 @@ def _specs_from_network(net, spatial):
         dims = {}
         if "kernel" in fields:
             kernel = tuple(fields["kernel"])
-            out = ConvGeometry(tuple(fields["pad"]), fields["stride"]).out_size(
-                spatial, kernel
-            )
+            out = layer.geometry.out_size(spatial, kernel)
             dims = {"kernel": kernel, "in_spatial": spatial, "out_spatial": out}
             spatial = out
         name = f"layer{i}"
@@ -121,8 +120,7 @@ def cmd_analyze(args):
 
 def cmd_convert(args):
     net = model_io.load_model(args.model_in)
-    kinds = {type(l).__name__ for l in net.layers}
-    if "CircConvLayer" in kinds:
+    if any(isinstance(layer, nn.CircConvLayer) for layer in net.layers):
         raise ConfigError("conversion input must be a dense model (kind=conv only)")
     blocks = _conv_blocks(net)
     if not blocks:
@@ -149,6 +147,7 @@ def cmd_convert(args):
 
 
 def cmd_verify(args):
+    _at_least(args.trials, len(args.sizes), "--trials (one instance per --sizes entry)")
     results = verification.run_verification(
         seed=args.seed, trials=args.trials, sizes=tuple(args.sizes)
     )
@@ -161,6 +160,8 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    _at_least(args.reps, 1, "--reps")
+    _at_least(args.reps_inner, 1, "--reps-inner")
     rng = np.random.default_rng(args.seed)
     rows = [
         verification.probe_fft_path(
@@ -192,6 +193,7 @@ def cmd_bench(args):
 
 
 def cmd_train(args):
+    _at_least(args.steps, 1, "--steps")
     spec = nn.ToyTaskSpec()
     data = nn.make_toy_task(args.seed, spec=spec)
     cfg = SgdConfig(

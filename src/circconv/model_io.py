@@ -16,12 +16,15 @@ whose "layers" is a list of objects, each with a "params" list of
 objects, the manifest's "little" endianness, every declared shape and
 partition, the rank of each parameter (4-D conv kernels, 2-D fc
 matrices), one bias value per output channel, and that the layers
-chain.
+chain. Every blob needs a declared "shape", and integer fields (shapes,
+kernel, pad, stride, channel counts, n) must be JSON integers: 2.0 and
+true are refused.
 
 Tensor files use the same layout with tag "circconv-tensor/1" and a
 single blob, written at f64; reading accepts f32 too. A
 compression-scheme file is a JSON object mapping layer or block names to
-integer ratios.
+integer ratios. All three file kinds share one JSON rule: UTF-8 text
+holding an object, so UTF-16, UTF-32 and a byte order mark are refused.
 """
 
 import json
@@ -79,24 +82,40 @@ def save_model(net, path, precision="f64"):
             _stored(a, precision, f"layer {i} ({layer.kind}): parameter {name!r}")
             for name, a in layer.params().items()
         )
-    manifest = json.dumps(
-        {
-            "format": MODEL_MAGIC,
-            "precision": precision,
-            "endianness": "little",
-            "layers": manifests,
-        },
-        indent=1,
-    ).encode()
+    manifest = {
+        "format": MODEL_MAGIC,
+        "precision": precision,
+        "endianness": "little",
+        "layers": manifests,
+    }
+    _write(path, MODEL_MAGIC, json.dumps(manifest, indent=1), blobs)
+
+
+def _write(path, magic, manifest_text, blobs):
+    """Write the container both file kinds share: the tag line, the
+    manifest's byte length, the manifest, then the blobs."""
+    manifest = manifest_text.encode()
     try:
         with open(path, "wb") as fh:
-            fh.write(MODEL_MAGIC.encode() + b"\n")
+            fh.write(magic.encode() + b"\n")
             fh.write(str(len(manifest)).encode() + b"\n")
             fh.write(manifest)
             for blob in blobs:
                 fh.write(blob)
     except OSError as exc:
-        raise OSError(f"cannot write model file {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _json_object(raw, what):
+    """raw, UTF-8 JSON text, parsed; ModelFormatError naming what unless
+    it holds a JSON object."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFormatError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{what} is not a JSON object")
+    return value
 
 
 def _read_header(fh, magic, path):
@@ -113,12 +132,7 @@ def _read_header(fh, magic, path):
     raw = fh.read(nbytes)
     if len(raw) != nbytes:
         raise ModelFormatError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(raw.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ModelFormatError(f"{path}: manifest is not a JSON object")
+    manifest = _json_object(raw, f"{path}: manifest")
     if manifest.get("format") != magic:
         raise ModelFormatError(f"{path}: manifest format field mismatch")
     if manifest.get("endianness") != "little":
@@ -131,13 +145,26 @@ def _read_header(fh, magic, path):
     return manifest, _DTYPES[precision]
 
 
-def _read_blob(fh, shape, dtype, where):
-    """The blob at the file position as a new float64 array of the declared
-    shape. It is read straight into an array of the stored dtype, which is
-    converted only when stored at f32."""
-    if not isinstance(shape, (list, tuple)) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in shape
-    ):
+def _typed(value):
+    """value with each scalar paired with its type. json reads 1, 1.0 and
+    true as values that compare equal; typed, they differ, so a JSON
+    integer is exactly what has type int."""
+    if isinstance(value, dict):
+        return {k: _typed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+def _read_blob(fh, decl, dtype, where):
+    """The blob at the file position as a new float64 array of the shape
+    declared by decl, the JSON object that describes it: a list of JSON
+    integers. It is read straight into an array of the stored dtype, which
+    is converted only when stored at f32."""
+    if "shape" not in decl:
+        raise ModelFormatError(f"{where}: no 'shape' declared")
+    shape = decl["shape"]
+    if not isinstance(shape, list) or not all(type(v) is int for v in shape):
         raise ModelFormatError(f"{where}: bad shape {shape!r}")
     shape = tuple(shape)
     if any(v < 0 for v in shape):
@@ -190,9 +217,7 @@ def load_model(path):
             if kind not in LAYER_KINDS:
                 raise ModelFormatError(f"{where}: unknown layer kind {kind!r}")
             params = {
-                p.get("name"): _read_blob(
-                    fh, p.get("shape", ()), dtype, f"{where}: parameter {p.get('name')!r}"
-                )
+                p.get("name"): _read_blob(fh, p, dtype, f"{where}: parameter {p.get('name')!r}")
                 for p in _objects(meta.get("params"), where, "params")
             }
             try:
@@ -202,10 +227,11 @@ def load_model(path):
             except (TypeError, ValueError) as exc:
                 raise ModelFormatError(f"{where}: {exc}") from exc
             rebuilt = _layer_manifest(layer)
-            if rebuilt != meta:
-                keys = sorted(
-                    k for k in rebuilt.keys() | meta.keys() if rebuilt.get(k) != meta.get(k)
-                )
+            typed, declared = _typed(rebuilt), _typed(meta)
+            keys = sorted(
+                k for k in typed.keys() | declared.keys() if typed.get(k) != declared.get(k)
+            )
+            if keys:
                 raise ModelFormatError(
                     f"{where}: {kind} fields {keys} do not match its parameters, "
                     f"which give {[rebuilt.get(k) for k in keys]}"
@@ -232,28 +258,20 @@ def load_model(path):
 def save_tensor(path, arr):
     """Write one array as f64 in the tensor file format; like save_model,
     refuses non-finite values."""
-    arr = np.asarray(arr, dtype=np.float64)
-    stored = _stored(arr, "f64", "tensor")
-    manifest = json.dumps(
-        {
-            "format": TENSOR_MAGIC,
-            "precision": "f64",
-            "endianness": "little",
-            "shape": list(arr.shape),
-        }
-    ).encode()
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC.encode() + b"\n")
-        fh.write(str(len(manifest)).encode() + b"\n")
-        fh.write(manifest)
-        fh.write(stored)
+    manifest = {
+        "format": TENSOR_MAGIC,
+        "precision": "f64",
+        "endianness": "little",
+        "shape": list(np.shape(arr)),
+    }
+    _write(path, TENSOR_MAGIC, json.dumps(manifest), [_stored(arr, "f64", "tensor")])
 
 
 def load_tensor(path):
     """Read a tensor file; rejects non-finite values as load_model does."""
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, TENSOR_MAGIC, path)
-        arr = _read_blob(fh, manifest.get("shape", ()), dtype, f"{path}: tensor")
+        arr = _read_blob(fh, manifest, dtype, f"{path}: tensor")
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing data after payload")
     return arr
@@ -261,16 +279,13 @@ def load_tensor(path):
 
 def load_scheme_file(path):
     """JSON object mapping layer/block names to integer ratios."""
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: scheme file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not data:
+    with open(path, "rb") as fh:
+        data = _json_object(fh.read(), f"{path}: scheme file")
+    if not data:
         raise ModelFormatError(f"{path}: scheme file must map names to ratios")
     out = {}
     for name, ratio in data.items():
-        if isinstance(ratio, bool) or not isinstance(ratio, int) or ratio < 1:
+        if type(ratio) is not int or ratio < 1:
             raise ModelFormatError(
                 f"{path}: ratio for {name!r} must be a positive integer, got {ratio!r}"
             )

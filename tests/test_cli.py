@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from circconv.cli import main
 from circconv.convops import ConvGeometry
@@ -73,6 +74,30 @@ class TestAnalyze:
         assert code == 1
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    def test_scheme_file_of_invalid_utf8_is_single_line_error(self, capsys, tmp_path):
+        scheme = tmp_path / "bad.json"
+        scheme.write_bytes(b'{"conv1": 1, "\xff": 2}')
+        code, out, err = run(
+            capsys, "analyze", "--preset", "alexnet-v2", "--scheme", str(scheme),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ModelFormatError: ") and err.count("\n") == 1, err
+
+    def test_inline_scheme_of_the_wrong_length_is_single_line_error(self, capsys, tmp_path):
+        # checked once, where the scheme is applied, which names the blocks
+        path = tmp_path / "m.ccm"
+        save_model(make_dense_toy_net(seed=0, spec=ToyTaskSpec()), path)
+        for argv, blocks in (
+            (("--preset", "alexnet-v2", "--scheme", "1-2"),
+             "5 compressible blocks (conv1, conv2, conv3, conv4, conv5)"),
+            (("--model", str(path), "--spatial", "12", "12", "--scheme", "2-2"),
+             "1 compressible blocks (conv0)"),
+        ):
+            code, out, err = run(capsys, "analyze", *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ConfigError: scheme lists ") and blocks in err, err
+            assert err.count("\n") == 1
 
     def test_analyze_model_file(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=0, spec=ToyTaskSpec())
@@ -355,6 +380,18 @@ class TestConvertAndInfer:
         assert "ModelFormatError" in err and "'layers'" in err and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["bad.ccm", "x.cct"]
 
+    def test_inline_scheme_of_the_wrong_length_writes_nothing(self, capsys, tmp_path):
+        dense_path = tmp_path / "dense.ccm"
+        save_model(make_dense_toy_net(seed=4, spec=ToyTaskSpec()), dense_path)
+        code, out, err = run(
+            capsys, "convert", "--model-in", str(dense_path),
+            "--scheme", "2-2", "--model-out", str(tmp_path / "out.ccm"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError: scheme lists 2 ratios"), err
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["dense.ccm"]
+
     def test_failed_output_leaves_no_partial_file(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=4, spec=ToyTaskSpec())
         dense_path = tmp_path / "dense.ccm"
@@ -367,6 +404,42 @@ class TestConvertAndInfer:
         assert code == 1
         assert not target.exists()
         assert not target.with_name(target.name + ".tmp").exists()
+
+
+class TestCounts:
+    """A count that leaves the command with nothing to do is refused
+    before any work, with one ConfigError line and no output file."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "--trials", "0"), "--trials (one instance per --sizes entry) "
+             "must be at least 6, got 0"),
+            (("verify", "--trials", "-5"), "must be at least 6, got -5"),
+            (("verify", "--trials", "3"), "must be at least 6, got 3"),
+            (("verify", "--trials", "1", "--sizes", "2,3"), "must be at least 2, got 1"),
+            (("bench", "--sizes", "8", "--reps", "0"), "--reps must be at least 1, got 0"),
+            (("bench", "--sizes", "8", "--reps-inner", "0"),
+             "--reps-inner must be at least 1, got 0"),
+            (("train", "--steps", "-3"), "--steps must be at least 1, got -3"),
+            (("train", "--steps", "0"), "--steps must be at least 1, got 0"),
+        ],
+        ids=["verify-0", "verify-negative", "verify-fewer-than-sizes", "verify-sizes",
+             "bench-reps", "bench-reps-inner", "train-negative", "train-0"],
+    )
+    def test_count_that_does_nothing_exits_1(self, capsys, tmp_path, argv, message):
+        if argv[0] == "train":
+            argv += ("--model-out", str(tmp_path / "m.ccm"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ConfigError: ") and message in err, err
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_one_instance_per_size_is_enough(self, capsys):
+        code, out, _ = run(capsys, "verify", "--trials", "2", "--sizes", "2,3")
+        assert code == 0
+        assert "PASS forward-oracle-equivalence: 2 instances" in out
 
 
 class TestVerify:

@@ -166,6 +166,29 @@ class TestFormatStability:
                 np.testing.assert_array_equal(got.params()[name], arr.astype(dtype))
 
 
+def sample_tensor():
+    """A (2, 3, 4) tensor whose values include -0.0, a subnormal and the
+    largest and smallest normal float64, so every blob byte is pinned."""
+    arr = np.random.default_rng(0).standard_normal((2, 3, 4))
+    arr.flat[:4] = [-0.0, 5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).tiny]
+    return arr
+
+
+class TestTensorFormatStability:
+    """tests/data/three_axes_f64.cct holds sample_tensor() as save_tensor
+    wrote it before model and tensor files shared one writer."""
+
+    def test_bytes_match_committed_fixture(self, tmp_path):
+        path = tmp_path / "t.cct"
+        save_tensor(path, sample_tensor())
+        assert path.read_bytes() == (DATA / "three_axes_f64.cct").read_bytes()
+
+    def test_fixture_loads_bit_exactly(self):
+        got = load_tensor(DATA / "three_axes_f64.cct")
+        assert got.shape == (2, 3, 4)
+        assert got.tobytes() == sample_tensor().tobytes()
+
+
 class TestValidation:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.ccm"
@@ -407,6 +430,42 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
+    def test_parameter_without_shape_refused(self, tmp_path):
+        # fc(3 -> 2) whose bias declares no shape, with its two values behind it
+        meta = {
+            **HEADER,
+            "layers": [
+                {"kind": "fc", "c_in": 3, "c_out": 2,
+                 "params": [{"name": "matrix", "shape": [3, 2]}, {"name": "bias"}]},
+            ],
+        }
+        path = tmp_path / "bad.ccm"
+        write_raw(path, MODEL_MAGIC, meta, b"\x00" * 8 * 8)
+        with pytest.raises(ModelFormatError, match="layer 0: parameter 'bias': no 'shape'"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("stride", True), ("c_in", 4.0), ("n", 2.0), ("pad", [1.0, True]),
+         ("kernel", [3, 3.0])],
+        ids=["stride-true", "c_in-float", "n-float", "pad-float-true", "kernel-float"],
+    )
+    def test_integer_field_of_another_json_type_refused(self, tmp_path, key, value):
+        # the circulant layer as save_model writes it, one integer field
+        # replaced by a JSON value that Python finds equal to it
+        layer = CircConvLayer(
+            init_circ_base(np.random.default_rng(1), (3, 3), PartitionConfig(2, 4, 6)),
+            geometry=ConvGeometry(pad=(1, 1)),
+        )
+        path = tmp_path / "m.ccm"
+        save_model(Network([layer]), path)
+        tag, length, rest = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(rest[: int(length)])
+        meta["layers"][0][key] = value
+        write_raw(path, MODEL_MAGIC, meta, rest[int(length):])
+        with pytest.raises(ModelFormatError, match=rf"layer 0: circconv fields \['{key}'\]"):
+            load_model(path)
+
     def test_big_endian_model_refused(self, tmp_path):
         path = tmp_path / "m.ccm"
         save_model(sample_net(), path)
@@ -497,6 +556,14 @@ class TestTensorFiles:
         with pytest.raises(ModelFormatError, match="tensor: bad shape"):
             load_tensor(path)
 
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_manifest_without_shape_refused(self, tmp_path, count):
+        meta = {"format": TENSOR_MAGIC, "precision": "f64", "endianness": "little"}
+        path = tmp_path / "t.cct"
+        write_raw(path, TENSOR_MAGIC, meta, struct.pack(f"<{count}d", *[3.5] * count))
+        with pytest.raises(ModelFormatError, match="tensor: no 'shape' declared"):
+            load_tensor(path)
+
     def test_manifest_that_is_a_list_refused(self, tmp_path):
         path = tmp_path / "t.cct"
         write_raw(path, TENSOR_MAGIC, [], b"")
@@ -510,6 +577,21 @@ class TestTensorFiles:
         path.write_bytes(raw.replace(b'"endianness": "little"', b'"endianness": "big"   ', 1))
         with pytest.raises(ModelFormatError, match="unsupported endianness 'big'"):
             load_tensor(path)
+
+    def test_scalar_keeps_its_empty_shape(self, tmp_path):
+        path = tmp_path / "t.cct"
+        save_tensor(path, 3.5)
+        assert b'"shape": []' in path.read_bytes()
+        assert load_tensor(path).shape == ()
+
+    @pytest.mark.parametrize("kind", ["model", "tensor"])
+    def test_write_failure_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "missing-dir" / "out"
+        with pytest.raises(OSError, match="cannot write .*missing-dir"):
+            if kind == "model":
+                save_model(sample_net(), path)
+            else:
+                save_tensor(path, np.ones(3))
 
 
 class TestLoadedArrays:
@@ -555,4 +637,28 @@ class TestSchemeFiles:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"conv1": True}))
         with pytest.raises(ModelFormatError, match="positive integer, got True"):
+            load_scheme_file(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"conv1": 1, "\xff": 2}',
+            json.dumps({"conv1": 1}).encode("utf-16"),
+            json.dumps({"conv1": 1}).encode("utf-32"),
+            b"\xef\xbb\xbf" + json.dumps({"conv1": 1}).encode(),
+        ],
+        ids=["invalid-utf8", "utf-16", "utf-32", "utf-8-bom"],
+    )
+    def test_text_that_is_not_utf8_json_refused(self, tmp_path, raw):
+        # the one JSON rule of every file kind: UTF-8 text, no byte order mark
+        path = tmp_path / "s.json"
+        path.write_bytes(raw)
+        with pytest.raises(ModelFormatError, match="scheme file is not valid JSON"):
+            load_scheme_file(path)
+
+    @pytest.mark.parametrize("data", [[["conv1", 1]], 2, {}])
+    def test_rejects_what_is_not_a_mapping(self, tmp_path, data):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError, match="not a JSON object|must map names"):
             load_scheme_file(path)
