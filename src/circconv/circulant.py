@@ -13,10 +13,14 @@ exactly a circular convolution, and the diagonal-mean projection below
 returns fibers in the same convention, so the two compose without
 re-indexing.
 
-project_tensor reads a dense kernel in place, one block row at a time, so
-it makes no block-sized gather; its error is a sum of squared differences
-over a second walk of the rows, which reads exactly 0.0 on a kernel that
-is already block-circulant.
+project_tensor walks a dense kernel in cache-sized chunks of block rows
+(the N kernel rows of one input block at one kernel position), with
+buffers allocated once per call. Within a chunk it adds the rows in order
+along each cyclic diagonal, so every fiber is the same sum, in the same
+order, as project_matrix on that block, whatever the chunk size; its
+error is a sum of squared differences over a second walk of the chunk's
+rows, which reads exactly 0.0 on a kernel that is already block-circulant
+and, like the fibers, does not depend on the chunk size.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,12 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .tensor import DTYPE, as_tensor4
+
+
+# Upper bound, in bytes, on the buffers project_tensor fills per chunk of
+# the kernel: half of a 2 MiB L2 cache, as convops._GROUP_BYTES bounds a
+# window matrix.
+_CHUNK_BYTES = 1 << 20
 
 
 def _ceil_div(a, b):
@@ -86,6 +96,10 @@ class CirculantBaseTensor:
         if self.base.ndim != 4:
             raise ShapeError(
                 f"base tensor: expected 4 axes, got shape {self.base.shape}"
+            )
+        if 0 in self.base.shape:
+            raise ShapeError(
+                f"base tensor: every axis must have length >= 1, got shape {self.base.shape}"
             )
         w1, h1, rn, s = self.base.shape
         cfg = self.config
@@ -167,13 +181,27 @@ def project_tensor(w, config):
     means. Returns (CirculantBaseTensor, ProjectionReport) where the report
     carries the total and per-block squared Frobenius approximation error.
 
-    The kernel is read through its (W1, H1, R, a, S, b) block view, one
-    block row a at a time: row a of every block, shifted left by a, holds
-    fiber entries (b - a) % N, so two strided slice-adds per row build the
-    diagonal sums. The rows are added in order before dividing by N, as
-    project_matrix does. The error walks the rows a second time and sums
-    squared differences; the per-block shortcut |B|^2 - N|f|^2 would cancel,
-    and an exactly circulant kernel would no longer report exactly 0.0.
+    The kernel is walked in chunks of whole block rows: a block row is the
+    N kernel rows of one input block r at one kernel position (w1, h1),
+    across all S blocks. Each chunk is seen as row[a, b, unit, s], entry
+    (a, b) of every block in it. Row a shifted left by a holds fiber
+    entries (b - a) % N, so two slice-adds per row build the diagonal sums,
+    and the rows are added in order before dividing by N, as project_matrix
+    does. The error walks the rows a second time: with the fibers stored
+    twice over, f[N - a:2N - a] lines up with row a, so one subtraction per
+    row gives its differences. Their squares are summed over the rows a for
+    each column b, then over the columns. Every output entry is the same
+    sequence of operations whatever the chunking or layout, so results do
+    not depend on either; the per-block shortcut |B|^2 - N|f|^2 would
+    cancel, and an exactly circulant kernel would no longer report exactly
+    0.0.
+
+    A chunk's buffers stay under _CHUNK_BYTES and are allocated once per
+    call. While N is at most the R*S blocks of one kernel position, each
+    chunk is gathered into (a, b, unit, s) order, so every slice is a few
+    long contiguous runs, which the second walk reads from the cache. At
+    larger N the runs along b are the longer ones: the kernel is read in
+    place, and only the sums are chunked.
     """
     w = as_tensor4(w)
     w1, h1, c_in, c_out = w.shape
@@ -188,27 +216,50 @@ def project_tensor(w, config):
         wp[:, :, :c_in, :c_out] = w
     else:
         wp = w
-    rows = wp.reshape(w1, h1, r, n, s, n)  # rows[..., a, :, :] is row a of each block
-    fibers = rows[:, :, :, 0].copy()  # (W1, H1, R, S, N)
-    for a in range(1, n):
-        fibers[..., : n - a] += rows[:, :, :, a, :, a:]
-        fibers[..., n - a :] += rows[:, :, :, a, :, :a]
-    fibers /= n
-
-    per_block = np.zeros((w1, h1, r, s))
-    diff = np.empty_like(fibers)
-    for a in range(n):
-        np.subtract(rows[:, :, :, a, :, a:], fibers[..., : n - a], out=diff[..., a:])
-        np.subtract(rows[:, :, :, a, :, :a], fibers[..., n - a :], out=diff[..., :a])
-        per_block += np.einsum("...i,...i->...", diff, diff)
-
-    base = np.ascontiguousarray(
-        fibers.transpose(0, 1, 2, 4, 3).reshape(w1, h1, r * n, s)
-    )
+    units = w1 * h1 * r
+    itemsize = np.dtype(DTYPE).itemsize
+    gather = n <= r * s
+    per_unit = ((n if gather else 0) + 4) * n * s * itemsize
+    step = min(units, max(1, _CHUNK_BYTES // per_unit))
+    if gather:
+        rows = np.empty((n, n, step, s), dtype=DTYPE)
+        fib, diff, acc = (np.empty((k, step, s), dtype=DTYPE) for k in (2 * n, n, n))
+    else:
+        fib, diff, acc = (
+            np.empty((step, s, k), dtype=DTYPE).transpose(2, 0, 1) for k in (2 * n, n, n)
+        )
+    kernel = wp.reshape(units, n, s, n)
+    base = np.empty((units, n, s), dtype=DTYPE)
+    per_block = np.empty((units, s))
+    for u in range(0, units, step):
+        m = min(step, units - u)
+        row = kernel[u : u + m].transpose(1, 3, 0, 2)
+        if gather:
+            np.copyto(rows[:, :, :m], row)
+            row = rows[:, :, :m]
+        f, d, e = fib[:, :m], diff[:, :m], acc[:, :m]
+        np.copyto(f[:n], row[0])
+        for a in range(1, n):
+            f[: n - a] += row[a, a:]
+            f[n - a : n] += row[a, :a]
+        f[:n] /= n
+        np.copyto(f[n:], f[:n])  # row a, entry b, is fiber entry (b - a) % N: f[N - a + b]
+        for a in range(n):
+            sq = e if a == 0 else d
+            np.subtract(row[a], f[n - a : 2 * n - a], out=sq)
+            sq *= sq
+            if a:
+                e += d
+        pb = per_block[u : u + m]
+        np.copyto(pb, e[0])
+        for b in range(1, n):
+            pb += e[b]
+        np.copyto(base[u : u + m], f[:n].transpose(1, 0, 2))
+    per_block = per_block.reshape(w1, h1, r, s)
     report = ProjectionReport(
         total_sq_error=float(per_block.sum()), per_block_sq_error=per_block
     )
-    return CirculantBaseTensor(base, config), report
+    return CirculantBaseTensor(base.reshape(w1, h1, r * n, s), config), report
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,8 @@ def cmd_verify(args):
 def cmd_bench(args):
     _at_least(args.reps, 1, "--reps")
     _at_least(args.reps_inner, 1, "--reps-inner")
+    _at_least(args.kernel, 1, "--kernel")
+    _at_least(args.spatial, 1, "--spatial")
     rng = np.random.default_rng(args.seed)
     rows = [
         verification.probe_fft_path(

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from circconv import circulant
 from circconv.circulant import (
     CirculantBaseTensor,
     CompressionScheme,
@@ -189,6 +192,17 @@ class TestProjectTensor:
         assert np.max(np.abs(twice.base - once.base)) <= 1e-12
         assert report.total_sq_error <= 1e-18
 
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 8), (3, 0, 4, 8)])
+    def test_rejects_a_zero_length_kernel_axis(self, shape):
+        with pytest.raises(ShapeError, match="length >= 1"):
+            project_tensor(np.zeros(shape), PartitionConfig(n=2, c_in=4, c_out=8))
+
+    def test_base_with_a_zero_length_axis_refused(self):
+        cfg = PartitionConfig(n=2, c_in=4, c_out=8)
+        for shape in [(0, 3, 4, 4), (3, 0, 4, 4)]:
+            with pytest.raises(ShapeError, match="length >= 1"):
+                CirculantBaseTensor(np.zeros(shape), cfg)
+
     def test_error_matches_blockwise_sum(self):
         rng = np.random.default_rng(13)
         cfg = PartitionConfig(n=2, c_in=4, c_out=4)
@@ -261,3 +275,104 @@ class TestProjectTensorOracle:
                     sq[k1, k2, rows, cols].sum(), rtol=1e-12, atol=0,
                 )
             np.testing.assert_allclose(report.total_sq_error, sq.sum(), rtol=1e-12, atol=0)
+
+    def test_error_is_summed_over_rows_then_columns(self):
+        # the per-block error in its documented order, block by block: both
+        # layouts (gathered while N <= R*S, in place above) must match it
+        layouts = set()
+        for w, cfg in _oracle_instances():
+            n = cfg.n
+            layouts.add(n <= cfg.r * cfg.s)
+            projected, report = project_tensor(w, cfg)
+            wp = np.zeros(w.shape[:2] + (cfg.padded_in, cfg.padded_out))
+            wp[:, :, : cfg.c_in, : cfg.c_out] = w
+            for k1, k2, r, s in np.ndindex(w.shape[0], w.shape[1], cfg.r, cfg.s):
+                rows, cols = slice(r * n, (r + 1) * n), slice(s * n, (s + 1) * n)
+                fiber = projected.base[k1, k2, rows, s]
+                sq = (wp[k1, k2, rows, cols] - circulant_from_fiber(fiber)) ** 2
+                columns = sq[0].copy()
+                for a in range(1, n):
+                    columns += sq[a]
+                total = columns[0]
+                for b in range(1, n):
+                    total += columns[b]
+                assert report.per_block_sq_error[k1, k2, r, s] == total
+        assert layouts == {True, False}
+
+
+def _chunking_instances():
+    """Projection problems for the chunk walk: the oracle instances, layers
+    whose block rows do not divide into whole chunks at the default bound,
+    and N in {1, 2, 7, 64} with R or S = 1 (large N with few blocks reads
+    the kernel in place)."""
+    yield from _oracle_instances()
+    rng = np.random.default_rng(78)
+    for shape, n in [
+        ((3, 3, 384, 96), 2),
+        ((3, 3, 140, 133), 7),
+        ((2, 3, 5, 6), 1),
+        ((3, 3, 2, 40), 2),
+        ((3, 3, 70, 7), 7),
+        ((3, 3, 64, 640), 64),
+        ((2, 3, 128, 64), 64),
+        ((1, 2, 64, 100), 64),
+    ]:
+        yield rng.standard_normal(shape), PartitionConfig(n, shape[2], shape[3])
+
+
+class TestProjectTensorChunks:
+    """The chunk bound changes how the kernel is walked, never a bit of the
+    result: one block row per chunk, a bound that leaves a partial last
+    chunk, the default, and the whole kernel in one chunk all agree."""
+
+    @pytest.mark.parametrize("bound", [1, 50_000, 1 << 30])
+    def test_result_does_not_depend_on_the_chunks(self, monkeypatch, bound):
+        instances = list(_chunking_instances())
+        want = [project_tensor(w, cfg) for w, cfg in instances]
+        monkeypatch.setattr(circulant, "_CHUNK_BYTES", bound)
+        for (w, cfg), (base, report) in zip(instances, want):
+            got, got_report = project_tensor(w, cfg)
+            assert got.base.tobytes() == base.base.tobytes(), (w.shape, cfg)
+            assert got_report.per_block_sq_error.tobytes() == report.per_block_sq_error.tobytes()
+            assert repr(got_report.total_sq_error) == repr(report.total_sq_error)
+
+    def test_default_bound_splits_the_large_instances(self):
+        # a chunk holds whole block rows (one input block at one kernel
+        # position); these instances span several, with a partial last one
+        for shape, n in [((3, 3, 384, 96), 2), ((3, 3, 140, 133), 7)]:
+            cfg = PartitionConfig(n, shape[2], shape[3])
+            units = shape[0] * shape[1] * cfg.r
+            # gathered rows (N*N), fibers (2N), differences and sums (N each)
+            per_unit = (n + 4) * n * cfg.s * 8
+            step = circulant._CHUNK_BYTES // per_unit
+            assert 1 < step < units and units % step != 0
+
+    @pytest.mark.parametrize("n", [3, 64])
+    @pytest.mark.parametrize("bound", [1, 1 << 20])
+    def test_circulant_kernel_reads_exactly_zero_across_chunks(self, monkeypatch, n, bound):
+        monkeypatch.setattr(circulant, "_CHUNK_BYTES", bound)
+        rng = np.random.default_rng(n)
+        cfg = PartitionConfig(n=n, c_in=4 * n, c_out=3 * n)
+        base = CirculantBaseTensor(
+            rng.integers(-9, 10, size=(3, 3, 4 * n, 3)).astype(float), cfg
+        )
+        projected, report = project_tensor(expand(base), cfg)
+        assert projected.base.tobytes() == base.base.tobytes()
+        assert report.total_sq_error == 0.0
+        assert not report.per_block_sq_error.any()
+
+    def test_peak_memory_is_the_outputs_and_one_chunk(self):
+        # the result (base and per-block error) plus a fixed allowance of
+        # 2 MiB, twice the chunk bound; a walk that holds a layer-sized copy
+        # of the kernel or of its differences needs 10 MB more here
+        w = np.random.default_rng(5).standard_normal((3, 3, 384, 384))
+        cfg = PartitionConfig(n=2, c_in=384, c_out=384)
+        tracemalloc.start()
+        try:
+            projected, report = project_tensor(w, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = projected.base.nbytes + report.per_block_sq_error.nbytes
+        assert outputs == 3 * 3 * 192 * (384 + 192) * 8
+        assert peak < outputs + (2 << 20), (peak, outputs)

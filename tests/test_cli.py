@@ -436,6 +436,22 @@ class TestCounts:
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--kernel", "0"), "--kernel must be at least 1, got 0"),
+            (("--kernel", "-2"), "--kernel must be at least 1, got -2"),
+            (("--spatial", "0"), "--spatial must be at least 1, got 0"),
+        ],
+        ids=["kernel-0", "kernel-negative", "spatial-0"],
+    )
+    def test_bench_size_below_one_exits_1(self, capsys, argv, message):
+        # these died with ZeroDivisionError, "negative dimensions" and a
+        # misleading "kernel larger than padded input"
+        code, out, err = run(capsys, "bench", "--sizes", "8", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: ConfigError: {message}\n"
+
     def test_one_instance_per_size_is_enough(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "2", "--sizes", "2,3")
         assert code == 0

@@ -238,6 +238,26 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="does not tile"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            {"kind": "conv", "kernel": [0, 3], "c_in": 4, "c_out": 8, "pad": [0, 0],
+             "stride": 1, "params": [{"name": "w", "shape": [0, 3, 4, 8]},
+                                     {"name": "bias", "shape": [8]}]},
+            {"kind": "circconv", "kernel": [3, 0], "c_in": 4, "c_out": 8, "n": 2,
+             "pad": [0, 0], "stride": 1, "params": [{"name": "base", "shape": [3, 0, 4, 4]},
+                                                    {"name": "bias", "shape": [8]}]},
+        ],
+        ids=["conv", "circconv"],
+    )
+    def test_kernel_with_a_zero_length_axis_refused(self, tmp_path, layer):
+        # such a file used to load, and its circulant forward pass then died
+        # with ZeroDivisionError
+        path = tmp_path / "empty.ccm"
+        write_raw(path, MODEL_MAGIC, {**HEADER, "layers": [layer]}, b"\x00" * 8 * 8)
+        with pytest.raises(ModelFormatError, match=r"layer 0: .*length >= 1"):
+            load_model(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
         net = sample_net()

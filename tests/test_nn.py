@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circconv import nn
+from circconv import analysis, nn
 from circconv.circulant import (
     CirculantBaseTensor,
     CompressionScheme,
@@ -76,6 +76,13 @@ class TestLayerConstruction:
     def test_wrong_shape_raises_shape_error(self, build, message):
         with pytest.raises(ShapeError, match=message):
             build()
+
+    @pytest.mark.parametrize("shape", [(0, 3, 4, 8), (3, 0, 4, 8), (3, 3, 0, 8), (3, 3, 4, 0)])
+    def test_kernel_with_a_zero_length_axis_refused(self, shape):
+        # such a kernel used to build, convert at error 0.0 and then fail in
+        # the circulant forward pass with ZeroDivisionError
+        with pytest.raises(ShapeError, match="length >= 1"):
+            DenseConvLayer(np.zeros(shape))
 
 
 class TestForwardPass:
@@ -535,3 +542,35 @@ class TestConversionFixture:
         monkeypatch.setattr(nn, "project_tensor", counting)
         convert_network(conversion_source_net(), self.SCHEME)
         assert calls == [3, 8, 7]
+
+
+class TestAlexnetConversionBytes:
+    """Bases that convert_network makes of a seeded dense net with the
+    alexnet_v2() conv shapes, pinned by digest as computed before
+    project_tensor walked the kernel in chunks. Its layers span many chunks,
+    which the golden fixture's do not."""
+
+    DIGESTS = {
+        "1-2-2-2-2": ("3159c9215a42669d2541b9f133a0b70cb96ae8bcc44d8057c8bcb697c3090ae4",
+                      1588419.3854471978),
+        "1-3-5-7-64": ("6a745d20227728dc6f853b7088f6680fd54e6a7d15be1612bb6e6c2d92634fec",
+                       2741800.9026940344),
+    }
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        rng = np.random.default_rng(2016)
+        return Network([
+            DenseConvLayer(rng.standard_normal((*spec.kernel, spec.c_in, spec.c_out)))
+            for spec in analysis.alexnet_v2() if spec.kind == "conv"
+        ])
+
+    @pytest.mark.parametrize("scheme", sorted(DIGESTS))
+    def test_bases_are_the_pinned_bytes(self, dense, scheme):
+        converted, err = convert_network(dense, CompressionScheme.parse(scheme))
+        digest = hashlib.sha256()
+        for layer in converted.layers[1:]:
+            digest.update(layer.base.base.tobytes())
+        want_digest, want_err = self.DIGESTS[scheme]
+        assert digest.hexdigest() == want_digest
+        assert err == pytest.approx(want_err, rel=1e-12, abs=0)
