@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: analyze (cost reports), convert (dense model to circulant),
-verify (property suites), bench (dense vs FFT path), train (toy tasks),
+verify (property suites), bench (dense vs FFT path), train (the toy task),
 infer (run a saved model on a tensor file). Every command is deterministic
 under a fixed --seed; failures exit nonzero with a single-line error and
 partially written output files are removed.
@@ -291,7 +291,6 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="train on the built-in toy task")
-    p.add_argument("--task", choices=("toy",), default="toy")
     p.add_argument("--scheme", default="2",
                    help="partition size per conv layer for from-scratch training")
     p.add_argument("--from-model", help="start from a saved model instead")

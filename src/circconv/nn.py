@@ -224,6 +224,10 @@ class FullyConnected(Layer):
             raise ShapeError(
                 f"fc matrix: expected 2 axes (C_in, C_out), got shape {self.matrix.shape}"
             )
+        if 0 in self.matrix.shape:
+            raise ShapeError(
+                f"fc matrix: every axis must have length >= 1, got shape {self.matrix.shape}"
+            )
         self.bias = _bias(bias, self.matrix.shape[1])
 
     def params(self):

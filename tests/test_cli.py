@@ -487,7 +487,7 @@ class TestTrain:
     def test_logs_every_step_and_writes_model(self, capsys, tmp_path):
         out_path = tmp_path / "trained.ccm"
         code, out, _ = run(
-            capsys, "train", "--task", "toy", "--scheme", "2",
+            capsys, "train", "--scheme", "2",
             "--steps", "5", "--seed", "9", "--batch-size", "8",
             "--model-out", str(out_path),
         )
@@ -550,7 +550,7 @@ class TestTrain:
         outs = []
         for _ in range(2):
             code, out, _ = run(
-                capsys, "train", "--task", "toy", "--scheme", "2",
+                capsys, "train", "--scheme", "2",
                 "--steps", "4", "--seed", "12", "--batch-size", "8",
             )
             assert code == 0

@@ -19,6 +19,7 @@ from circconv.convops import (
     _grid,
     _group_size,
     _grouped_windows,
+    _pad_spatial,
     _spectra,
     circ_backward,
     circ_backward_input,
@@ -148,6 +149,115 @@ class TestConvNaive:
         dx = conv_naive_backward_input(gy, w, g)
         want = np.stack([conv_naive_backward_input(gi, w, g) for gi in gy])
         assert rel_diff(dx, want) <= 1e-12
+
+
+def tensordot_passes(x, w, grad_y, g, in_size):
+    """conv_naive and its two backward passes as np.pad and np.tensordot
+    formulate them: the bits the dense passes keep."""
+    single = x.ndim == 3
+    xb, gb = (x[None], grad_y[None]) if single else (x, grad_y)
+    k1, k2 = w.shape[:2]
+    pw, ph = g.pad
+    out_hw = gb.shape[1:3]
+    xp = np.pad(xb, [(0, 0), (pw, pw), (ph, ph), (0, 0)])
+    y = np.zeros(gb.shape[:3] + (w.shape[3],))
+    dw = np.empty(w.shape)
+    dxp = np.zeros((xb.shape[0], in_size[0] + 2 * pw, in_size[1] + 2 * ph, w.shape[2]))
+    for a in range(k1):
+        for b in range(k2):
+            win = convops._window(xp, a, b, out_hw, g.stride)
+            y += np.tensordot(win, w[a, b], axes=([3], [0]))
+            dw[a, b] = np.tensordot(win, gb, axes=([0, 1, 2], [0, 1, 2]))
+            dwin = convops._window(dxp, a, b, out_hw, g.stride)
+            dwin += np.tensordot(gb, w[a, b], axes=([3], [1]))
+    dx = dxp[:, pw : pw + in_size[0], ph : ph + in_size[1]]
+    return (y[0], dw, dx[0]) if single else (y, dw, dx)
+
+
+def dense_passes(x, w, grad_y, g):
+    in_size = x.shape[-3:-1]
+    return (
+        conv_naive(x, w, g),
+        conv_naive_backward_weight(x, grad_y, w.shape[:2], g),
+        conv_naive_backward_input(grad_y, w, g, in_size),
+    )
+
+
+def dense_instance(rng):
+    """A random dense-pass instance: strides 1-3, pads 0-2, kernels 1-5,
+    a single sample or a batch of 1-8, 1-12 channels each side."""
+    stride = int(rng.integers(1, 4))
+    pad = tuple(int(p) for p in rng.integers(0, 3, 2))
+    k = tuple(int(v) for v in rng.integers(1, 6, 2))
+    c_in, c_out = (int(c) for c in rng.integers(1, 13, 2))
+    hw = tuple(int(rng.integers(max(1, ki - 2 * p), 12)) for ki, p in zip(k, pad))
+    lead = () if rng.random() < 0.3 else (int(rng.integers(1, 9)),)
+    g = ConvGeometry(pad=pad, stride=stride)
+    x = rng.standard_normal(lead + hw + (c_in,))
+    w = rng.standard_normal(k + (c_in, c_out))
+    grad_y = rng.standard_normal(lead + g.out_size(hw, k) + (c_out,))
+    return x, w, grad_y, g
+
+
+class TestDenseBits:
+    """The dense passes call np.dot on tensordot's own operands, so they
+    must equal the tensordot formulation bit for bit, not just closely."""
+
+    def test_equal_to_tensordot_formulation(self):
+        rng = np.random.default_rng(1800)
+        cases = [dense_instance(rng) for _ in range(300)]
+        # the edges of the grid: one channel each side, single samples
+        for stride in (1, 2, 3):
+            for pad in (0, 1, 2):
+                x = rng.standard_normal((7, 6, 1))
+                w = rng.standard_normal((3, 2, 1, 1))
+                g = ConvGeometry(pad=(pad, pad), stride=stride)
+                cases.append((x, w, rng.standard_normal(g.out_size((7, 6), (3, 2)) + (1,)), g))
+        for i, (x, w, grad_y, g) in enumerate(cases):
+            want = tensordot_passes(x, w, grad_y, g, x.shape[-3:-1])
+            for name, got, ref in zip(("forward", "dw", "dx"), dense_passes(x, w, grad_y, g), want):
+                assert got.shape == ref.shape and np.array_equal(got, ref), (i, name, g, w.shape)
+
+
+class TestInputLayouts:
+    def test_pad_spatial_returns_fresh_zero_bordered_c_array(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 4, 3, 5))
+        for src in (x, np.asfortranarray(x), x[:, :, :, ::-1]):
+            xp = _pad_spatial(src, (2, 1))
+            assert xp.shape == (2, 8, 5, 5)
+            assert xp.flags.c_contiguous and not np.shares_memory(xp, src)
+            np.testing.assert_array_equal(xp[:, 2:6, 1:4], src)
+            border = np.ones(xp.shape, dtype=bool)
+            border[:, 2:6, 1:4] = False
+            assert not xp[border].any()
+        assert _pad_spatial(x, (0, 0)) is x
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced"])
+    def test_input_layout_does_not_change_bits(self, layout):
+        # an F-ordered grad_y whose batch and spatial axes can merge used to
+        # reach BLAS as a transposed operand, which sums in another order
+        # than the C-contiguous copy does
+        rng = np.random.default_rng(31)
+
+        def relayout(a):
+            if layout == "fortran":
+                return np.asfortranarray(a)
+            wide = rng.standard_normal(a.shape[:-1] + (2 * a.shape[-1],))
+            wide[..., ::2] = a
+            return wide[..., ::2]
+
+        cases = [dense_instance(rng) for _ in range(150)]
+        # merge-able batch and spatial axes: one non-unit axis among them
+        for shape in [(1, 5, 1, 3), (4, 1, 1, 3), (1, 1, 6, 3), (5, 1, 3), (1, 4, 3)]:
+            x = rng.standard_normal(shape)
+            w = rng.standard_normal((1, 1, 3, 4))
+            cases.append((x, w, rng.standard_normal(shape[:-1] + (4,)), ConvGeometry()))
+        for i, (x, w, grad_y, g) in enumerate(cases):
+            want = dense_passes(x, w, grad_y, g)
+            got = dense_passes(relayout(x), w, relayout(grad_y), g)
+            for name, a, b in zip(("forward", "dw", "dx"), got, want):
+                assert np.array_equal(a, b), (i, name, x.shape, g)
 
 
 class TestConvBlock:

@@ -258,6 +258,18 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=r"layer 0: .*length >= 1"):
             load_model(path)
 
+    @pytest.mark.parametrize("c_in, c_out", [(4, 0), (0, 3)])
+    def test_fc_matrix_with_a_zero_length_axis_refused(self, tmp_path, c_in, c_out):
+        # such a file used to load; a (4, 0) matrix then gave (B, 0) logits
+        # and the loss died with a bare ValueError
+        layer = {"kind": "fc", "c_in": c_in, "c_out": c_out,
+                 "params": [{"name": "matrix", "shape": [c_in, c_out]},
+                            {"name": "bias", "shape": [c_out]}]}
+        path = tmp_path / "empty_fc.ccm"
+        write_raw(path, MODEL_MAGIC, {**HEADER, "layers": [layer]}, b"\x00" * 8 * c_out)
+        with pytest.raises(ModelFormatError, match=r"layer 0: fc matrix: .*length >= 1"):
+            load_model(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
         net = sample_net()

@@ -70,8 +70,15 @@ class TestLayerConstruction:
              r"bias length \(1,\) does not match 2 outputs"),
             (lambda: DenseConvLayer(np.zeros((1, 3, 2))), "expected 4 axes"),
             (lambda: FullyConnected(np.zeros(6)), "expected 2 axes"),
+            # a (4, 0) matrix used to build and give (B, 0) logits, on which
+            # the loss died with a bare ValueError; (0, 3) gave constant logits
+            (lambda: FullyConnected(np.zeros((4, 0))),
+             r"fc matrix: every axis must have length >= 1, got shape \(4, 0\)"),
+            (lambda: FullyConnected(np.zeros((0, 3))),
+             r"fc matrix: every axis must have length >= 1, got shape \(0, 3\)"),
         ],
-        ids=["conv-bias", "fc-bias", "conv-w-3d", "fc-matrix-1d"],
+        ids=["conv-bias", "fc-bias", "conv-w-3d", "fc-matrix-1d", "fc-matrix-no-outputs",
+             "fc-matrix-no-inputs"],
     )
     def test_wrong_shape_raises_shape_error(self, build, message):
         with pytest.raises(ShapeError, match=message):
@@ -365,6 +372,20 @@ class TestTraining:
             runs.append((clone_params(net), hist))
         assert params_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+    def test_dense_toy_training_is_the_pinned_bytes(self):
+        # digest of the parameters as computed when the dense passes called
+        # np.pad and np.tensordot: their np.dot form must keep every bit
+        data = make_toy_task(seed=0)
+        net = make_dense_toy_net(seed=1)
+        train(net, data, SgdConfig(batch_size=16), steps=60, seed=2)
+        digest = hashlib.sha256()
+        for layer in net.params():
+            for name in sorted(layer):
+                digest.update(layer[name].tobytes())
+        assert digest.hexdigest() == (
+            "6a8036d6a60b632e4ddbfd43ce1e157d424d8060ca9f858c2a88eb23dc971535"
+        )
 
     def test_non_finite_loss_raises_before_the_step(self):
         net = tiny_circ_net(seed=40)
