@@ -77,7 +77,6 @@ from .nn import (
     make_dense_toy_net,
     make_toy_task,
     sgd_step,
-    softmax,
     softmax_cross_entropy,
     train,
 )

@@ -59,51 +59,12 @@ def _at_least(value, minimum, what):
         raise ConfigError(f"{what} must be at least {minimum}, got {value}")
 
 
-def _conv_blocks(net):
-    """{layer index: block label} of the dense conv layers, which convert
-    projects: the k-th is labelled conv{k} in inline schemes and files."""
-    return {i: f"conv{k}" for k, i in enumerate(nn.conv_layer_indices(net))}
-
-
-def _specs_from_network(net, spatial):
-    """LayerSpec list for a loaded network, propagating spatial dims.
-
-    Each layer's manifest fields carry the LayerSpec fields it needs. Kinds
-    without counted cost (relu, gap) get no spec. A layer with a kernel maps
-    the spatial dims to its output size; one without (fc) follows the
-    global pool, so it keeps LayerSpec's (1, 1). The dense conv layers,
-    which convert would project, are the compressible blocks, labelled as
-    convert labels them; rows keep their layer{i} names.
-    """
-    blocks = _conv_blocks(net)
-    specs = []
-    for i, layer in enumerate(net.layers):
-        fields = layer.fields()
-        if fields["kind"] not in analysis.SPEC_KINDS:
-            continue
-        dims = {}
-        if "kernel" in fields:
-            kernel = tuple(fields["kernel"])
-            out = layer.geometry.out_size(spatial, kernel)
-            dims = {"kernel": kernel, "in_spatial": spatial, "out_spatial": out}
-            spatial = out
-        name = f"layer{i}"
-        specs.append(
-            analysis.LayerSpec(
-                kind=fields["kind"], name=name, c_in=fields["c_in"],
-                c_out=fields["c_out"], n=fields.get("n", 1),
-                block=blocks.get(i), **dims,
-            )
-        )
-    return specs
-
-
 def cmd_analyze(args):
     if args.preset:
         model = analysis.PRESETS[args.preset]()
     else:
-        net = model_io.load_model(args.model)
-        model = _specs_from_network(net, tuple(args.spatial))
+        _at_least(min(args.spatial), 1, "--spatial")
+        model = nn.layer_specs(model_io.load_model(args.model), tuple(args.spatial))
     labels = analysis.compressible_blocks(model)
     scheme = _load_scheme(args.scheme, labels) if args.scheme else None
     if args.baseline_preset:
@@ -122,7 +83,7 @@ def cmd_convert(args):
     net = model_io.load_model(args.model_in)
     if any(isinstance(layer, nn.CircConvLayer) for layer in net.layers):
         raise ConfigError("conversion input must be a dense model (kind=conv only)")
-    blocks = _conv_blocks(net)
+    blocks = nn.conv_blocks(net)
     if not blocks:
         raise ConfigError("model has no conv layers to convert")
     scheme = _load_scheme(args.scheme, list(blocks.values()))

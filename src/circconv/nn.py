@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from .circulant import (
     CirculantBaseTensor,
     CompressionScheme,
@@ -66,6 +67,8 @@ class Layer:
     fields() returns the manifest fields: `kind`, then whichever of
     `kernel`, `c_in`, `c_out` and `n` the kind has (named and meant as in
     analysis.LayerSpec), then the convolution geometry `pad` and `stride`.
+    layer_specs gives a kind whose fields carry `c_in` a LayerSpec, and one
+    with a `kernel` maps the spatial size through its `geometry`.
     from_fields(fields, params) rebuilds the layer from those fields and
     arrays named as in params(). in_rank is the input rank the kind
     requires (None: any), which forward_pass and load_model check, and
@@ -286,25 +289,60 @@ def forward_pass(net, xb):
                 raise ShapeError(f"expected a {layer.in_rank}-D input, got shape {h.shape}")
             h, c = layer.forward(h)
         except ShapeError as exc:
-            raise ShapeError(
-                f"layer {i} ({type(layer).__name__}): {exc}"
-            ) from exc
+            raise _in_layer(i, layer, exc) from exc
         caches.append(c)
     return h, ForwardCache(net.version, caches, h)
 
 
-def softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _in_layer(i, layer, exc):
+    """exc reworded to name the layer it was raised in."""
+    return ShapeError(f"layer {i} ({type(layer).__name__}): {exc}")
+
+
+def conv_blocks(net):
+    """{layer index: scheme block label} of the dense conv layers, which
+    convert_network projects: the k-th is conv{k} in schemes and files."""
+    convs = [i for i, layer in enumerate(net.layers) if isinstance(layer, DenseConvLayer)]
+    return {i: f"conv{k}" for k, i in enumerate(convs)}
+
+
+def layer_specs(net, spatial):
+    """analysis.LayerSpec list of a network for an input of the given
+    spatial size, one named layer{i} per layer whose fields carry c_in. A
+    kernel maps the spatial size through the layer's geometry; fc follows
+    the global pool, so it keeps LayerSpec's (1, 1). Dense conv layers
+    carry their conv_blocks label."""
+    blocks = conv_blocks(net)
+    specs = []
+    for i, layer in enumerate(net.layers):
+        fields = layer.fields()
+        if "c_in" not in fields:
+            continue
+        dims = {}
+        if "kernel" in fields:
+            kernel = tuple(fields["kernel"])
+            try:
+                out = layer.geometry.out_size(spatial, kernel)
+            except ShapeError as exc:
+                raise _in_layer(i, layer, exc) from exc
+            dims = {"kernel": kernel, "in_spatial": spatial, "out_spatial": out}
+            spatial = out
+        counted = {k: fields[k] for k in ("kind", "c_in", "c_out", "n") if k in fields}
+        specs.append(
+            analysis.LayerSpec(name=f"layer{i}", block=blocks.get(i), **counted, **dims)
+        )
+    return specs
 
 
 def softmax_cross_entropy(logits, labels):
-    """Mean cross entropy and its gradient with respect to the logits."""
-    p = softmax(logits)
+    """Mean cross entropy, log-sum-exp minus the label's logit with no
+    clamp, and its gradient with respect to the logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
     b = logits.shape[0]
-    loss = -np.log(p[np.arange(b), labels] + 1e-300).mean()
-    grad = p.copy()
+    loss = (np.log(total[:, 0]) - shifted[np.arange(b), labels]).mean()
+    grad = e / total
     grad[np.arange(b), labels] -= 1.0
     return float(loss), grad / b
 
@@ -504,10 +542,6 @@ def train(net, data, cfg, steps, seed, log=None):
     return history
 
 
-def conv_layer_indices(net):
-    return [i for i, l in enumerate(net.layers) if isinstance(l, DenseConvLayer)]
-
-
 def convert_network(net_dense, scheme):
     """Project every dense conv layer onto its block-circulant structure.
 
@@ -518,13 +552,13 @@ def convert_network(net_dense, scheme):
     with zero projection error. A converted layer keeps its geometry,
     stride included.
     """
-    idxs = conv_layer_indices(net_dense)
-    if len(scheme) != len(idxs):
+    blocks = conv_blocks(net_dense)
+    if len(scheme) != len(blocks):
         raise ConfigError(
             f"scheme lists {len(scheme)} ratios but the network has "
-            f"{len(idxs)} dense conv layers"
+            f"{len(blocks)} dense conv layers"
         )
-    ratios = dict(zip(idxs, scheme.ratios))
+    ratios = dict(zip(blocks, scheme.ratios))
     layers, total_err = [], 0.0
     for i, layer in enumerate(net_dense.layers):
         n = ratios.get(i, 1)
@@ -547,7 +581,7 @@ def convert_and_retrain(net_dense, n, data, cfg, retrain_steps, seed=0):
     Returns the converted network and a log with losses before conversion,
     right after conversion, and after retraining, plus the projection error.
     """
-    scheme = CompressionScheme((n,) * len(conv_layer_indices(net_dense)))
+    scheme = CompressionScheme((n,) * len(conv_blocks(net_dense)))
     x, labels = data
     loss_before, acc_before = evaluate(net_dense, x, labels)
     net, approx_err = convert_network(net_dense, scheme)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .analysis import LayerSpec, flop_count
+from .analysis import LayerSpec, dense_baseline, flop_count
 from .circulant import (
     CirculantBaseTensor,
     PartitionConfig,
@@ -43,7 +43,15 @@ from .convops import (
     conv_naive_backward_weight,
     kernel_spectra,
 )
-from .nn import CircConvLayer, SgdConfig, make_circ_toy_net, make_toy_task, train
+from .nn import (
+    CircConvLayer,
+    Network,
+    SgdConfig,
+    layer_specs,
+    make_circ_toy_net,
+    make_toy_task,
+    train,
+)
 
 
 @dataclass
@@ -537,12 +545,9 @@ def probe_fft_path(n, spatial, kernel, rng, reps, inner):
     t_naive = _best_time(naive, reps, inner)
     t_dense = _best_time(dense_blas, reps, inner)
     t_fast = _best_time(fast, reps, inner)
-    shape = dict(
-        name="bench", kernel=(kernel, kernel), c_in=n, c_out=n,
-        in_spatial=x.shape[:2], out_spatial=(spatial, spatial),
-    )
-    f_naive = flop_count(LayerSpec(kind="conv", **shape))
-    f_fast = flop_count(LayerSpec(kind="circconv", n=n, **shape))
+    specs = layer_specs(Network([CircConvLayer(base, geometry=g)]), x.shape[:2])
+    f_naive = flop_count(dense_baseline(specs)[0])
+    f_fast = flop_count(specs[0])
     return {
         "N": n,
         "naive_ms": t_naive * 1e3,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circconv import verification
 from circconv.cli import main
 from circconv.convops import ConvGeometry
 from circconv.model_io import load_model, load_tensor, save_model, save_tensor
@@ -147,6 +149,69 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["rows"][0]["kind"] == "circconv"
         assert report["totals"]["conv_params_pct"] == 50.0
+
+    @pytest.mark.parametrize("spatial", [("0", "0"), ("-1", "-1"), ("5", "0")])
+    def test_spatial_below_one_exits_1(self, capsys, tmp_path, spatial):
+        # a 1x1 conv padded by 1 gave a cost table for an empty input
+        path = tmp_path / "m.ccm"
+        conv = DenseConvLayer(np.ones((1, 1, 2, 3)), geometry=ConvGeometry(pad=(1, 1)))
+        save_model(Network([conv]), path)
+        code, out, err = run(capsys, "analyze", "--model", str(path), "--spatial", *spatial)
+        assert code == 1 and out == ""
+        least = min(map(int, spatial))
+        assert err == f"error: ConfigError: --spatial must be at least 1, got {least}\n"
+
+    def test_too_small_spatial_names_the_layer(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--model", str(ROOT / "tests/data/convert_dense.ccm"),
+            "--spatial", "2", "2",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: ShapeError: layer 0 (DenseConvLayer): kernel (3, 3) "
+            "larger than padded input (2, 2) + 2*(0, 0)\n"
+        )
+
+    # sha256 of each report on the fixture models at --spatial 12 12, as
+    # printed when the CLI mapped a network to LayerSpecs with its own walk
+    PINNED_REPORTS = {
+        ("convert_1-3-8-7", "", "text"): "415b9330b2cfa27e4e6d7cda9473c4ab6b2e823bd82cbb4ecf13d926fe568435",
+        ("convert_1-3-8-7", "", "json"): "0cea9dc7891fe54c0d84152a287558ceb21c42a01eed25cc71b410fef0f2e97a",
+        ("convert_1-3-8-7", "2", "text"): "86ce593d004345af9412284eec3263538032165abfdcbfe16bc6db13189d2cc0",
+        ("convert_1-3-8-7", "2", "json"): "cbe1919814a330cb654c1a304f5bc52693b945d90facaea13708f412a192fac8",
+        ("convert_dense", "", "text"): "f24400fc9cf00c52f83efbb27e94c0656781fdba63ebf8c7e6495661adf79d5a",
+        ("convert_dense", "", "json"): "fed02a10e34c4d4cf7414af1407eaa54dfff3449e9894405a5212ef1099c6946",
+        ("five_kinds_f32", "", "text"): "c81e43d4f7273f569b8fb4dca4ee919ce27117294ec5f7ea3c1a24bc6d74e979",
+        ("five_kinds_f32", "", "json"): "98ea72b536e4d1450e045d9964b3aef0988ac9913f2f11f24a8282f0f03ebfc3",
+        ("five_kinds_f32", "2", "text"): "7be80a2fe01b0ccb292976439ac3eb83c5019deb1d36c61a4c60396a1b155b08",
+        ("five_kinds_f32", "2", "json"): "e020f0df2b03eb0d3b114740ce117de21f610d276a74220161c284f881a23d09",
+        ("five_kinds_f64", "", "text"): "c81e43d4f7273f569b8fb4dca4ee919ce27117294ec5f7ea3c1a24bc6d74e979",
+        ("five_kinds_f64", "", "json"): "98ea72b536e4d1450e045d9964b3aef0988ac9913f2f11f24a8282f0f03ebfc3",
+        ("five_kinds_f64", "2", "text"): "7be80a2fe01b0ccb292976439ac3eb83c5019deb1d36c61a4c60396a1b155b08",
+        ("five_kinds_f64", "2", "json"): "e020f0df2b03eb0d3b114740ce117de21f610d276a74220161c284f881a23d09",
+    }
+
+    @pytest.mark.parametrize("model, scheme, form", sorted(PINNED_REPORTS))
+    def test_fixture_report_is_the_pinned_bytes(self, capsys, model, scheme, form):
+        argv = ["analyze", "--model", str(ROOT / f"tests/data/{model}.ccm")]
+        argv += ["--spatial", "12", "12"]
+        argv += ["--scheme", scheme] if scheme else []
+        argv += ["--json"] if form == "json" else []
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[model, scheme, form]
+
+    @pytest.mark.parametrize("form", [(), ("--json",)])
+    def test_dense_fixture_refuses_one_ratio(self, capsys, form):
+        code, out, err = run(
+            capsys, "analyze", "--model", str(ROOT / "tests/data/convert_dense.ccm"),
+            "--spatial", "12", "12", "--scheme", "2", *form,
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: ConfigError: scheme lists 1 ratios but the model has 4 "
+            "compressible blocks (conv0, conv1, conv2, conv3)\n"
+        )
 
 
 class TestConvertAndInfer:
@@ -481,6 +546,23 @@ class TestBench:
         for key in ("naive_ms", "fft_ms", "dense_ms", "dense_speedup", "flops_naive", "flops_fft"):
             assert key in rows[0]
         assert rows[0]["max_abs_diff"] <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, flops_naive, flops_fft, flop_ratio",
+        [
+            (1, 1152, 1152, 1.0),
+            (2, 4608, 2778, 0.6028645833333334),
+            (8, 73728, 27020, 0.3664822048611111),
+            (64, 4718592, 315328, 0.06682671440972222),
+            (256, 75497472, 1489664, 0.019731309678819444),
+        ],
+    )
+    def test_flop_columns_are_the_pinned_counts(self, n, flops_naive, flops_fft, flop_ratio):
+        # as counted from hand-built LayerSpecs, before the probe read them
+        # from nn.layer_specs of its one-layer network
+        row = verification.probe_fft_path(n, 8, 3, np.random.default_rng(0), 1, 1)
+        assert (row["flops_naive"], row["flops_fft"]) == (flops_naive, flops_fft)
+        assert row["flop_ratio"] == flop_ratio
 
 
 class TestTrain:

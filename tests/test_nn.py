@@ -28,12 +28,13 @@ from circconv.nn import (
     convert_network,
     evaluate,
     forward_pass,
+    conv_blocks,
     init_circ_base,
     make_circ_toy_net,
     make_dense_toy_net,
     make_toy_task,
+    layer_specs,
     sgd_step,
-    softmax,
     softmax_cross_entropy,
     train,
 )
@@ -148,11 +149,6 @@ class TestForwardPass:
         )
         np.testing.assert_array_equal(g_circ["bias"], g_dense["bias"])
 
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        p = softmax(rng.standard_normal((32, 7)) * 10)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
     def test_shape_error_names_layer(self):
         net = tiny_circ_net(seed=3)
         with pytest.raises(ShapeError, match="layer 0 .*CircConvLayer"):
@@ -183,6 +179,21 @@ class TestBackwardPass:
         loss, grad = softmax_cross_entropy(logits, np.array([0]))
         assert loss <= 1e-12
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
+
+    def test_loss_gradient_rows_sum_to_zero(self):
+        # each row is softmax minus a one-hot, over the batch size
+        rng = np.random.default_rng(2)
+        labels = rng.integers(0, 7, size=32)
+        _, grad = softmax_cross_entropy(rng.standard_normal((32, 7)) * 10, labels)
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+    def test_loss_is_not_capped(self):
+        # -log(p + 1e-300) capped each sample at ~690.8, so a diverging run
+        # reported a finite, steady loss; log-sum-exp minus the label's
+        # logit is exact here
+        loss, grad = softmax_cross_entropy(np.array([[0.0, 1000.0, 0.0]]), np.array([0]))
+        assert loss == 1000.0
+        np.testing.assert_array_equal(grad, [[-1.0, 1.0, 0.0]])
 
     def test_all_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -491,6 +502,64 @@ class TestConvertAndRetrain:
         dense = make_dense_toy_net(seed=29, spec=SMALL)
         with pytest.raises(ConfigError):
             convert_network(dense, CompressionScheme((2, 2)))
+
+
+class TestLayerSpecs:
+    def one_layer_of_each_kind(self):
+        rng = np.random.default_rng(50)
+        cfg = PartitionConfig(n=2, c_in=4, c_out=4)
+        return {
+            "circconv": CircConvLayer(init_circ_base(rng, (3, 3), cfg)),
+            "conv": DenseConvLayer(rng.standard_normal((3, 3, 4, 4))),
+            "relu": ReLU(),
+            "gap": GlobalAveragePool(),
+            "fc": FullyConnected(rng.standard_normal((4, 3))),
+        }
+
+    def test_a_spec_exactly_for_the_kinds_with_counted_cost(self):
+        # a new layer kind must be listed here, and so cannot drop out of
+        # `analyze` unseen: a spec exactly when its fields carry c_in
+        layers = self.one_layer_of_each_kind()
+        assert set(layers) == set(nn.LAYER_KINDS)
+        counted = set()
+        for kind, layer in layers.items():
+            specs = layer_specs(Network([layer]), (8, 8))
+            assert len(specs) == ("c_in" in layer.fields()), kind
+            if specs:
+                assert specs[0].kind == kind
+                counted.add(kind)
+        assert counted == set(analysis.SPEC_KINDS)
+
+    def test_specs_follow_the_spatial_size_and_carry_block_labels(self):
+        rng = np.random.default_rng(51)
+        cfg = PartitionConfig(n=2, c_in=4, c_out=6)
+        net = Network([
+            DenseConvLayer(rng.standard_normal((3, 3, 3, 4)), geometry=ConvGeometry(stride=2)),
+            ReLU(),
+            CircConvLayer(init_circ_base(rng, (3, 3), cfg), geometry=ConvGeometry(pad=(1, 1))),
+            DenseConvLayer(rng.standard_normal((1, 2, 6, 5))),
+            GlobalAveragePool(),
+            FullyConnected(rng.standard_normal((5, 2))),
+        ])
+        assert conv_blocks(net) == {0: "conv0", 3: "conv1"}
+        got = [
+            (s.name, s.kind, s.kernel, s.c_in, s.c_out, s.in_spatial, s.out_spatial, s.n, s.block)
+            for s in layer_specs(net, (9, 11))
+        ]
+        assert got == [
+            ("layer0", "conv", (3, 3), 3, 4, (9, 11), (4, 5), 1, "conv0"),
+            ("layer2", "circconv", (3, 3), 4, 6, (4, 5), (4, 5), 2, None),
+            ("layer3", "conv", (1, 2), 6, 5, (4, 5), (4, 4), 1, "conv1"),
+            ("layer5", "fc", (1, 1), 5, 2, (1, 1), (1, 1), 1, None),
+        ]
+
+    def test_too_small_an_input_names_the_layer(self):
+        net = Network([ReLU(), DenseConvLayer(np.zeros((3, 3, 2, 2)))])
+        with pytest.raises(
+            ShapeError,
+            match=r"^layer 1 \(DenseConvLayer\): kernel \(3, 3\) larger than padded input",
+        ):
+            layer_specs(net, (2, 5))
 
 
 def conversion_source_net():
