@@ -164,7 +164,7 @@ def apply_scheme(model, scheme):
 
 @dataclass
 class CostReport:
-    """Per-layer and total parameter/FLOP counts with ratios vs. a baseline.
+    """Per-layer and total parameter/FLOP counts with ratios vs. the dense baseline.
 
     Row keys: layer, kind, N, params, bias_params, flops, ratio_params,
     ratio_flops (ratios in percent of the baseline layer).
@@ -218,18 +218,15 @@ def dense_baseline(model):
     ]
 
 
-def evaluate_scheme(model, scheme, baseline=None):
-    """Apply a compression scheme and report costs against a baseline.
+def evaluate_scheme(model, scheme):
+    """Apply a compression scheme and report costs against dense_baseline(model):
+    the model before the scheme, with every circconv layer relaxed to dense.
 
-    scheme may be None to report the model as-is. The baseline defaults to
-    the model itself before the scheme is applied. Conv-only ratios are
+    scheme may be None to report the model as-is. Conv-only ratios are
     reported alongside whole-model ratios, since fully connected layers
     dominate some architectures and are never compressed.
     """
-    baseline = model if baseline is None else baseline
     compressed = model if scheme is None else apply_scheme(model, scheme)
-    if len(baseline) != len(compressed):
-        raise ConfigError("baseline and model must list the same layers")
 
     rows = []
     conv_kinds = ("conv", "circconv")
@@ -241,7 +238,7 @@ def evaluate_scheme(model, scheme, baseline=None):
         ),
         0,
     )
-    for layer, ref in zip(compressed, baseline):
+    for layer, ref in zip(compressed, dense_baseline(model)):
         p, f = param_count(layer), flop_count(layer)
         bp, bf = param_count(ref), flop_count(ref)
         bias = bias_count(layer)

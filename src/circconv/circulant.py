@@ -173,10 +173,37 @@ class ProjectionReport:
     per_block_sq_error: np.ndarray  # (W1, H1, R, S)
 
 
+def _block_rows(w, config, step):
+    """Yield (u, block rows u..u+m of the zero-padded kernel as (m, N, S, N)),
+    m <= step, in order.
+
+    Without partial blocks these are views of w. Otherwise whole kernel
+    positions are zero-padded into one reused buffer, as many as fit in
+    _CHUNK_BYTES or else one, and no chunk straddles two fills.
+    """
+    w1, h1, c_in, c_out = w.shape
+    n, r, s = config.n, config.r, config.s
+    if not config.has_partial_blocks:
+        kernel = w.reshape(w1 * h1 * r, n, s, n)
+        for u in range(0, len(kernel), step):
+            yield u, kernel[u : u + step]
+        return
+    positions = w.reshape(w1 * h1, c_in, c_out)
+    fill = config.padded_in * config.padded_out * w.itemsize
+    q = min(len(positions), max(1, _CHUNK_BYTES // fill))
+    buf = np.zeros((q, config.padded_in, config.padded_out), dtype=DTYPE)
+    rows = buf.reshape(q * r, n, s, n)
+    for p in range(0, len(positions), q):
+        k = min(q, len(positions) - p)
+        buf[:k, :c_in, :c_out] = positions[p : p + k]
+        for j in range(0, k * r, step):
+            yield p * r + j, rows[j : min(j + step, k * r)]
+
+
 def project_tensor(w, config):
     """Project every channel block of a dense kernel onto its nearest circulant.
 
-    Channels are zero-padded up to (R*N, S*N) first; partially padded blocks
+    Channels are zero-padded up to (R*N, S*N); partially padded blocks
     (config.has_partial_blocks) average the padding zeros into the diagonal
     means. Returns (CirculantBaseTensor, ProjectionReport) where the report
     carries the total and per-block squared Frobenius approximation error.
@@ -201,7 +228,8 @@ def project_tensor(w, config):
     chunk is gathered into (a, b, unit, s) order, so every slice is a few
     long contiguous runs, which the second walk reads from the cache. At
     larger N the runs along b are the longer ones: the kernel is read in
-    place, and only the sums are chunked.
+    place, and only the sums are chunked. With partial blocks, _block_rows
+    pads the kernel into one more reused buffer.
     """
     w = as_tensor4(w)
     w1, h1, c_in, c_out = w.shape
@@ -211,11 +239,6 @@ def project_tensor(w, config):
             f"({config.c_in}, {config.c_out})"
         )
     n, r, s = config.n, config.r, config.s
-    if config.has_partial_blocks:
-        wp = np.zeros((w1, h1, config.padded_in, config.padded_out), dtype=DTYPE)
-        wp[:, :, :c_in, :c_out] = w
-    else:
-        wp = w
     units = w1 * h1 * r
     itemsize = np.dtype(DTYPE).itemsize
     gather = n <= r * s
@@ -228,12 +251,11 @@ def project_tensor(w, config):
         fib, diff, acc = (
             np.empty((step, s, k), dtype=DTYPE).transpose(2, 0, 1) for k in (2 * n, n, n)
         )
-    kernel = wp.reshape(units, n, s, n)
     base = np.empty((units, n, s), dtype=DTYPE)
     per_block = np.empty((units, s))
-    for u in range(0, units, step):
-        m = min(step, units - u)
-        row = kernel[u : u + m].transpose(1, 3, 0, 2)
+    for u, chunk in _block_rows(w, config, step):
+        m = len(chunk)
+        row = chunk.transpose(1, 3, 0, 2)
         if gather:
             np.copyto(rows[:, :, :m], row)
             row = rows[:, :, :m]

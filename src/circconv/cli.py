@@ -67,14 +67,7 @@ def cmd_analyze(args):
         model = nn.layer_specs(model_io.load_model(args.model), tuple(args.spatial))
     labels = analysis.compressible_blocks(model)
     scheme = _load_scheme(args.scheme, labels) if args.scheme else None
-    if args.baseline_preset:
-        baseline = analysis.PRESETS[args.baseline_preset]()
-    elif any(layer.kind == "circconv" for layer in model):
-        # an already-compressed model reports against its dense equivalent
-        baseline = analysis.dense_baseline(model)
-    else:
-        baseline = None
-    report = analysis.evaluate_scheme(model, scheme, baseline=baseline)
+    report = analysis.evaluate_scheme(model, scheme)
     print(report.to_json() if args.json else report.to_text())
     return 0
 
@@ -210,10 +203,6 @@ def build_parser():
     src.add_argument("--preset", choices=sorted(analysis.PRESETS))
     src.add_argument("--model", help="model file to analyze")
     p.add_argument("--scheme", help='inline "1-2-2-2-2" or a scheme JSON file')
-    p.add_argument(
-        "--baseline-preset", choices=sorted(analysis.PRESETS),
-        help="compare against this preset instead of the dense self-baseline",
-    )
     p.add_argument("--spatial", type=int, nargs=2, default=(8, 8),
                    help="input spatial dims when analyzing a model file")
     p.add_argument("--json", action="store_true")

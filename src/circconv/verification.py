@@ -569,10 +569,10 @@ def check_fft_advantage(seed):
     shape = dict(name="c", kernel=(3, 3), in_spatial=(8, 8), out_spatial=(8, 8))
     sweep = [(2 * n, n) for n in (4, 8, 16, 32, 64, 128, 256)]
     sweep += [(16, n) for n in (4, 8, 16)]  # fixed channel count, varying partition
+    circ = [LayerSpec(kind="circconv", c_in=c, c_out=c, n=n, **shape) for c, n in sweep]
     counted_ok = all(
-        flop_count(LayerSpec(kind="circconv", c_in=c, c_out=c, n=n, **shape))
-        < flop_count(LayerSpec(kind="conv", c_in=c, c_out=c, **shape))
-        for c, n in sweep
+        flop_count(layer) < flop_count(dense)
+        for layer, dense in zip(circ, dense_baseline(circ))
     )
     row = probe_fft_path(256, 8, 3, np.random.default_rng(seed), reps=7, inner=3)
     return PropertyResult(

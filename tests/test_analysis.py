@@ -11,6 +11,7 @@ from circconv.analysis import (
     alexnet_v2,
     apply_scheme,
     bias_count,
+    dense_baseline,
     evaluate_scheme,
     flop_count,
     param_count,
@@ -291,6 +292,29 @@ class TestEvaluateScheme:
                         "ratio_params", "ratio_flops"):
                 assert key in row
 
+    def test_reports_against_the_dense_relaxation(self):
+        # a circulant model's baseline is the model with its circconv
+        # layers relaxed to dense, with or without a scheme on top
+        model = [
+            circ_layer("c0", (3, 3), 8, 8, 4, (6, 6)),
+            LayerSpec(kind="conv", name="c1", kernel=(3, 3), c_in=8, c_out=8, block="c1"),
+        ]
+        for scheme, ratios in ((None, [25.0, 100.0]), (CompressionScheme((2,)), [25.0, 50.0])):
+            report = evaluate_scheme(model, scheme)
+            assert [row["ratio_params"] for row in report.rows] == ratios
+            assert report.totals["baseline_conv_params"] == 2 * 3 * 3 * 8 * 8
+
+    def test_all_dense_model_is_its_own_baseline(self):
+        for name, preset in PRESETS.items():
+            model = preset()
+            assert all(a is b for a, b in zip(dense_baseline(model), model, strict=True)), name
+
+    def test_apply_scheme_refuses_to_compress_an_fc_layer(self):
+        model = [LayerSpec(kind="fc", name="fc6", c_in=8, c_out=4, block="fc6")]
+        assert apply_scheme(model, CompressionScheme((1,))) == model
+        with pytest.raises(ConfigError, match="fc6: cannot compress an fc layer"):
+            apply_scheme(model, CompressionScheme((2,)))
+
     def test_apply_scheme_respects_blocks(self):
         model = resnet32()
         compressed = apply_scheme(model, RESNET32_BLOCK_SCHEMES[7])
@@ -299,6 +323,23 @@ class TestEvaluateScheme:
         assert by_name["b6_conv1"].kind == "conv"  # transition stays dense
         assert by_name["b3_conv1"].n == 4
         assert by_name["b12_conv2"].n == 16
+
+
+class TestLayerSpecChecks:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="pool"), "unknown layer kind 'pool'"),
+            (dict(kind="circconv", n=0), "c: partition size must be >= 1"),
+            (dict(kind="conv", n=2), "c: only circconv layers take N > 1"),
+            (dict(kind="fc", n=4), "c: only circconv layers take N > 1"),
+            (dict(kind="conv", c_in=6, groups=4), "c: groups must divide input channels"),
+        ],
+        ids=["kind", "n-below-1", "dense-n", "fc-n", "groups"],
+    )
+    def test_refused(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            LayerSpec(name="c", **fields)
 
 
 class TestPresets:

@@ -197,6 +197,16 @@ class TestProjectTensor:
         with pytest.raises(ShapeError, match="length >= 1"):
             project_tensor(np.zeros(shape), PartitionConfig(n=2, c_in=4, c_out=8))
 
+    def test_kernel_channels_that_do_not_match_the_partition_refused(self):
+        message = r"kernel channels \(4, 6\) do not match partition \(4, 8\)"
+        with pytest.raises(ShapeError, match=message):
+            project_tensor(np.zeros((3, 3, 4, 6)), PartitionConfig(n=2, c_in=4, c_out=8))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (1, 3, 3, 4, 4)])
+    def test_base_that_is_not_4d_refused(self, shape):
+        with pytest.raises(ShapeError, match="base tensor: expected 4 axes"):
+            CirculantBaseTensor(np.zeros(shape), PartitionConfig(n=2, c_in=4, c_out=8))
+
     def test_base_with_a_zero_length_axis_refused(self):
         cfg = PartitionConfig(n=2, c_in=4, c_out=8)
         for shape in [(0, 3, 4, 4), (3, 0, 4, 4)]:
@@ -227,6 +237,10 @@ class TestCompressionScheme:
     def test_rejects_boolean_ratio(self):
         with pytest.raises(ConfigError, match="got True"):
             CompressionScheme((2, True))
+
+    def test_rejects_an_empty_scheme(self):
+        with pytest.raises(ConfigError, match="must list at least one ratio"):
+            CompressionScheme(())
 
 
 def _oracle_instances(count=247, seed=2024):
@@ -376,3 +390,20 @@ class TestProjectTensorChunks:
         outputs = projected.base.nbytes + report.per_block_sq_error.nbytes
         assert outputs == 3 * 3 * 192 * (384 + 192) * 8
         assert peak < outputs + (2 << 20), (peak, outputs)
+
+    @pytest.mark.parametrize("n", [7, 100])
+    def test_partial_blocks_pad_no_copy_of_the_kernel(self, n):
+        # 384 channels leave partial blocks at N=7 (gathered walk) and at
+        # N=100 (in-place walk); a zero-padded copy of the whole kernel
+        # needs 10 MB more here than the outputs and the 3 MiB allowance
+        w = np.random.default_rng(6).standard_normal((3, 3, 384, 384))
+        cfg = PartitionConfig(n=n, c_in=384, c_out=384)
+        assert cfg.has_partial_blocks
+        tracemalloc.start()
+        try:
+            projected, report = project_tensor(w, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = projected.base.nbytes + report.per_block_sq_error.nbytes
+        assert peak < outputs + (3 << 20), (peak, outputs)

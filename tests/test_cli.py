@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from circconv import verification
-from circconv.cli import main
+from circconv.analysis import RESNET32_BLOCK_SCHEMES, evaluate_scheme
+from circconv.cli import build_parser, main
 from circconv.convops import ConvGeometry
 from circconv.model_io import load_model, load_tensor, save_model, save_tensor
 from circconv.nn import (
@@ -23,6 +25,7 @@ from circconv.nn import (
     forward_pass,
     init_dense_kernel,
     init_fc,
+    layer_specs,
     make_circ_toy_net,
     make_dense_toy_net,
 )
@@ -200,6 +203,73 @@ class TestAnalyze:
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[model, scheme, form]
+
+    # sha256 of each preset report, as printed when evaluate_scheme and
+    # `analyze` still took a separate baseline
+    PINNED_PRESET_REPORTS = {
+        ("alexnet-v2", "", "text"): "6a736859df7aa20ee058dbedddb26abaaea6076c69f5b41c5f54fe0ca03dfae5",
+        ("alexnet-v2", "", "json"): "e602b804d12834c9a01376d7ba76281261b9447ff91c3066ecc3a889294861fb",
+        ("alexnet-v2", "1-2-2-2-2", "text"): "a52d7e109633097fbde40c11e3d23e1da4495ee1f3ff7f9e46c4331025ffe2c7",
+        ("alexnet-v2", "1-2-2-2-2", "json"): "8b9b8ba268b4cba4f9fae2f6ceb9df2b97eb302df0b7bb59d79308274fccf8db",
+        ("alexnet-classic", "", "text"): "86f9744a00ce54bc1ee3dc65ecca9a4cd1f473f653d10ec3e1d9afcd9547203d",
+        ("alexnet-classic", "", "json"): "d2fc8ea6df1c272d9948b404a471eb78c605bc811fa00f30be55863788874614",
+        ("alexnet-classic", "1-2-2-2-2", "text"): "15ea36e56e0501ee49733309dba23c7ba88adfc71823d5208c18b8e5d62cfebd",
+        ("alexnet-classic", "1-2-2-2-2", "json"): "cf2ee9a25a4142efa77ef72556d0c58504703e0b223fea110581597b76ff9395",
+        ("alexnet-ungrouped", "", "text"): "0743e84872fffbbf912a2c191240a3ecb05807cf9d816ba79e74a10371a76d99",
+        ("alexnet-ungrouped", "", "json"): "963a368e73892d979e12b114df9a6b57ff164cdfb4e4e16e132bea1d9bd97e90",
+        ("alexnet-ungrouped", "1-2-2-2-2", "text"): "065d18e468dbccfab4055ea3f358f9f7f31fa91242bf98e6be16664e21e36fee",
+        ("alexnet-ungrouped", "1-2-2-2-2", "json"): "388e85c6da58a08658f1ce26c6010e224b37cfb6bfcb08f657aedf0a24baed57",
+        ("resnet32", "", "text"): "97e964686e8c937d609c003d074ea00ef80a692d18e922914f7666d8753b0801",
+        ("resnet32", "", "json"): "2c221e91a5537e009cc15ba9b472fab1658d8f24d721935b3e539903f035baca",
+        ("resnet32", str(RESNET32_BLOCK_SCHEMES[1]), "text"): "ba479b9247adf13598f8cba7109168f90da2f0213c57bf7e15d75bfcaa6557c7",
+        ("resnet32", str(RESNET32_BLOCK_SCHEMES[1]), "json"): "53b14a72b09c515a713d4574a822eaef310143f649a623568efb7bf12f298d9b",
+        ("resnet32", str(RESNET32_BLOCK_SCHEMES[7]), "text"): "cf9331b043346c9944de053504d982116f1514ad3e6b1d7771c54508d7a58e1c",
+        ("resnet32", str(RESNET32_BLOCK_SCHEMES[7]), "json"): "0c96c2dbfbfb86c446d219113b63a5f86769a7b7894400060ffa0f1a88475b2b",
+    }
+
+    @pytest.mark.parametrize("preset, scheme, form", sorted(PINNED_PRESET_REPORTS))
+    def test_preset_report_is_the_pinned_bytes(self, capsys, preset, scheme, form):
+        argv = ["analyze", "--preset", preset]
+        argv += ["--scheme", scheme] if scheme else []
+        argv += ["--json"] if form == "json" else []
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.PINNED_PRESET_REPORTS[preset, scheme, form]
+
+    def test_python_api_and_cli_share_the_dense_baseline(self, capsys):
+        # one baseline rule: the Python call gives the bytes the CLI prints
+        path = ROOT / "tests/data/convert_1-3-8-7.ccm"
+        report = evaluate_scheme(layer_specs(load_model(path), (12, 12)), None)
+        code, out, err = run(
+            capsys, "analyze", "--model", str(path), "--spatial", "12", "12", "--json",
+        )
+        assert code == 0, err
+        assert out == report.to_json() + "\n"
+        assert round(report.totals["conv_params_pct"], 2) == 31.51
+
+    def test_baseline_preset_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--preset", "alexnet-v2", "--baseline-preset", "alexnet-v2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --baseline-preset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ratios, message",
+        [
+            ({"conv1": 1, "conv2": 2, "conv3": 2, "conv4": 2},
+             "scheme file lacks ratios for: conv5"),
+            ({"conv1": 1, "conv2": 2, "conv3": 2, "conv4": 2, "conv5": 2, "conv9": 2},
+             "scheme file names unknown blocks: ['conv9']"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_scheme_file_must_name_exactly_the_blocks(self, capsys, tmp_path, ratios, message):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps(ratios))
+        code, out, err = run(capsys, "analyze", "--preset", "alexnet-v2", "--scheme", str(scheme))
+        assert code == 1 and out == ""
+        assert err == f"error: ConfigError: {message}\n"
 
     @pytest.mark.parametrize("form", [(), ("--json",)])
     def test_dense_fixture_refuses_one_ratio(self, capsys, form):
@@ -445,6 +515,30 @@ class TestConvertAndInfer:
         assert "ModelFormatError" in err and "'layers'" in err and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["bad.ccm", "x.cct"]
 
+    def test_convert_of_a_model_without_conv_layers_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "fc.ccm"
+        save_model(Network([GlobalAveragePool(), FullyConnected(np.ones((4, 3)))]), path)
+        code, out, err = run(
+            capsys, "convert", "--model-in", str(path),
+            "--scheme", "2", "--model-out", str(tmp_path / "out.ccm"),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: ConfigError: model has no conv layers to convert\n"
+        assert os.listdir(tmp_path) == ["fc.ccm"]
+
+    @pytest.mark.parametrize("shape", [(12, 12), (1, 12, 12, 4)])
+    def test_infer_refuses_an_input_that_is_not_3d(self, capsys, tmp_path, shape):
+        model, x = tmp_path / "m.ccm", tmp_path / "x.cct"
+        save_model(make_dense_toy_net(seed=4, spec=ToyTaskSpec()), model)
+        save_tensor(x, np.ones(shape))
+        code, out, err = run(
+            capsys, "infer", "--model", str(model), "--input", str(x),
+            "--output", str(tmp_path / "y.cct"),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: ConfigError: input tensor must be (W, H, C), got shape {shape}\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.ccm", "x.cct"]
+
     def test_inline_scheme_of_the_wrong_length_writes_nothing(self, capsys, tmp_path):
         dense_path = tmp_path / "dense.ccm"
         save_model(make_dense_toy_net(seed=4, spec=ToyTaskSpec()), dense_path)
@@ -547,6 +641,24 @@ class TestBench:
             assert key in rows[0]
         assert rows[0]["max_abs_diff"] <= 1e-9
 
+    def test_text_table(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--sizes", "2,8", "--reps", "1", "--reps-inner", "1",
+        )
+        assert code == 0, err
+        header, *rows, workload = out.splitlines()
+        assert header.split() == [
+            "N", "naive", "ms", "fft", "ms", "speedup", "dense", "ms", "vs", "dense",
+            "naive", "FLOPs", "fft", "FLOPs", "ratio",
+        ]
+        # the FLOP columns of the pinned counts below
+        assert [row.split()[0] for row in rows] == ["2", "8"]
+        assert rows[0].endswith(f"{4608:>14}{2778:>12}{'0.603':>8}")
+        assert rows[1].endswith(f"{73728:>14}{27020:>12}{'0.366':>8}")
+        assert workload == (
+            "workload: 8x8 output sites, 3x3 kernel, one NxN circulant block, single-threaded"
+        )
+
     @pytest.mark.parametrize(
         "n, flops_naive, flops_fft, flop_ratio",
         [
@@ -617,6 +729,15 @@ class TestTrain:
                 proc.stderr
             )
 
+    def test_scheme_of_two_ratios_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "train", "--scheme", "2-2", "--steps", "1",
+            "--model-out", str(tmp_path / "m.ccm"),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: ConfigError: the toy task has one conv layer; give one ratio\n"
+        assert os.listdir(tmp_path) == []
+
     def test_from_model_continues_training(self, capsys, tmp_path):
         net = make_dense_toy_net(seed=10, spec=ToyTaskSpec())
         path = tmp_path / "dense.ccm"
@@ -638,3 +759,18 @@ class TestTrain:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+class TestReadme:
+    def test_names_every_option(self):
+        # an option the README never names goes unnoticed, and unused
+        readme = (ROOT / "README.md").read_text()
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        missing = [
+            f"{command} {option}"
+            for command, parser in sub.choices.items()
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help" and option not in readme
+        ]
+        assert missing == []

@@ -72,6 +72,15 @@ def rel_diff(a, b):
     return np.max(np.abs(a - b)) / scale
 
 
+class TestConvGeometry:
+    @pytest.mark.parametrize(
+        "pad, stride", [((-1, 0), 1), ((0, -2), 1), ((0, 0), 0), ((1, 1), -1)]
+    )
+    def test_invalid_geometry_refused(self, pad, stride):
+        with pytest.raises(ShapeError, match=r"invalid geometry pad=\(.*\) stride=-?\d"):
+            ConvGeometry(pad=pad, stride=stride)
+
+
 class TestConvNaive:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -294,6 +303,12 @@ class TestConvBlock:
             got, want = conv_block(x, dense, base.config, g), conv_naive(x, dense, g)
             assert got.shape == want.shape
             assert rel_diff(got, want) <= 1e-12, (stride, size)
+
+    def test_kernel_channels_that_do_not_match_the_partition_refused(self):
+        x = np.zeros((4, 4, 4))
+        message = r"kernel channels \(4, 6\) do not match partition \(4, 8\)"
+        with pytest.raises(ShapeError, match=message):
+            conv_block(x, np.zeros((3, 3, 4, 6)), PartitionConfig(n=2, c_in=4, c_out=8))
 
     def test_batch_equals_stacked_samples(self):
         rng = np.random.default_rng(41)
@@ -609,6 +624,11 @@ class TestBatchedPasses:
     def test_against_dense_oracles(self):
         result = check_batched_passes(27, instances=16)
         assert result.passed, result.detail
+
+    def test_fewer_than_three_instances_refused(self):
+        # the first three instances are the fixed alignment cases
+        with pytest.raises(ValueError, match="needs at least 3 instances"):
+            check_batched_passes(0, instances=2)
 
     def test_single_sample_keeps_its_rank(self):
         rng = np.random.default_rng(28)

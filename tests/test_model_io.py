@@ -508,6 +508,94 @@ class TestValidation:
             load_model(path)
 
 
+class TestRefusals:
+    """Each refusal is one ModelFormatError naming what is wrong; a writer
+    refuses before it opens the file."""
+
+    def test_foreign_layer_is_not_serialized(self, tmp_path):
+        class Relu2(ReLU):  # claims the relu kind, but is another type
+            pass
+
+        path = tmp_path / "m.ccm"
+        with pytest.raises(ModelFormatError, match="cannot serialize layer type Relu2"):
+            save_model(Network([Relu2()]), path)
+        assert not path.exists()
+
+    def test_unknown_precision_refused_when_writing(self, tmp_path):
+        path = tmp_path / "m.ccm"
+        with pytest.raises(ModelFormatError, match="unknown precision 'f16'"):
+            save_model(sample_net(), path, precision="f16")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"abc\n{}", "bad manifest length line"),
+            (b"100\n{}", "truncated manifest"),
+        ],
+        ids=["length-line", "manifest"],
+    )
+    def test_bad_header_refused(self, tmp_path, raw, message):
+        path = tmp_path / "m.ccm"
+        path.write_bytes(MODEL_MAGIC.encode() + b"\n" + raw)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"format": TENSOR_MAGIC}, "manifest format field mismatch"),
+            ({"precision": "f16"}, "unknown precision 'f16'"),
+        ],
+        ids=["format", "precision"],
+    )
+    def test_bad_manifest_field_refused(self, tmp_path, header, message):
+        path = tmp_path / "m.ccm"
+        write_raw(path, MODEL_MAGIC, {**HEADER, **header, "layers": []}, b"")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "index, key, message",
+        [
+            (0, "n", "layer 0: circconv layer lacks 'n'"),
+            (2, "stride", "layer 2: conv layer lacks 'stride'"),
+            (4, "bias", "layer 4: fc layer lacks 'bias'"),
+        ],
+        ids=["circconv-n", "conv-stride", "fc-bias"],
+    )
+    def test_layer_that_lacks_a_field_refused(self, tmp_path, index, key, message):
+        path = tmp_path / "m.ccm"
+        save_model(sample_net(), path)
+        tag, length, rest = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(rest[: int(length)])
+        layer = meta["layers"][index]
+        payload = rest[int(length):]
+        if key in layer:
+            del layer[key]
+        else:  # a parameter: its blob goes too, at the end of the payload
+            (param,) = [p for p in layer["params"] if p["name"] == key]
+            layer["params"].remove(param)
+            payload = payload[: -8 * int(np.prod(param["shape"]))]
+        write_raw(path, MODEL_MAGIC, meta, payload)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_negative_declared_shape_refused(self, tmp_path):
+        meta = {**HEADER, "format": TENSOR_MAGIC, "shape": [2, -1]}
+        path = tmp_path / "t.cct"
+        write_raw(path, TENSOR_MAGIC, meta, b"")
+        with pytest.raises(ModelFormatError, match=r"tensor: negative shape \(2, -1\)"):
+            load_tensor(path)
+
+    def test_trailing_data_after_a_tensor_refused(self, tmp_path):
+        path = tmp_path / "t.cct"
+        save_tensor(path, np.ones((2, 3)))
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(ModelFormatError, match="trailing data after payload"):
+            load_tensor(path)
+
+
 class TestExternalWriter:
     def test_independently_written_dense_model_loads(self, tmp_path):
         # written with struct/bytes only, no package serialization code

@@ -30,6 +30,7 @@ from circconv.nn import (
     forward_pass,
     conv_blocks,
     init_circ_base,
+    init_fc,
     make_circ_toy_net,
     make_dense_toy_net,
     make_toy_task,
@@ -94,6 +95,14 @@ class TestLayerConstruction:
 
 
 class TestForwardPass:
+    def test_fc_of_the_wrong_width_names_the_layer(self):
+        net = Network([FullyConnected(np.zeros((3, 2)))])
+        with pytest.raises(
+            ShapeError,
+            match=r"^layer 0 \(FullyConnected\): expected \(B, 3\) input, got \(2, 4\)$",
+        ):
+            forward_pass(net, np.zeros((2, 4)))
+
     def test_zero_weight_network_outputs_biases(self):
         rng = np.random.default_rng(0)
         cfg = PartitionConfig(n=2, c_in=4, c_out=4)
@@ -353,6 +362,8 @@ class TestSgdStep:
             SgdConfig(lr=0.0)
         with pytest.raises(ConfigError):
             SgdConfig(momentum=1.0)
+        with pytest.raises(ConfigError, match="batch size must be >= 1"):
+            SgdConfig(batch_size=0)
 
 
 class TestTraining:
@@ -372,6 +383,22 @@ class TestTraining:
                         assert np.array_equal(
                             blk[:, :, a, b], blk[:, :, (a + 1) % n, (b + 1) % n]
                         )
+
+    def test_net_whose_first_layer_is_gap_trains(self):
+        # the first layer's input gradient is never computed, so the pool
+        # hands back no gradient at all
+        x, y = make_toy_task(seed=14, spec=SMALL)
+        fc = FullyConnected(init_fc(np.random.default_rng(14), 4, 3))
+        net = Network([GlobalAveragePool(), fc])
+        logits, cache = forward_pass(net, x)
+        grads = backward_pass(net, cache, y)
+        _, g = softmax_cross_entropy(logits, y)
+        assert grads[0] == {}
+        np.testing.assert_array_equal(grads[1]["matrix"], x.mean(axis=(1, 2)).T @ g)
+        before = fc.matrix.copy()
+        history = train(net, (x, y), SgdConfig(batch_size=8), steps=3, seed=15)
+        assert len(history) == 3
+        assert not np.array_equal(fc.matrix, before)
 
     def test_fixed_seed_is_bit_reproducible(self):
         spec = SMALL
