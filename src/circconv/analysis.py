@@ -3,6 +3,9 @@
 The FLOP counting convention is fixed: MAC_COST and the transform and slot
 cost functions implement it, and FLOP_CONVENTION states it. Every report
 embeds that text, so its numbers are reproducible from the report alone.
+scheme_ratios is the one place a scheme's ratios are handed to block
+labels, for apply_scheme here and nn.convert_network alike, so a scheme of
+the wrong length is refused in one wording.
 """
 
 import json
@@ -137,19 +140,24 @@ def compressible_blocks(model):
     return seen
 
 
+def scheme_ratios(blocks, scheme):
+    """{label: ratio}, the scheme's ratios handed to the block labels in
+    order; ConfigError unless the scheme lists one ratio per block."""
+    if len(scheme) != len(blocks):
+        raise ConfigError(
+            f"scheme lists {len(scheme)} ratios but the model has "
+            f"{len(blocks)} compressible blocks ({', '.join(str(b) for b in blocks)})"
+        )
+    return dict(zip(blocks, scheme.ratios))
+
+
 def apply_scheme(model, scheme):
     """Return a copy of the model with per-block partition sizes applied.
 
     Ratio i > 1 turns a conv layer into a circconv layer with N = i;
     ratio 1 leaves the layer untouched.
     """
-    blocks = compressible_blocks(model)
-    if len(scheme) != len(blocks):
-        raise ConfigError(
-            f"scheme lists {len(scheme)} ratios but the model has "
-            f"{len(blocks)} compressible blocks ({', '.join(str(b) for b in blocks)})"
-        )
-    ratio_of = dict(zip(blocks, scheme.ratios))
+    ratio_of = scheme_ratios(compressible_blocks(model), scheme)
     out = []
     for layer in model:
         ratio = ratio_of.get(layer.block, 1)

@@ -11,7 +11,9 @@ Fiber convention: base[w1, h1, r*N:(r+1)*N, s] is the FIRST ROW of block
 With this convention the fiber-times-slice product of the forward pass is
 exactly a circular convolution, and the diagonal-mean projection below
 returns fibers in the same convention, so the two compose without
-re-indexing.
+re-indexing. partitioned_kernel is the one check of a dense kernel's
+channels against a partition, for project_tensor here and
+convops.conv_block alike.
 
 project_tensor walks a dense kernel in cache-sized chunks of block rows
 (the N kernel rows of one input block at one kernel position), with
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import DTYPE, as_tensor4
+from .tensor import DTYPE, KERNEL_AXES, as_tensor
 
 
 # Upper bound, in bytes, on the buffers project_tensor fills per chunk of
@@ -92,15 +94,7 @@ class CirculantBaseTensor:
     config: PartitionConfig
 
     def __post_init__(self):
-        self.base = np.ascontiguousarray(self.base, dtype=DTYPE)
-        if self.base.ndim != 4:
-            raise ShapeError(
-                f"base tensor: expected 4 axes, got shape {self.base.shape}"
-            )
-        if 0 in self.base.shape:
-            raise ShapeError(
-                f"base tensor: every axis must have length >= 1, got shape {self.base.shape}"
-            )
+        self.base = as_tensor(self.base, ("W1", "H1", "R*N", "S"), "base tensor")
         w1, h1, rn, s = self.base.shape
         cfg = self.config
         if rn != cfg.padded_in or s != cfg.s:
@@ -123,6 +117,18 @@ class CirculantBaseTensor:
         w1, h1, rn, s = self.base.shape
         n = self.config.n
         return self.base.reshape(w1, h1, rn // n, n, s)
+
+
+def partitioned_kernel(w, config):
+    """w as a dense (W1, H1, C_in, C_out) kernel, validated by as_tensor,
+    whose channels are those config partitions; ShapeError otherwise."""
+    w = as_tensor(w, KERNEL_AXES, "kernel")
+    if w.shape[2:] != (config.c_in, config.c_out):
+        raise ShapeError(
+            f"kernel channels {w.shape[2:]} do not match partition "
+            f"({config.c_in}, {config.c_out})"
+        )
+    return w
 
 
 def circulant_from_fiber(w):
@@ -231,13 +237,8 @@ def project_tensor(w, config):
     place, and only the sums are chunked. With partial blocks, _block_rows
     pads the kernel into one more reused buffer.
     """
-    w = as_tensor4(w)
-    w1, h1, c_in, c_out = w.shape
-    if c_in != config.c_in or c_out != config.c_out:
-        raise ShapeError(
-            f"kernel channels {(c_in, c_out)} do not match partition "
-            f"({config.c_in}, {config.c_out})"
-        )
+    w = partitioned_kernel(w, config)
+    w1, h1 = w.shape[:2]
     n, r, s = config.n, config.r, config.s
     units = w1 * h1 * r
     itemsize = np.dtype(DTYPE).itemsize

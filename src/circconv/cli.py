@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import analysis, model_io, nn, verification
 from .circulant import CompressionScheme
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .nn import SgdConfig
 
 
@@ -39,8 +40,10 @@ def _output_file(path):
 
 def _load_scheme(arg, labels):
     """Inline "a-b-c" text, or a JSON file mapping each of labels to a
-    ratio. Only parses: the scheme's length is checked where it is applied."""
-    if os.path.exists(arg):
+    ratio. Text of the inline form, digits(-digits)*, is always inline, so
+    a file of that name is reached as ./1-2. Only parses: the scheme's
+    length is checked where it is applied."""
+    if not re.fullmatch(r"[0-9]+(-[0-9]+)*", arg) and os.path.exists(arg):
         mapping = model_io.load_scheme_file(arg)
         missing = [str(l) for l in labels if str(l) not in mapping]
         if missing:
@@ -84,12 +87,9 @@ def cmd_convert(args):
     with _output_file(args.model_out) as tmp:
         model_io.save_model(converted, tmp, precision=args.precision)
     if args.report:
-        before = sum(net.layers[i].w.size for i in blocks)
-        after = sum(
-            layer.base.num_free_parameters
-            if isinstance(layer, nn.CircConvLayer)
-            else layer.w.size  # ratio 1 leaves a layer dense
-            for layer in (converted.layers[i] for i in blocks)
+        before, after = (  # a block's weights: every parameter but its bias
+            sum(a.size for i in blocks for k, a in m.layers[i].params().items() if k != "bias")
+            for m in (net, converted)
         )
         print(f"scheme={scheme} conv_params_before={before} conv_params_after={after}")
         print(
@@ -170,6 +170,10 @@ def cmd_train(args):
         ),
     )
     loss, acc = nn.evaluate(net, *data)
+    if not np.isfinite(loss):
+        raise DivergenceError(
+            f"training diverged: the final loss is {loss}; no model was written"
+        )
     print(f"final loss={loss:.6f} accuracy={acc:.4f}")
     if args.model_out:
         with _output_file(args.model_out) as tmp:

@@ -69,7 +69,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spectral
 from .errors import ContractError, ShapeError
-from .tensor import DTYPE, as_tensor4
+from .circulant import partitioned_kernel
+from .tensor import DTYPE, KERNEL_AXES, as_tensor
 
 # Upper bound, in bytes, on the window matrix of one group of samples: half
 # of a 2 MiB L2 cache, leaving room for the spectra it is gathered from and
@@ -177,7 +178,7 @@ def conv_naive(x, w, g=ConvGeometry()):
     Another operand layout, such as a transposed view of the window
     matrix, lets BLAS sum in another order and changes the last bits.
     """
-    w = as_tensor4(w, "kernel")
+    w = as_tensor(w, KERNEL_AXES, "kernel")
     xb, single = _batch(x, "input", w.shape[2])
     k1, k2 = w.shape[0], w.shape[1]
     w2, h2 = g.out_size(xb.shape[1:3], (k1, k2))
@@ -202,12 +203,7 @@ def conv_block(x, w, config, g=ConvGeometry()):
     block per kernel offset.
     """
     xb, single = _batch(x, "input", config.c_in)
-    w = as_tensor4(w, "kernel")
-    if w.shape[2:] != (config.c_in, config.c_out):
-        raise ShapeError(
-            f"kernel channels {w.shape[2:]} do not match partition "
-            f"({config.c_in}, {config.c_out})"
-        )
+    w = partitioned_kernel(w, config)
     n, r, s = config.n, config.r, config.s
     k1, k2 = w.shape[0], w.shape[1]
     w2, h2 = g.out_size(xb.shape[1:3], (k1, k2))
@@ -470,7 +466,7 @@ def conv_naive_backward_input(grad_y, w, g=ConvGeometry(), in_size=None):
     is the input's spatial size, as in circ_backward_input. Each kernel
     offset scatters its product with grad_y into the sites it read.
     """
-    w = as_tensor4(w, "kernel")
+    w = as_tensor(w, KERNEL_AXES, "kernel")
     gb, single = _batch(grad_y, "grad_y", w.shape[3])
     k1, k2 = w.shape[0], w.shape[1]
     w0, h0 = _in_size(gb.shape[1:3], (k1, k2), g, in_size)

@@ -67,17 +67,44 @@ def _stored(arr, precision, what):
     return stored
 
 
+_MODEL_INPUT = (4, None)  # rank and width of a model's (B, W, H, C) input
+
+
+def _chain(link, layer, where):
+    """The (rank, width) of layer's output, given link, that of its input.
+    A model's input stays 4-D until a gap layer makes it (B, C), and a
+    layer's c_in must equal the width the layers before it produce;
+    raises ModelFormatError naming where otherwise. save_model and
+    load_model both check a stack with it."""
+    rank, width = link
+    fields = layer.fields()
+    if layer.in_rank not in (None, rank):
+        raise ModelFormatError(
+            f"{where}: {layer.kind} layer takes {layer.in_rank}-D input, "
+            f"but the layers before it produce {rank}-D"
+        )
+    if width is not None and fields.get("c_in", width) != width:
+        raise ModelFormatError(
+            f"{where}: {layer.kind} layer expects {fields['c_in']} input channels, "
+            f"but the layers before it produce {width}"
+        )
+    return layer.out_rank or rank, fields.get("c_out", width)
+
+
 def save_model(net, path, precision="f64"):
     """Write a network; load_model(path) restores it bit-exactly at f64.
 
-    Raises ModelFormatError, before writing, when a parameter is
-    non-finite as stored at the given precision.
+    Raises ModelFormatError, before opening path, when a parameter is
+    non-finite as stored at the given precision or the layers do not
+    chain as load_model requires.
     """
     if precision not in _DTYPES:
         raise ModelFormatError(f"unknown precision {precision!r}")
     manifests, blobs = [], []
+    link = _MODEL_INPUT
     for i, layer in enumerate(net.layers):
         manifests.append(_layer_manifest(layer))
+        link = _chain(link, layer, f"{path}: layer {i}")
         blobs.extend(
             _stored(a, precision, f"layer {i} ({layer.kind}): parameter {name!r}")
             for name, a in layer.params().items()
@@ -199,9 +226,7 @@ def load_model(path):
 
     Each layer is rebuilt by its kind's from_fields() from the blobs read
     at their declared shapes, and must then describe itself exactly as the
-    manifest does. The stack must chain: it takes a (B, W, H, C) input,
-    which stays 4-D until a gap layer makes it (B, C), and each layer's
-    c_in equals the width the layers before it produce. Raises
+    manifest does. The stack must chain, as _chain checks. Raises
     ModelFormatError naming the offending field or layer on version
     mismatch, a manifest of the wrong structure, truncated blobs,
     non-finite parameters, shape/partition inconsistencies, or layers that
@@ -210,7 +235,7 @@ def load_model(path):
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
         layers = []
-        rank, width = 4, None  # of the activations entering the next layer
+        link = _MODEL_INPUT  # of the activations entering the next layer
         for i, meta in enumerate(_objects(manifest.get("layers"), path, "layers")):
             where = f"{path}: layer {i}"
             kind = meta.get("kind")
@@ -236,18 +261,7 @@ def load_model(path):
                     f"{where}: {kind} fields {keys} do not match its parameters, "
                     f"which give {[rebuilt.get(k) for k in keys]}"
                 )
-            if layer.in_rank not in (None, rank):
-                raise ModelFormatError(
-                    f"{where}: {kind} layer takes {layer.in_rank}-D input, "
-                    f"but the layers before it produce {rank}-D"
-                )
-            if width is not None and meta.get("c_in", width) != width:
-                raise ModelFormatError(
-                    f"{where}: {kind} layer expects {meta['c_in']} input channels, "
-                    f"but the layers before it produce {width}"
-                )
-            rank = layer.out_rank or rank
-            width = meta.get("c_out", width)
+            link = _chain(link, layer, where)
             layers.append(layer)
         trailing = fh.read(1)
         if trailing:

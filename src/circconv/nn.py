@@ -15,6 +15,7 @@ base-tensor and the input gradient.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .convops import (
     kernel_spectra,
 )
 from .errors import ConfigError, ContractError, DivergenceError, ShapeError
-from .tensor import DTYPE, as_tensor4
+from .tensor import DTYPE, KERNEL_AXES, as_tensor
 
 
 def _bias(bias, c_out):
@@ -155,7 +156,7 @@ class DenseConvLayer(Layer):
     in_rank = 4
 
     def __init__(self, w, bias=None, geometry=ConvGeometry()):
-        self.w = as_tensor4(w)
+        self.w = as_tensor(w, KERNEL_AXES, "kernel")
         self.bias = _bias(bias, self.w.shape[3])
         self.geometry = geometry
 
@@ -222,15 +223,7 @@ class FullyConnected(Layer):
     in_rank = 2
 
     def __init__(self, matrix, bias=None):
-        self.matrix = np.ascontiguousarray(matrix, dtype=DTYPE)
-        if self.matrix.ndim != 2:
-            raise ShapeError(
-                f"fc matrix: expected 2 axes (C_in, C_out), got shape {self.matrix.shape}"
-            )
-        if 0 in self.matrix.shape:
-            raise ShapeError(
-                f"fc matrix: every axis must have length >= 1, got shape {self.matrix.shape}"
-            )
+        self.matrix = as_tensor(matrix, ("C_in", "C_out"), "fc matrix")
         self.bias = _bias(bias, self.matrix.shape[1])
 
     def params(self):
@@ -336,14 +329,32 @@ def layer_specs(net, spatial):
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross entropy, log-sum-exp minus the label's logit with no
-    clamp, and its gradient with respect to the logits."""
+    clamp, and its gradient with respect to the logits.
+
+    logits are (B, classes) and labels B class indices; ShapeError naming
+    both shapes otherwise. As in numpy indexing, a negative label counts
+    from the last class.
+    """
+    if logits.ndim != 2 or np.shape(labels) != logits.shape[:1]:
+        raise ShapeError(
+            f"expected (B, classes) logits and B labels, got logits {logits.shape} "
+            f"and labels {np.shape(labels)}"
+        )
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     b = logits.shape[0]
-    loss = (np.log(total[:, 0]) - shifted[np.arange(b), labels]).mean()
+    rows = np.arange(b)
+    try:
+        picked = shifted[rows, labels]
+    except IndexError as exc:
+        raise ShapeError(
+            f"labels {np.shape(labels)} hold a value that is not a class index "
+            f"of logits {logits.shape}"
+        ) from exc
+    loss = (np.log(total[:, 0]) - picked).mean()
     grad = e / total
-    grad[np.arange(b), labels] -= 1.0
+    grad[rows, labels] -= 1.0
     return float(loss), grad / b
 
 
@@ -375,6 +386,11 @@ class SgdConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if not (math.isfinite(self.lr) and math.isfinite(self.weight_decay)):
+            raise ConfigError(
+                f"learning rate and weight decay must be finite, got {self.lr} "
+                f"and {self.weight_decay}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.batch_size < 1:
@@ -545,23 +561,19 @@ def train(net, data, cfg, steps, seed, log=None):
 def convert_network(net_dense, scheme):
     """Project every dense conv layer onto its block-circulant structure.
 
-    scheme lists one partition size per dense conv layer, in layer order;
-    returns (converted Network, total squared projection error). The input
-    network is left untouched (no shared parameter arrays). As in
+    scheme lists one partition size per dense conv layer, in layer order,
+    as analysis.scheme_ratios checks; returns (converted Network, total
+    squared projection error). The input network is left untouched (no
+    shared parameter arrays). As in
     analysis.apply_scheme, ratio 1 leaves a layer dense: the same kernel,
     with zero projection error. A converted layer keeps its geometry,
     stride included.
     """
     blocks = conv_blocks(net_dense)
-    if len(scheme) != len(blocks):
-        raise ConfigError(
-            f"scheme lists {len(scheme)} ratios but the network has "
-            f"{len(blocks)} dense conv layers"
-        )
-    ratios = dict(zip(blocks, scheme.ratios))
+    ratio_of = analysis.scheme_ratios(list(blocks.values()), scheme)
     layers, total_err = [], 0.0
     for i, layer in enumerate(net_dense.layers):
-        n = ratios.get(i, 1)
+        n = ratio_of.get(blocks.get(i), 1)
         if n == 1:  # kept: a copy; a replaced kernel is only read
             layers.append(copy.deepcopy(layer))
             continue

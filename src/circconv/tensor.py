@@ -1,9 +1,10 @@
-"""Dense real tensor conventions.
+"""Dense real tensor conventions, and the one rule every stored array obeys.
 
 Feature maps are (W, H, C) float64 arrays and kernels are
 (W1, H1, C_in, C_out) float64 arrays, row-major with the channel axis
 fastest-varying, so channel fibers are contiguous. Indexing is 0-based
-everywhere.
+everywhere. Dense kernels, circulant base tensors and fc matrices all pass
+through as_tensor.
 """
 
 import numpy as np
@@ -12,14 +13,16 @@ from .errors import ShapeError
 
 DTYPE = np.float64
 
+KERNEL_AXES = ("W1", "H1", "C_in", "C_out")
 
-def as_tensor4(a, name="kernel"):
-    """Validate and return a (W1, H1, C_in, C_out) float64 array with no
-    zero-length axis."""
+
+def as_tensor(a, axes, name):
+    """Validate and return a as a C-contiguous float64 array with one axis
+    per name in axes, none of length 0; ShapeError naming name otherwise."""
     arr = np.ascontiguousarray(a, dtype=DTYPE)
-    if arr.ndim != 4:
+    if arr.ndim != len(axes):
         raise ShapeError(
-            f"{name}: expected 4 axes (W1, H1, C_in, C_out), got shape {arr.shape}"
+            f"{name}: expected {len(axes)} axes ({', '.join(axes)}), got shape {arr.shape}"
         )
     if 0 in arr.shape:
         raise ShapeError(f"{name}: every axis must have length >= 1, got shape {arr.shape}")

@@ -72,6 +72,19 @@ class TestAnalyze:
         assert code == 0
         assert abs(json.loads(out)["totals"]["conv_params_pct"] - 50.36) <= 0.01
 
+    def test_inline_scheme_is_never_read_as_a_file(self, capsys, tmp_path, monkeypatch):
+        # a file of that name used to shadow the inline scheme, without a hint
+        monkeypatch.chdir(tmp_path)
+        Path("1-2-2-2-2").write_text(json.dumps({f"conv{k}": 4 for k in range(1, 6)}))
+        pcts = []
+        for scheme in ("1-2-2-2-2", "./1-2-2-2-2"):
+            code, out, _ = run(
+                capsys, "analyze", "--preset", "alexnet-v2", "--scheme", scheme, "--json",
+            )
+            assert code == 0
+            pcts.append(round(json.loads(out)["totals"]["conv_params_pct"], 2))
+        assert pcts == [50.36, 25.06]
+
     def test_bad_scheme_is_single_line_error(self, capsys):
         code, out, err = run(
             capsys, "analyze", "--preset", "alexnet-v2", "--scheme", "1-2",
@@ -728,6 +741,50 @@ class TestTrain:
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (
                 proc.stderr
             )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--lr", "1e308"), "DivergenceError: training diverged: the final loss is nan"),
+            (("--lr", "nan"), "ConfigError: learning rate and weight decay must be finite"),
+            (("--lr", "inf"), "ConfigError: learning rate and weight decay must be finite"),
+            (("--weight-decay", "nan"),
+             "ConfigError: learning rate and weight decay must be finite"),
+        ],
+        ids=["lr-1e308", "lr-nan", "lr-inf", "weight-decay-nan"],
+    )
+    def test_non_finite_final_loss_exits_1_and_writes_nothing(
+        self, capsys, tmp_path, argv, message
+    ):
+        # each used to print "final loss=nan" and exit 0, the first writing the model
+        code, out, err = run(
+            capsys, "train", "--steps", "1", *argv, "--model-out", str(tmp_path / "m.ccm"),
+        )
+        assert code == 1 and "final loss" not in out
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ([], "expected (B, classes) logits and B labels, got logits (16, 12, 12, 8) "
+                 "and labels (16,)"),
+            ([ReLU(), GlobalAveragePool(), FullyConnected(np.ones((8, 2)))],
+             "labels (16,) hold a value that is not a class index of logits (16, 2)"),
+        ],
+        ids=["conv-output", "two-classes"],
+    )
+    def test_from_model_of_the_wrong_output_exits_1(self, capsys, tmp_path, head, message):
+        # the loss used to fail with a bare ValueError and IndexError
+        spec = ToyTaskSpec()
+        conv = DenseConvLayer(
+            np.ones((3, 3, spec.channels, spec.hidden)), geometry=ConvGeometry(pad=(1, 1))
+        )
+        path = tmp_path / "m.ccm"
+        save_model(Network([conv, *head]), path)
+        code, out, err = run(capsys, "train", "--from-model", str(path), "--steps", "2")
+        assert code == 1 and out == ""
+        assert err == f"error: ShapeError: {message}\n"
 
     def test_scheme_of_two_ratios_exits_1_and_writes_nothing(self, capsys, tmp_path):
         code, out, err = run(

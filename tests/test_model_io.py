@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -49,6 +50,28 @@ def write_raw(path, magic, meta, payload):
     path.write_bytes(
         magic.encode() + b"\n" + str(len(manifest)).encode() + b"\n" + manifest + payload
     )
+
+
+def conv_meta(kernel, c_in, c_out):
+    """Manifest entry of a dense conv layer, unpadded, stride 1."""
+    return {
+        "kind": "conv", "kernel": list(kernel), "c_in": c_in, "c_out": c_out,
+        "pad": [0, 0], "stride": 1,
+        "params": [{"name": "w", "shape": [*kernel, c_in, c_out]},
+                   {"name": "bias", "shape": [c_out]}],
+    }
+
+
+def fc_meta(c_in, c_out):
+    return {"kind": "fc", "c_in": c_in, "c_out": c_out,
+            "params": [{"name": "matrix", "shape": [c_in, c_out]},
+                       {"name": "bias", "shape": [c_out]}]}
+
+
+def write_layers(path, layers):
+    """A model file of the given manifest layers, every parameter zero."""
+    count = sum(int(np.prod(p["shape"])) for layer in layers for p in layer["params"])
+    write_raw(path, MODEL_MAGIC, {**HEADER, "layers": layers}, b"\x00" * 8 * count)
 
 
 def sample_net(seed=0):
@@ -328,33 +351,22 @@ class TestValidation:
 
     def test_fc_width_that_does_not_chain(self, tmp_path):
         # conv(4->8) -> relu -> gap -> fc(6->4): the fc layer receives 8 channels
-        rng = np.random.default_rng(3)
-        net = Network(
-            [
-                DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8)),
-                ReLU(),
-                GlobalAveragePool(),
-                FullyConnected(init_fc(rng, 6, 4)),
-            ]
-        )
         path = tmp_path / "bad.ccm"
-        save_model(net, path)
+        write_layers(
+            path, [conv_meta((3, 3), 4, 8), {"kind": "relu", "params": []},
+                   {"kind": "gap", "params": []}, fc_meta(6, 4)]
+        )
         with pytest.raises(
             ModelFormatError, match="layer 3: fc layer expects 6 input channels, .* 8"
         ):
             load_model(path)
 
     def test_conv_after_gap_does_not_chain(self, tmp_path):
-        rng = np.random.default_rng(4)
-        net = Network(
-            [
-                DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8)),
-                GlobalAveragePool(),
-                DenseConvLayer(init_dense_kernel(rng, (1, 1), 8, 8)),
-            ]
-        )
         path = tmp_path / "bad.ccm"
-        save_model(net, path)
+        write_layers(
+            path, [conv_meta((3, 3), 4, 8), {"kind": "gap", "params": []},
+                   conv_meta((1, 1), 8, 8)]
+        )
         with pytest.raises(
             ModelFormatError, match="layer 2: conv layer takes 4-D input, .* 2-D"
         ):
@@ -520,6 +532,28 @@ class TestRefusals:
         with pytest.raises(ModelFormatError, match="cannot serialize layer type Relu2"):
             save_model(Network([Relu2()]), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            (lambda rng: [DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8)), ReLU(),
+                          GlobalAveragePool(), FullyConnected(init_fc(rng, 6, 4))],
+             "layer 3: fc layer expects 6 input channels, but the layers before it "
+             "produce 8"),
+            (lambda rng: [DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8)),
+                          GlobalAveragePool(),
+                          DenseConvLayer(init_dense_kernel(rng, (1, 1), 8, 8))],
+             "layer 2: conv layer takes 4-D input, but the layers before it produce 2-D"),
+        ],
+        ids=["fc-width", "conv-after-gap"],
+    )
+    def test_stack_that_does_not_chain_is_not_written(self, tmp_path, layers, message):
+        # save_model used to write these, and load_model then refused the file
+        path = tmp_path / "bad.ccm"
+        net = Network(layers(np.random.default_rng(3)))
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: {message}")):
+            save_model(net, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_precision_refused_when_writing(self, tmp_path):
         path = tmp_path / "m.ccm"

@@ -204,6 +204,31 @@ class TestBackwardPass:
         assert loss == 1000.0
         np.testing.assert_array_equal(grad, [[-1.0, 1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "logits, labels, message",
+        [
+            # a one-conv model's output used to escape as a broadcasting ValueError
+            (np.zeros((2, 3, 3, 4)), np.array([0, 1]),
+             r"expected \(B, classes\) logits and B labels, got logits \(2, 3, 3, 4\) "
+             r"and labels \(2,\)"),
+            (np.zeros((2, 4)), np.array([0]),
+             r"got logits \(2, 4\) and labels \(1,\)"),
+            # used to escape as a bare IndexError
+            (np.zeros((2, 4)), np.array([0, 4]),
+             r"labels \(2,\) hold a value that is not a class index of logits \(2, 4\)"),
+        ],
+        ids=["4d-logits", "label-count", "label-beyond-classes"],
+    )
+    def test_logits_and_labels_that_do_not_fit_raise_shape_error(self, logits, labels, message):
+        with pytest.raises(ShapeError, match=message):
+            softmax_cross_entropy(logits, labels)
+
+    def test_negative_label_counts_from_the_last_class(self):
+        logits = np.random.default_rng(3).standard_normal((2, 4))
+        got = softmax_cross_entropy(logits, np.array([-1, 1]))
+        want = softmax_cross_entropy(logits, np.array([3, 1]))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
     def test_all_parameter_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         net = tiny_circ_net(seed=4)
@@ -364,6 +389,15 @@ class TestSgdStep:
             SgdConfig(momentum=1.0)
         with pytest.raises(ConfigError, match="batch size must be >= 1"):
             SgdConfig(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "fields", [{"lr": np.nan}, {"lr": np.inf}, {"weight_decay": np.nan},
+                   {"weight_decay": -np.inf}],
+    )
+    def test_rejects_non_finite_rate_or_decay(self, fields):
+        # each used to train, every parameter turning NaN
+        with pytest.raises(ConfigError, match="learning rate and weight decay must be finite"):
+            SgdConfig(**fields)
 
 
 class TestTraining:
