@@ -3,6 +3,8 @@
 The FLOP counting convention is fixed: MAC_COST and the transform and slot
 cost functions implement it, and FLOP_CONVENTION states it. Every report
 embeds that text, so its numbers are reproducible from the report alone.
+param_count and flop_count count a dense conv as the N = 1 circconv, where
+transforms cost nothing and a slot is one MAC.
 scheme_ratios is the one place a scheme's ratios are handed to block
 labels, for apply_scheme here and nn.convert_network alike, so a scheme of
 the wrong length is refused in one wording.
@@ -24,8 +26,8 @@ class LayerSpec:
     """Shape summary of one layer for counting purposes.
 
     kind is one of 'conv', 'circconv', 'fc'. For 'fc', c_in/c_out are the
-    flat feature sizes and the spatial fields are (1, 1). groups affects
-    dense counts only (each filter sees c_in/groups input channels).
+    flat feature sizes and the spatial fields are (1, 1). groups, which
+    must divide c_in and c_out, splits a conv layer into channel groups.
     """
 
     kind: str
@@ -48,9 +50,11 @@ class LayerSpec:
             raise ConfigError(f"{self.name}: only circconv layers take N > 1")
         if self.c_in % self.groups:
             raise ConfigError(f"{self.name}: groups must divide input channels")
+        if self.c_out % self.groups:
+            raise ConfigError(f"{self.name}: groups must divide output channels")
 
     def partition(self):
-        """Per-group channel partition for a circconv layer."""
+        """Per-group channel partition of a conv (N = 1) or circconv layer."""
         return PartitionConfig(
             n=self.n, c_in=self.c_in // self.groups, c_out=self.c_out // self.groups
         )
@@ -102,8 +106,6 @@ def param_count(layer):
     if layer.kind == "fc":
         return layer.c_in * layer.c_out
     k1, k2 = layer.kernel
-    if layer.kind == "conv":
-        return k1 * k2 * (layer.c_in // layer.groups) * layer.c_out
     cfg = layer.partition()
     return layer.groups * k1 * k2 * cfg.r * cfg.n * cfg.s
 
@@ -120,8 +122,6 @@ def flop_count(layer):
     sites = w2 * h2
     if layer.kind == "fc":
         return MAC_COST * layer.c_in * layer.c_out
-    if layer.kind == "conv":
-        return MAC_COST * sites * k1 * k2 * (layer.c_in // layer.groups) * layer.c_out
     cfg = layer.partition()
     n, r, s = cfg.n, cfg.r, cfg.s
     slots = k1 * k2 * r * s

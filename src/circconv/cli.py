@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, model_io, nn, verification
 from .circulant import CompressionScheme
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .nn import SgdConfig
 
 
@@ -158,11 +158,21 @@ def cmd_train(args):
     )
     if args.from_model:
         net = model_io.load_model(args.from_model)
+        link = (4, spec.channels)  # the toy task's (B, W, H, C) input
+        for i, layer in enumerate(net.layers):
+            try:
+                link = nn.chain(link, layer)
+            except ShapeError as exc:
+                raise ShapeError(f"{args.from_model}: layer {i}: {exc}") from exc
+        if link != (2, spec.classes):
+            raise ShapeError(
+                f"{args.from_model}: the toy task takes (B, {spec.classes}) logits, "
+                f"but the layers produce {link[0]}-D output of width {link[1]}"
+            )
     else:
-        scheme = CompressionScheme.parse(args.scheme)
-        if len(scheme) != 1:
-            raise ConfigError("the toy task has one conv layer; give one ratio")
-        net = nn.make_circ_toy_net(args.seed + 1, n=scheme.ratios[0], spec=spec)
+        scheme = CompressionScheme.parse("2" if args.scheme is None else args.scheme)
+        n = analysis.scheme_ratios(["conv0"], scheme)["conv0"]  # nn.conv_blocks' label
+        net = nn.make_circ_toy_net(args.seed + 1, n=n, spec=spec)
     nn.train(
         net, data, cfg, steps=args.steps, seed=args.seed + 2,
         log=lambda r: print(
@@ -245,9 +255,12 @@ def build_parser():
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("train", help="train on the built-in toy task")
-    p.add_argument("--scheme", default="2",
-                   help="partition size per conv layer for from-scratch training")
-    p.add_argument("--from-model", help="start from a saved model instead")
+    src = p.add_mutually_exclusive_group()
+    # default None, applied in cmd_train: with default "2", argparse lets
+    # --scheme 2 through the group, as the value given is the default
+    src.add_argument("--scheme",
+                     help="partition size of the toy net's one conv layer (default 2)")
+    src.add_argument("--from-model", help="start from a saved model instead")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=0.1)

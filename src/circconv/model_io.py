@@ -16,9 +16,9 @@ whose "layers" is a list of objects, each with a "params" list of
 objects, the manifest's "little" endianness, every declared shape and
 partition, the rank of each parameter (4-D conv kernels, 2-D fc
 matrices), one bias value per output channel, and that the layers
-chain. Every blob needs a declared "shape", and integer fields (shapes,
-kernel, pad, stride, channel counts, n) must be JSON integers: 2.0 and
-true are refused.
+chain as nn.chain says. Every blob needs a declared "shape", and integer
+fields (shapes, kernel, pad, stride, channel counts, n) must be JSON
+integers: 2.0 and true are refused.
 
 Tensor files use the same layout with tag "circconv-tensor/1" and a
 single blob, written at f64; reading accepts f32 too. A
@@ -33,8 +33,8 @@ import os
 
 import numpy as np
 
-from .errors import ModelFormatError
-from .nn import LAYER_KINDS, Network
+from .errors import ModelFormatError, ShapeError
+from .nn import LAYER_KINDS, MODEL_INPUT, Network, chain
 
 MODEL_MAGIC = "circconv-model/1"
 TENSOR_MAGIC = "circconv-tensor/1"
@@ -67,44 +67,23 @@ def _stored(arr, precision, what):
     return stored
 
 
-_MODEL_INPUT = (4, None)  # rank and width of a model's (B, W, H, C) input
-
-
-def _chain(link, layer, where):
-    """The (rank, width) of layer's output, given link, that of its input.
-    A model's input stays 4-D until a gap layer makes it (B, C), and a
-    layer's c_in must equal the width the layers before it produce;
-    raises ModelFormatError naming where otherwise. save_model and
-    load_model both check a stack with it."""
-    rank, width = link
-    fields = layer.fields()
-    if layer.in_rank not in (None, rank):
-        raise ModelFormatError(
-            f"{where}: {layer.kind} layer takes {layer.in_rank}-D input, "
-            f"but the layers before it produce {rank}-D"
-        )
-    if width is not None and fields.get("c_in", width) != width:
-        raise ModelFormatError(
-            f"{where}: {layer.kind} layer expects {fields['c_in']} input channels, "
-            f"but the layers before it produce {width}"
-        )
-    return layer.out_rank or rank, fields.get("c_out", width)
-
-
 def save_model(net, path, precision="f64"):
     """Write a network; load_model(path) restores it bit-exactly at f64.
 
     Raises ModelFormatError, before opening path, when a parameter is
     non-finite as stored at the given precision or the layers do not
-    chain as load_model requires.
+    chain (nn.chain), as load_model requires.
     """
     if precision not in _DTYPES:
         raise ModelFormatError(f"unknown precision {precision!r}")
     manifests, blobs = [], []
-    link = _MODEL_INPUT
+    link = MODEL_INPUT
     for i, layer in enumerate(net.layers):
         manifests.append(_layer_manifest(layer))
-        link = _chain(link, layer, f"{path}: layer {i}")
+        try:
+            link = chain(link, layer)
+        except ShapeError as exc:
+            raise ModelFormatError(f"{path}: layer {i}: {exc}") from exc
         blobs.extend(
             _stored(a, precision, f"layer {i} ({layer.kind}): parameter {name!r}")
             for name, a in layer.params().items()
@@ -226,7 +205,7 @@ def load_model(path):
 
     Each layer is rebuilt by its kind's from_fields() from the blobs read
     at their declared shapes, and must then describe itself exactly as the
-    manifest does. The stack must chain, as _chain checks. Raises
+    manifest does. The stack must chain, as nn.chain checks. Raises
     ModelFormatError naming the offending field or layer on version
     mismatch, a manifest of the wrong structure, truncated blobs,
     non-finite parameters, shape/partition inconsistencies, or layers that
@@ -235,7 +214,7 @@ def load_model(path):
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
         layers = []
-        link = _MODEL_INPUT  # of the activations entering the next layer
+        link = MODEL_INPUT  # of the activations entering the next layer
         for i, meta in enumerate(_objects(manifest.get("layers"), path, "layers")):
             where = f"{path}: layer {i}"
             kind = meta.get("kind")
@@ -247,6 +226,7 @@ def load_model(path):
             }
             try:
                 layer = LAYER_KINDS[kind].from_fields(meta, params)
+                link = chain(link, layer)
             except KeyError as exc:
                 raise ModelFormatError(f"{where}: {kind} layer lacks {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -261,7 +241,6 @@ def load_model(path):
                     f"{where}: {kind} fields {keys} do not match its parameters, "
                     f"which give {[rebuilt.get(k) for k in keys]}"
                 )
-            link = _chain(link, layer, where)
             layers.append(layer)
         trailing = fh.read(1)
         if trailing:

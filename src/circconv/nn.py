@@ -12,6 +12,9 @@ consecutive samples in a fixed order. Training runs are therefore
 bit-reproducible for a fixed seed. A circulant layer's backward is one
 circ_backward call, which transforms and gathers grad_y once for both the
 base-tensor and the input gradient.
+
+chain is the one rule for how layers stack: model files, forward_pass and
+training from a saved model all fold it over a network's layers.
 """
 
 import copy
@@ -72,10 +75,9 @@ class Layer:
     with a `kernel` maps the spatial size through its `geometry`.
     from_fields(fields, params) rebuilds the layer from those fields and
     arrays named as in params(). in_rank is the input rank the kind
-    requires (None: any), which forward_pass and load_model check, and
-    out_rank the rank it returns (None: its input's); with the c_in and
-    c_out fields they say how layers chain. The defaults describe a layer
-    without parameters.
+    requires (None: any) and out_rank the rank it returns (None: its
+    input's); with the c_in and c_out fields they say how layers chain,
+    which chain checks. The defaults describe a layer without parameters.
 
     forward(xb) returns the output and a cache; backward(cache, gyb,
     need_dx=True) returns the input gradient, or None when need_dx is
@@ -272,24 +274,51 @@ class ForwardCache:
     logits: np.ndarray
 
 
+MODEL_INPUT = (4, None)  # the (rank, width) of a model's (B, W, H, C) input
+
+
+def chain(link, layer):
+    """The (rank, width) of layer's output, given link, that of its input
+    (width None: any). A stack's input stays 4-D until a gap layer makes
+    it (B, C), and a layer's c_in must equal the width the layers before
+    it produce; ShapeError otherwise. Files, forward_pass and training
+    from a file all check a stack with it."""
+    rank, width = link
+    fields = layer.fields()
+    if layer.in_rank not in (None, rank):
+        raise ShapeError(
+            f"{layer.kind} layer takes {layer.in_rank}-D input, "
+            f"but the layers before it produce {rank}-D"
+        )
+    if width is not None and fields.get("c_in", width) != width:
+        raise ShapeError(
+            f"{layer.kind} layer expects {fields['c_in']} input channels, "
+            f"but the layers before it produce {width}"
+        )
+    return layer.out_rank or rank, fields.get("c_out", width)
+
+
 def forward_pass(net, xb):
-    """Run all layers; returns (logits, cache for backward_pass)."""
+    """Run all layers; returns (logits, cache for backward_pass). A stack
+    that does not chain from the input's rank is refused before any layer
+    computes; each pass checks the input's own width."""
     h = np.asarray(xb, dtype=DTYPE)
+    link = (h.ndim, None)
+    for i, layer in enumerate(net.layers):
+        link = _in_layer(i, layer, chain, link, layer)
     caches = []
     for i, layer in enumerate(net.layers):
-        try:
-            if layer.in_rank not in (None, h.ndim):
-                raise ShapeError(f"expected a {layer.in_rank}-D input, got shape {h.shape}")
-            h, c = layer.forward(h)
-        except ShapeError as exc:
-            raise _in_layer(i, layer, exc) from exc
+        h, c = _in_layer(i, layer, layer.forward, h)
         caches.append(c)
     return h, ForwardCache(net.version, caches, h)
 
 
-def _in_layer(i, layer, exc):
-    """exc reworded to name the layer it was raised in."""
-    return ShapeError(f"layer {i} ({type(layer).__name__}): {exc}")
+def _in_layer(i, layer, call, *args):
+    """call(*args), a ShapeError it raises reworded to name the layer."""
+    try:
+        return call(*args)
+    except ShapeError as exc:
+        raise ShapeError(f"layer {i} ({type(layer).__name__}): {exc}") from exc
 
 
 def conv_blocks(net):
@@ -314,10 +343,7 @@ def layer_specs(net, spatial):
         dims = {}
         if "kernel" in fields:
             kernel = tuple(fields["kernel"])
-            try:
-                out = layer.geometry.out_size(spatial, kernel)
-            except ShapeError as exc:
-                raise _in_layer(i, layer, exc) from exc
+            out = _in_layer(i, layer, layer.geometry.out_size, spatial, kernel)
             dims = {"kernel": kernel, "in_spatial": spatial, "out_spatial": out}
             spatial = out
         counted = {k: fields[k] for k in ("kind", "c_in", "c_out", "n") if k in fields}

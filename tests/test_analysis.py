@@ -334,8 +334,11 @@ class TestLayerSpecChecks:
             (dict(kind="conv", n=2), "c: only circconv layers take N > 1"),
             (dict(kind="fc", n=4), "c: only circconv layers take N > 1"),
             (dict(kind="conv", c_in=6, groups=4), "c: groups must divide input channels"),
+            # the per-group partition would round c_out down
+            (dict(kind="circconv", c_in=4, c_out=6, groups=4),
+             "c: groups must divide output channels"),
         ],
-        ids=["kind", "n-below-1", "dense-n", "fc-n", "groups"],
+        ids=["kind", "n-below-1", "dense-n", "fc-n", "groups", "groups-out"],
     )
     def test_refused(self, fields, message):
         with pytest.raises(ConfigError, match=message):

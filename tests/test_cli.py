@@ -767,10 +767,11 @@ class TestTrain:
     @pytest.mark.parametrize(
         "head, message",
         [
-            ([], "expected (B, classes) logits and B labels, got logits (16, 12, 12, 8) "
-                 "and labels (16,)"),
+            ([], "the toy task takes (B, 4) logits, but the layers produce 4-D output "
+                 "of width 8"),
             ([ReLU(), GlobalAveragePool(), FullyConnected(np.ones((8, 2)))],
-             "labels (16,) hold a value that is not a class index of logits (16, 2)"),
+             "the toy task takes (B, 4) logits, but the layers produce 2-D output "
+             "of width 2"),
         ],
         ids=["conv-output", "two-classes"],
     )
@@ -784,7 +785,39 @@ class TestTrain:
         save_model(Network([conv, *head]), path)
         code, out, err = run(capsys, "train", "--from-model", str(path), "--steps", "2")
         assert code == 1 and out == ""
-        assert err == f"error: ShapeError: {message}\n"
+        assert err == f"error: ShapeError: {path}: {message}\n"
+
+    def test_from_model_of_ten_classes_exits_1_and_writes_nothing(self, capsys, tmp_path):
+        # used to train on the 4-class task, write the model and exit 0
+        rng = np.random.default_rng(0)
+        path, out_path = tmp_path / "ten.ccm", tmp_path / "out.ccm"
+        save_model(Network([
+            DenseConvLayer(init_dense_kernel(rng, (3, 3), 4, 8), geometry=ConvGeometry(pad=(1, 1))),
+            ReLU(), GlobalAveragePool(), FullyConnected(init_fc(rng, 8, 10)),
+        ]), path)
+        code, out, err = run(
+            capsys, "train", "--from-model", str(path), "--steps", "2",
+            "--model-out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: ShapeError: {path}: the toy task takes (B, 4) logits, but the layers "
+            f"produce 2-D output of width 10\n"
+        )
+        assert os.listdir(tmp_path) == ["ten.ccm"]
+
+    @pytest.mark.parametrize("scheme", ["2", "4"])
+    def test_scheme_and_from_model_exclude_each_other(self, capsys, tmp_path, scheme):
+        # --scheme used to be ignored without a word; "2" is its default value
+        path = tmp_path / "m.ccm"
+        save_model(make_dense_toy_net(seed=0), path)
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--from-model", str(path), "--scheme", scheme,
+                  "--model-out", str(tmp_path / "out.ccm")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --scheme: not allowed with argument --from-model" in err
+        assert os.listdir(tmp_path) == ["m.ccm"]
 
     def test_scheme_of_two_ratios_exits_1_and_writes_nothing(self, capsys, tmp_path):
         code, out, err = run(
@@ -792,7 +825,10 @@ class TestTrain:
             "--model-out", str(tmp_path / "m.ccm"),
         )
         assert code == 1 and out == ""
-        assert err == "error: ConfigError: the toy task has one conv layer; give one ratio\n"
+        assert err == (
+            "error: ConfigError: scheme lists 2 ratios but the model has 1 compressible "
+            "blocks (conv0)\n"
+        )
         assert os.listdir(tmp_path) == []
 
     def test_from_model_continues_training(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from circconv import nn
 from circconv.analysis import apply_scheme
 from circconv.circulant import (
     CirculantBaseTensor,
@@ -25,6 +26,7 @@ from circconv.nn import (
     Network,
     ReLU,
     convert_network,
+    forward_pass,
     layer_specs,
 )
 
@@ -150,4 +152,100 @@ SCHEME_ENTRIES = {
 def test_scheme_length_rule(capsys, tmp_path, entry):
     assert SCHEME_ENTRIES[entry](capsys, tmp_path) == (
         "scheme lists 1 ratios but the model has 2 compressible blocks (conv0, conv1)"
+    )
+
+
+def write_unchained(path, layers):
+    """A model file of layers, written without save_model's chain check."""
+    meta = {
+        "format": MODEL_MAGIC, "precision": "f64", "endianness": "little",
+        "layers": [
+            {**layer.fields(),
+             "params": [{"name": k, "shape": list(a.shape)} for k, a in layer.params().items()]}
+            for layer in layers
+        ],
+    }
+    manifest = json.dumps(meta).encode()
+    blobs = b"".join(a.astype("<f8").tobytes() for l in layers for a in l.params().values())
+    path.write_bytes(
+        MODEL_MAGIC.encode() + b"\n" + str(len(manifest)).encode() + b"\n" + manifest + blobs
+    )
+
+
+def chain_error(call):
+    """The text of the CircConvError call raises."""
+    with pytest.raises(CircConvError) as info:
+        call()
+    return str(info.value)
+
+
+# entry point: (layers, tmp_path, monkeypatch, capsys) -> the refusal's text
+def saved(layers, tmp, monkeypatch, capsys):
+    path = tmp / "m.ccm"
+    text = chain_error(lambda: save_model(Network(layers), path))
+    assert os.listdir(tmp) == []
+    return text
+
+
+def loaded(layers, tmp, monkeypatch, capsys):
+    write_unchained(tmp / "m.ccm", layers)
+    return chain_error(lambda: load_model(tmp / "m.ccm"))
+
+
+def forwarded(layers, tmp, monkeypatch, capsys):
+    def computed(*args, **kwargs):
+        raise AssertionError("a layer computed before the stack was checked")
+
+    monkeypatch.setattr(nn, "conv_naive", computed)
+    return chain_error(lambda: forward_pass(Network(layers), np.zeros((2, 6, 6, 4))))
+
+
+def trained(layers, tmp, monkeypatch, capsys):
+    write_unchained(tmp / "m.ccm", layers)
+    argv = ["train", "--from-model", str(tmp / "m.ccm"), "--steps", "1",
+            "--model-out", str(tmp / "out.ccm")]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and out.err.startswith("error: ")
+    assert os.listdir(tmp) == ["m.ccm"]
+    return out.err
+
+
+CHAIN_ENTRIES = {
+    "save_model": saved,
+    "load_model": loaded,
+    "forward_pass": forwarded,
+    "train --from-model": trained,
+}
+
+UNCHAINED = {
+    "fc-width": lambda rng: [
+        DenseConvLayer(rng.standard_normal((3, 3, 4, 8))), ReLU(),
+        GlobalAveragePool(), FullyConnected(rng.standard_normal((6, 4))),
+    ],
+    "conv-after-gap": lambda rng: [
+        DenseConvLayer(rng.standard_normal((3, 3, 4, 8))), GlobalAveragePool(),
+        DenseConvLayer(rng.standard_normal((1, 1, 8, 8))),
+    ],
+}
+
+
+@pytest.mark.parametrize("stack", list(UNCHAINED))
+@pytest.mark.parametrize("entry", list(CHAIN_ENTRIES))
+def test_chain_rule(tmp_path, monkeypatch, capsys, entry, stack):
+    layers = UNCHAINED[stack](np.random.default_rng(0))
+    assert "layers before it produce" in CHAIN_ENTRIES[entry](
+        layers, tmp_path, monkeypatch, capsys
+    )
+
+
+def test_train_chains_from_the_toy_input(tmp_path, capsys):
+    # a conv(6 -> 8) model loads, but the toy task's input has 4 channels;
+    # its first pass used to refuse it in conv_naive's own words
+    rng = np.random.default_rng(0)
+    layers = [DenseConvLayer(rng.standard_normal((3, 3, 6, 8))), GlobalAveragePool(),
+              FullyConnected(rng.standard_normal((8, 4)))]
+    assert trained(layers, tmp_path, None, capsys) == (
+        f"error: ShapeError: {tmp_path / 'm.ccm'}: layer 0: conv layer expects 6 input "
+        f"channels, but the layers before it produce 4\n"
     )
