@@ -56,8 +56,8 @@ def _load_scheme(arg, labels):
 
 
 def _at_least(value, minimum, what):
-    """Refuse a count below minimum: a run that does nothing must not
-    report success."""
+    """Refuse a count below minimum, for a run that does nothing must not
+    report success, or a --seed that numpy's generator would refuse."""
     if value < minimum:
         raise ConfigError(f"{what} must be at least {minimum}, got {value}")
 
@@ -101,6 +101,7 @@ def cmd_convert(args):
 
 
 def cmd_verify(args):
+    _at_least(args.seed, 0, "--seed")
     _at_least(args.trials, len(args.sizes), "--trials (one instance per --sizes entry)")
     results = verification.run_verification(
         seed=args.seed, trials=args.trials, sizes=tuple(args.sizes)
@@ -114,6 +115,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
+    _at_least(args.seed, 0, "--seed")
     _at_least(args.reps, 1, "--reps")
     _at_least(args.reps_inner, 1, "--reps-inner")
     _at_least(args.kernel, 1, "--kernel")
@@ -149,6 +151,7 @@ def cmd_bench(args):
 
 
 def cmd_train(args):
+    _at_least(args.seed, 0, "--seed")
     _at_least(args.steps, 1, "--steps")
     spec = nn.ToyTaskSpec()
     data = nn.make_toy_task(args.seed, spec=spec)
@@ -158,12 +161,10 @@ def cmd_train(args):
     )
     if args.from_model:
         net = model_io.load_model(args.from_model)
-        link = (4, spec.channels)  # the toy task's (B, W, H, C) input
-        for i, layer in enumerate(net.layers):
-            try:
-                link = nn.chain(link, layer)
-            except ShapeError as exc:
-                raise ShapeError(f"{args.from_model}: layer {i}: {exc}") from exc
+        try:  # from the toy task's (B, W, H, C) input
+            link = nn.chain(net.layers, (4, spec.channels))
+        except ShapeError as exc:
+            raise ShapeError(f"{args.from_model}: {exc}") from exc
         if link != (2, spec.classes):
             raise ShapeError(
                 f"{args.from_model}: the toy task takes (B, {spec.classes}) logits, "
@@ -235,9 +236,9 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the oracle/gradient property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=60)
+    p.add_argument("--trials", type=int, default=verification.TRIALS)
     p.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[1, 2, 3, 4, 8, 16],
+                   default=list(verification.SIZES),
                    help="partition sizes sampled by the equivalence sweep")
     p.set_defaults(func=cmd_verify)
 
@@ -263,10 +264,10 @@ def build_parser():
     src.add_argument("--from-model", help="start from a saved model instead")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--lr", type=float, default=SgdConfig.lr)
+    p.add_argument("--momentum", type=float, default=SgdConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=SgdConfig.weight_decay)
+    p.add_argument("--batch-size", type=int, default=SgdConfig.batch_size)
     p.add_argument("--model-out")
     p.set_defaults(func=cmd_train)
 

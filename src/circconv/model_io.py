@@ -15,10 +15,10 @@ network is returned, loading checks that the manifest is a JSON object
 whose "layers" is a list of objects, each with a "params" list of
 objects, the manifest's "little" endianness, every declared shape and
 partition, the rank of each parameter (4-D conv kernels, 2-D fc
-matrices), one bias value per output channel, and that the layers
-chain as nn.chain says. Every blob needs a declared "shape", and integer
-fields (shapes, kernel, pad, stride, channel counts, n) must be JSON
-integers: 2.0 and true are refused.
+matrices), one bias value per output channel, and, once every layer is
+rebuilt, that the stack chains as nn.chain says. Every blob needs a
+declared "shape", and integer fields (shapes, kernel, pad, stride,
+channel counts, n) must be JSON integers: 2.0 and true are refused.
 
 Tensor files use the same layout with tag "circconv-tensor/1" and a
 single blob, written at f64; reading accepts f32 too. A
@@ -76,18 +76,16 @@ def save_model(net, path, precision="f64"):
     """
     if precision not in _DTYPES:
         raise ModelFormatError(f"unknown precision {precision!r}")
-    manifests, blobs = [], []
-    link = MODEL_INPUT
-    for i, layer in enumerate(net.layers):
-        manifests.append(_layer_manifest(layer))
-        try:
-            link = chain(link, layer)
-        except ShapeError as exc:
-            raise ModelFormatError(f"{path}: layer {i}: {exc}") from exc
-        blobs.extend(
-            _stored(a, precision, f"layer {i} ({layer.kind}): parameter {name!r}")
-            for name, a in layer.params().items()
-        )
+    manifests = [_layer_manifest(layer) for layer in net.layers]
+    try:
+        chain(net.layers, MODEL_INPUT)
+    except ShapeError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    blobs = [
+        _stored(a, precision, f"layer {i} ({layer.kind}): parameter {name!r}")
+        for i, layer in enumerate(net.layers)
+        for name, a in layer.params().items()
+    ]
     manifest = {
         "format": MODEL_MAGIC,
         "precision": precision,
@@ -205,8 +203,8 @@ def load_model(path):
 
     Each layer is rebuilt by its kind's from_fields() from the blobs read
     at their declared shapes, and must then describe itself exactly as the
-    manifest does. The stack must chain, as nn.chain checks. Raises
-    ModelFormatError naming the offending field or layer on version
+    manifest does. The whole stack must then chain, as nn.chain checks.
+    Raises ModelFormatError naming the offending field or layer on version
     mismatch, a manifest of the wrong structure, truncated blobs,
     non-finite parameters, shape/partition inconsistencies, or layers that
     do not chain.
@@ -214,7 +212,6 @@ def load_model(path):
     with open(path, "rb") as fh:
         manifest, dtype = _read_header(fh, MODEL_MAGIC, path)
         layers = []
-        link = MODEL_INPUT  # of the activations entering the next layer
         for i, meta in enumerate(_objects(manifest.get("layers"), path, "layers")):
             where = f"{path}: layer {i}"
             kind = meta.get("kind")
@@ -226,7 +223,6 @@ def load_model(path):
             }
             try:
                 layer = LAYER_KINDS[kind].from_fields(meta, params)
-                link = chain(link, layer)
             except KeyError as exc:
                 raise ModelFormatError(f"{where}: {kind} layer lacks {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -245,6 +241,10 @@ def load_model(path):
         trailing = fh.read(1)
         if trailing:
             raise ModelFormatError(f"{path}: trailing data after payload")
+    try:
+        chain(layers, MODEL_INPUT)
+    except ShapeError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
     return Network(layers)
 
 

@@ -13,8 +13,9 @@ bit-reproducible for a fixed seed. A circulant layer's backward is one
 circ_backward call, which transforms and gathers grad_y once for both the
 base-tensor and the input gradient.
 
-chain is the one rule for how layers stack: model files, forward_pass and
-training from a saved model all fold it over a network's layers.
+chain is the one rule for how layers stack. It walks a whole stack and
+names the first layer that does not fit; forward_pass, save_model,
+load_model and training from a saved model each call it once.
 """
 
 import copy
@@ -55,8 +56,14 @@ def _bias(bias, c_out):
     return bias
 
 
-def _geometry_fields(g):
-    return {"pad": list(g.pad), "stride": g.stride}
+def _conv_fields(layer, kernel, c_in, c_out, **extra):
+    """A conv layer's manifest fields, in the order every model file
+    follows: kind, kernel and channels, what the kind adds, then its
+    geometry."""
+    return {
+        "kind": layer.kind, "kernel": list(kernel), "c_in": c_in, "c_out": c_out,
+        **extra, "pad": list(layer.geometry.pad), "stride": layer.geometry.stride,
+    }
 
 
 def _geometry(fields):
@@ -115,14 +122,7 @@ class CircConvLayer(Layer):
 
     def fields(self):
         cfg = self.base.config
-        return {
-            "kind": self.kind,
-            "kernel": list(self.base.kernel_size),
-            "c_in": cfg.c_in,
-            "c_out": cfg.c_out,
-            "n": cfg.n,
-            **_geometry_fields(self.geometry),
-        }
+        return _conv_fields(self, self.base.kernel_size, cfg.c_in, cfg.c_out, n=cfg.n)
 
     @classmethod
     def from_fields(cls, fields, params):
@@ -166,14 +166,7 @@ class DenseConvLayer(Layer):
         return {"w": self.w, "bias": self.bias}
 
     def fields(self):
-        k1, k2, c_in, c_out = self.w.shape
-        return {
-            "kind": self.kind,
-            "kernel": [k1, k2],
-            "c_in": c_in,
-            "c_out": c_out,
-            **_geometry_fields(self.geometry),
-        }
+        return _conv_fields(self, self.w.shape[:2], *self.w.shape[2:])
 
     @classmethod
     def from_fields(cls, fields, params):
@@ -277,25 +270,27 @@ class ForwardCache:
 MODEL_INPUT = (4, None)  # the (rank, width) of a model's (B, W, H, C) input
 
 
-def chain(link, layer):
-    """The (rank, width) of layer's output, given link, that of its input
-    (width None: any). A stack's input stays 4-D until a gap layer makes
-    it (B, C), and a layer's c_in must equal the width the layers before
-    it produce; ShapeError otherwise. Files, forward_pass and training
-    from a file all check a stack with it."""
+def chain(layers, link):
+    """The (rank, width) of the output of a stack of layers, given link,
+    that of its input (width None: any). A stack's input stays 4-D until
+    a gap layer makes it (B, C), and a layer's c_in must equal the width
+    the layers before it produce; ShapeError "layer i: ..." at the first
+    layer that does not fit."""
     rank, width = link
-    fields = layer.fields()
-    if layer.in_rank not in (None, rank):
-        raise ShapeError(
-            f"{layer.kind} layer takes {layer.in_rank}-D input, "
-            f"but the layers before it produce {rank}-D"
-        )
-    if width is not None and fields.get("c_in", width) != width:
-        raise ShapeError(
-            f"{layer.kind} layer expects {fields['c_in']} input channels, "
-            f"but the layers before it produce {width}"
-        )
-    return layer.out_rank or rank, fields.get("c_out", width)
+    for i, layer in enumerate(layers):
+        fields = layer.fields()
+        if layer.in_rank not in (None, rank):
+            raise ShapeError(
+                f"layer {i}: {layer.kind} layer takes {layer.in_rank}-D input, "
+                f"but the layers before it produce {rank}-D"
+            )
+        if width is not None and fields.get("c_in", width) != width:
+            raise ShapeError(
+                f"layer {i}: {layer.kind} layer expects {fields['c_in']} input "
+                f"channels, but the layers before it produce {width}"
+            )
+        rank, width = layer.out_rank or rank, fields.get("c_out", width)
+    return rank, width
 
 
 def forward_pass(net, xb):
@@ -303,9 +298,7 @@ def forward_pass(net, xb):
     that does not chain from the input's rank is refused before any layer
     computes; each pass checks the input's own width."""
     h = np.asarray(xb, dtype=DTYPE)
-    link = (h.ndim, None)
-    for i, layer in enumerate(net.layers):
-        link = _in_layer(i, layer, chain, link, layer)
+    chain(net.layers, (h.ndim, None))
     caches = []
     for i, layer in enumerate(net.layers):
         h, c = _in_layer(i, layer, layer.forward, h)
@@ -407,7 +400,7 @@ class SgdConfig:
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    batch_size: int = 64
+    batch_size: int = 16  # read by train, not by sgd_step
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -455,17 +448,19 @@ def init_circ_base(rng, kernel_size, config):
     dense kernel would use, keeping activation variance comparable to a
     dense layer of the same shape.
     """
-    k1, k2 = kernel_size
-    fan_in = k1 * k2 * config.c_in
-    std = np.sqrt(2.0 / fan_in)
-    base = rng.normal(0.0, std, size=(k1, k2, config.padded_in, config.s))
-    return CirculantBaseTensor(base, config)
+    shape = (*kernel_size, config.padded_in, config.s)
+    return CirculantBaseTensor(_he_normal(rng, kernel_size, config.c_in, shape), config)
 
 
 def init_dense_kernel(rng, kernel_size, c_in, c_out):
+    return _he_normal(rng, kernel_size, c_in, (*kernel_size, c_in, c_out))
+
+
+def _he_normal(rng, kernel_size, c_in, shape):
+    """An array of shape drawn from N(0, 2 / fan_in), fan_in the
+    k1 * k2 * c_in inputs of a dense kernel (He et al., 2015)."""
     k1, k2 = kernel_size
-    std = np.sqrt(2.0 / (k1 * k2 * c_in))
-    return rng.normal(0.0, std, size=(k1, k2, c_in, c_out))
+    return rng.normal(0.0, np.sqrt(2.0 / (k1 * k2 * c_in)), size=shape)
 
 
 def init_fc(rng, c_in, c_out):

@@ -54,6 +54,10 @@ from .nn import (
 )
 
 
+TRIALS = 60  # forward-equivalence instances in a verify run
+SIZES = (1, 2, 3, 4, 8, 16)  # the partition sizes they are split over
+
+
 @dataclass
 class PropertyResult:
     name: str
@@ -105,7 +109,7 @@ def _ragged_width(size, kernel_size, g):
     return tuple(v + (rem - (v + 2 * p - k)) % g.stride for v, k, p, rem in rems)
 
 
-def check_forward_equivalence(seed, trials, sizes=(1, 2, 3, 4, 8, 16)):
+def check_forward_equivalence(seed, trials, sizes=SIZES):
     """circ_forward == conv_naive == conv_block on the dense expansion.
 
     The trials are split evenly over sizes, in order; the first
@@ -604,7 +608,7 @@ def check_structure_preservation(seed, steps):
     )
 
 
-def run_verification(seed=0, trials=60, sizes=(1, 2, 3, 4, 8, 16)):
+def run_verification(seed=0, trials=TRIALS, sizes=SIZES):
     """Run every check; returns the list of PropertyResult."""
     return [
         check_forward_equivalence(seed, trials, sizes),

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -21,6 +22,7 @@ from circconv.nn import (
     GlobalAveragePool,
     Network,
     ReLU,
+    SgdConfig,
     ToyTaskSpec,
     forward_pass,
     init_dense_kernel,
@@ -624,10 +626,37 @@ class TestCounts:
         assert code == 1 and out == ""
         assert err == f"error: ConfigError: {message}\n"
 
+    @pytest.mark.parametrize("command", ["verify", "bench", "train"])
+    def test_negative_seed_exits_1(self, capsys, tmp_path, command):
+        # numpy's generator refused it as "expected non-negative integer",
+        # which names no option
+        argv = (command, "--seed", "-1")
+        if command == "train":
+            argv += ("--model-out", str(tmp_path / "m.ccm"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: ConfigError: --seed must be at least 0, got -1\n"
+        assert os.listdir(tmp_path) == []
+
     def test_one_instance_per_size_is_enough(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "2", "--sizes", "2,3")
         assert code == 0
         assert "PASS forward-oracle-equivalence: 2 instances" in out
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    train = parser.parse_args(["train"])
+    cfg = SgdConfig()
+    assert (train.lr, train.momentum, train.weight_decay, train.batch_size) == (
+        cfg.lr, cfg.momentum, cfg.weight_decay, cfg.batch_size
+    )
+    verify = parser.parse_args(["verify"])
+    for fn in (verification.run_verification, verification.check_forward_equivalence):
+        params = inspect.signature(fn).parameters
+        assert tuple(verify.sizes) == params["sizes"].default
+    trials = inspect.signature(verification.run_verification).parameters["trials"]
+    assert verify.trials == trials.default
 
 
 class TestVerify:

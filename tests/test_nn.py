@@ -177,8 +177,8 @@ class TestForwardPass:
     )
     def test_input_of_the_wrong_rank_is_refused(self, build, shape):
         net = build()
-        name = type(net.layers[0]).__name__
-        with pytest.raises(ShapeError, match=rf"layer 0 \({name}\)"):
+        kind = net.layers[0].kind
+        with pytest.raises(ShapeError, match=rf"^layer 0: {kind} layer takes"):
             forward_pass(net, np.zeros(shape))
 
 
@@ -457,6 +457,16 @@ class TestTraining:
                 digest.update(layer[name].tobytes())
         assert digest.hexdigest() == (
             "6a8036d6a60b632e4ddbfd43ce1e157d424d8060ca9f858c2a88eb23dc971535"
+        )
+
+    def test_circulant_init_is_the_pinned_bytes(self):
+        # digest of the base tensor as drawn when init_circ_base computed
+        # its own He std; N = 3 leaves partial blocks on both channel axes
+        base = init_circ_base(
+            np.random.default_rng(0), (3, 3), PartitionConfig(n=3, c_in=4, c_out=8)
+        ).base
+        assert hashlib.sha256(base.tobytes()).hexdigest() == (
+            "e8a656a6a22ce2d2878e3dd1e5f91efa68c1ef1f63af80f0bdff73c17dcabf55"
         )
 
     def test_non_finite_loss_raises_before_the_step(self):
