@@ -1,10 +1,10 @@
 """Parameter and FLOP accounting, compression-scheme evaluation, reports.
 
-The FLOP counting convention is fixed: MAC_COST and the transform and slot
-cost functions implement it, and FLOP_CONVENTION states it. Every report
+The FLOP counting convention is fixed: the transform and slot cost
+functions implement it, and FLOP_CONVENTION states it. Every report
 embeds that text, so its numbers are reproducible from the report alone.
 param_count and flop_count count a dense conv as the N = 1 circconv, where
-transforms cost nothing and a slot is one MAC.
+transforms cost nothing and a slot is one MAC (MAC_COST ops).
 scheme_ratios is the one place a scheme's ratios are handed to block
 labels, for apply_scheme here and nn.convert_network alike, so a scheme of
 the wrong length is refused in one wording.
@@ -25,8 +25,8 @@ SPEC_KINDS = ("conv", "circconv", "fc")  # kinds that carry counted cost
 class LayerSpec:
     """Shape summary of one layer for counting purposes.
 
-    kind is one of 'conv', 'circconv', 'fc'. For 'fc', c_in/c_out are the
-    flat feature sizes and the spatial fields are (1, 1). groups, which
+    kind is one of 'conv', 'circconv', 'fc'. An 'fc' is counted as the N = 1
+    conv of a 1x1 map, c_in/c_out its flat feature sizes. groups, which
     must divide c_in and c_out, splits a conv layer into channel groups.
     """
 
@@ -103,8 +103,6 @@ def slot_cost(n):
 
 def param_count(layer):
     """Weight parameters of a layer (biases are counted separately)."""
-    if layer.kind == "fc":
-        return layer.c_in * layer.c_out
     k1, k2 = layer.kernel
     cfg = layer.partition()
     return layer.groups * k1 * k2 * cfg.r * cfg.n * cfg.s
@@ -120,8 +118,6 @@ def flop_count(layer):
     k1, k2 = layer.kernel
     w2, h2 = layer.out_spatial
     sites = w2 * h2
-    if layer.kind == "fc":
-        return MAC_COST * layer.c_in * layer.c_out
     cfg = layer.partition()
     n, r, s = cfg.n, cfg.r, cfg.s
     slots = k1 * k2 * r * s

@@ -162,13 +162,13 @@ def cmd_train(args):
     if args.from_model:
         net = model_io.load_model(args.from_model)
         try:  # from the toy task's (B, W, H, C) input
-            link = nn.chain(net.layers, (4, spec.channels))
+            rank, width, _ = nn.chain(net.layers, (4, spec.channels, spec.spatial))[-1]
         except ShapeError as exc:
             raise ShapeError(f"{args.from_model}: {exc}") from exc
-        if link != (2, spec.classes):
+        if (rank, width) != (2, spec.classes):
             raise ShapeError(
                 f"{args.from_model}: the toy task takes (B, {spec.classes}) logits, "
-                f"but the layers produce {link[0]}-D output of width {link[1]}"
+                f"but the layers produce {rank}-D output of width {width}"
             )
     else:
         scheme = CompressionScheme.parse("2" if args.scheme is None else args.scheme)

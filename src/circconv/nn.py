@@ -13,8 +13,8 @@ bit-reproducible for a fixed seed. A circulant layer's backward is one
 circ_backward call, which transforms and gathers grad_y once for both the
 base-tensor and the input gradient.
 
-chain is the one rule for how layers stack. It walks a whole stack and
-names the first layer that does not fit; forward_pass, save_model,
+chain is the one walk of a stack's rank, width and spatial size; it names
+the first layer that does not fit. forward_pass, layer_specs, save_model,
 load_model and training from a saved model each call it once.
 """
 
@@ -78,13 +78,13 @@ class Layer:
     fields() returns the manifest fields: `kind`, then whichever of
     `kernel`, `c_in`, `c_out` and `n` the kind has (named and meant as in
     analysis.LayerSpec), then the convolution geometry `pad` and `stride`.
-    layer_specs gives a kind whose fields carry `c_in` a LayerSpec, and one
-    with a `kernel` maps the spatial size through its `geometry`.
+    layer_specs gives a kind whose fields carry `c_in` a LayerSpec.
     from_fields(fields, params) rebuilds the layer from those fields and
     arrays named as in params(). in_rank is the input rank the kind
     requires (None: any) and out_rank the rank it returns (None: its
-    input's); with the c_in and c_out fields they say how layers chain,
-    which chain checks. The defaults describe a layer without parameters.
+    input's); with the c_in, c_out and kernel fields, a kernel mapping the
+    spatial size through `geometry`, they say how layers chain, which
+    chain checks. The defaults describe a layer without parameters.
 
     forward(xb) returns the output and a cache; backward(cache, gyb,
     need_dx=True) returns the input gradient, or None when need_dx is
@@ -267,17 +267,19 @@ class ForwardCache:
     logits: np.ndarray
 
 
-MODEL_INPUT = (4, None)  # the (rank, width) of a model's (B, W, H, C) input
+MODEL_INPUT = (4, None, None)  # the link of a model's (B, W, H, C) input
 
 
 def chain(layers, link):
-    """The (rank, width) of the output of a stack of layers, given link,
-    that of its input (width None: any). A stack's input stays 4-D until
-    a gap layer makes it (B, C), and a layer's c_in must equal the width
-    the layers before it produce; ShapeError "layer i: ..." at the first
-    layer that does not fit."""
-    rank, width = link
+    """The (rank, width, spatial size) links of a stack of layers: link,
+    its input's (width or size None: any), then each layer's output's. The
+    input stays 4-D until a gap layer pools it to (B, C), a 1x1 map; a
+    layer's c_in must equal the width before it, and its kernel maps the
+    size through its geometry. ShapeError "layer i: <kind> layer ..." at
+    the first layer that does not fit."""
+    links = [link]
     for i, layer in enumerate(layers):
+        rank, width, size = links[-1]
         fields = layer.fields()
         if layer.in_rank not in (None, rank):
             raise ShapeError(
@@ -289,29 +291,28 @@ def chain(layers, link):
                 f"layer {i}: {layer.kind} layer expects {fields['c_in']} input "
                 f"channels, but the layers before it produce {width}"
             )
-        rank, width = layer.out_rank or rank, fields.get("c_out", width)
-    return rank, width
+        if size is not None and "kernel" in fields:
+            try:
+                size = layer.geometry.out_size(size, tuple(fields["kernel"]))
+            except ShapeError as exc:
+                raise ShapeError(f"layer {i}: {layer.kind} layer: {exc}") from exc
+        size = (1, 1) if layer.out_rank == 2 else size
+        links.append((layer.out_rank or rank, fields.get("c_out", width), size))
+    return links
 
 
 def forward_pass(net, xb):
     """Run all layers; returns (logits, cache for backward_pass). A stack
-    that does not chain from the input's rank is refused before any layer
-    computes; each pass checks the input's own width."""
+    that does not chain from the input's rank, width and size is refused
+    before any layer computes."""
     h = np.asarray(xb, dtype=DTYPE)
-    chain(net.layers, (h.ndim, None))
+    width = h.shape[-1] if h.ndim else None
+    chain(net.layers, (h.ndim, width, h.shape[1:3] if h.ndim == 4 else None))
     caches = []
-    for i, layer in enumerate(net.layers):
-        h, c = _in_layer(i, layer, layer.forward, h)
+    for layer in net.layers:
+        h, c = layer.forward(h)
         caches.append(c)
     return h, ForwardCache(net.version, caches, h)
-
-
-def _in_layer(i, layer, call, *args):
-    """call(*args), a ShapeError it raises reworded to name the layer."""
-    try:
-        return call(*args)
-    except ShapeError as exc:
-        raise ShapeError(f"layer {i} ({type(layer).__name__}): {exc}") from exc
 
 
 def conv_blocks(net):
@@ -323,26 +324,22 @@ def conv_blocks(net):
 
 def layer_specs(net, spatial):
     """analysis.LayerSpec list of a network for an input of the given
-    spatial size, one named layer{i} per layer whose fields carry c_in. A
-    kernel maps the spatial size through the layer's geometry; fc follows
-    the global pool, so it keeps LayerSpec's (1, 1). Dense conv layers
-    carry their conv_blocks label."""
+    spatial size, one named layer{i} per layer whose fields carry c_in,
+    with the in and out sizes chain walks; a stack that does not chain
+    raises chain's ShapeError. Dense conv layers carry their conv_blocks
+    label."""
     blocks = conv_blocks(net)
+    links = chain(net.layers, (4, None, spatial))
     specs = []
     for i, layer in enumerate(net.layers):
         fields = layer.fields()
         if "c_in" not in fields:
             continue
-        dims = {}
-        if "kernel" in fields:
-            kernel = tuple(fields["kernel"])
-            out = _in_layer(i, layer, layer.geometry.out_size, spatial, kernel)
-            dims = {"kernel": kernel, "in_spatial": spatial, "out_spatial": out}
-            spatial = out
         counted = {k: fields[k] for k in ("kind", "c_in", "c_out", "n") if k in fields}
-        specs.append(
-            analysis.LayerSpec(name=f"layer{i}", block=blocks.get(i), **counted, **dims)
-        )
+        specs.append(analysis.LayerSpec(
+            name=f"layer{i}", block=blocks.get(i), kernel=tuple(fields.get("kernel", (1, 1))),
+            in_spatial=links[i][2], out_spatial=links[i + 1][2], **counted,
+        ))
     return specs
 
 

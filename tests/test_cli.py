@@ -186,7 +186,7 @@ class TestAnalyze:
         )
         assert code == 1 and out == ""
         assert err == (
-            "error: ShapeError: layer 0 (DenseConvLayer): kernel (3, 3) "
+            "error: ShapeError: layer 0: conv layer: kernel (3, 3) "
             "larger than padded input (2, 2) + 2*(0, 0)\n"
         )
 

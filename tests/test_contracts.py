@@ -257,3 +257,40 @@ def test_train_chains_from_the_toy_input(tmp_path, capsys):
         f"error: ShapeError: {tmp_path / 'm.ccm'}: layer 0: conv layer expects 6 input "
         f"channels, but the layers before it produce 4\n"
     )
+
+
+def test_train_refuses_a_kernel_larger_than_the_toy_input(tmp_path, capsys):
+    # a 13x13 kernel does not fit the toy task's 12x12 input; step 0 used
+    # to refuse it in the pass's words, without the file's name
+    rng = np.random.default_rng(0)
+    layers = [DenseConvLayer(rng.standard_normal((13, 13, 4, 4))), ReLU(),
+              GlobalAveragePool(), FullyConnected(rng.standard_normal((4, 4)))]
+    assert trained(layers, tmp_path, None, capsys) == (
+        f"error: ShapeError: {tmp_path / 'm.ccm'}: layer 0: conv layer: kernel (13, 13) "
+        f"larger than padded input (12, 12) + 2*(0, 0)\n"
+    )
+
+
+# stacks whose layer 1 does not fit what the (2, 6, 6, 4) input gives it
+MISFITS_PAST_LAYER_0 = {
+    "width": (lambda rng: [ReLU(), DenseConvLayer(rng.standard_normal((3, 3, 5, 4)))],
+              "layer 1: conv layer expects 5 input channels, "
+              "but the layers before it produce 4"),
+    "size": (lambda rng: [DenseConvLayer(rng.standard_normal((3, 3, 4, 4))),
+                          DenseConvLayer(rng.standard_normal((5, 5, 4, 4)))],
+             "layer 1: conv layer: kernel (5, 5) larger than padded input (4, 4) + 2*(0, 0)"),
+}
+
+
+@pytest.mark.parametrize("misfit", list(MISFITS_PAST_LAYER_0))
+def test_forward_pass_refuses_before_any_layer_computes(monkeypatch, misfit):
+    def computed(self, xb):
+        raise AssertionError(f"{self.kind} layer computed before the stack was checked")
+
+    for cls in nn.LAYER_KINDS.values():
+        monkeypatch.setattr(cls, "forward", computed)
+    build, message = MISFITS_PAST_LAYER_0[misfit]
+    net = Network(build(np.random.default_rng(0)))
+    with pytest.raises(ShapeError) as info:
+        forward_pass(net, np.zeros((2, 6, 6, 4)))
+    assert str(info.value) == message
