@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import DTYPE, KERNEL_AXES, as_tensor
-
-
-# Upper bound, in bytes, on the buffers project_tensor fills per chunk of
-# the kernel: half of a 2 MiB L2 cache, as convops._GROUP_BYTES bounds a
-# window matrix.
-_CHUNK_BYTES = 1 << 20
+from .tensor import CACHE_BYTES, DTYPE, KERNEL_AXES, as_tensor
 
 
 def _ceil_div(a, b):
@@ -185,7 +179,7 @@ def _block_rows(w, config, step):
 
     Without partial blocks these are views of w. Otherwise whole kernel
     positions are zero-padded into one reused buffer, as many as fit in
-    _CHUNK_BYTES or else one, and no chunk straddles two fills.
+    CACHE_BYTES or else one, and no chunk straddles two fills.
     """
     w1, h1, c_in, c_out = w.shape
     n, r, s = config.n, config.r, config.s
@@ -196,7 +190,7 @@ def _block_rows(w, config, step):
         return
     positions = w.reshape(w1 * h1, c_in, c_out)
     fill = config.padded_in * config.padded_out * w.itemsize
-    q = min(len(positions), max(1, _CHUNK_BYTES // fill))
+    q = min(len(positions), max(1, CACHE_BYTES // fill))
     buf = np.zeros((q, config.padded_in, config.padded_out), dtype=DTYPE)
     rows = buf.reshape(q * r, n, s, n)
     for p in range(0, len(positions), q):
@@ -229,13 +223,13 @@ def project_tensor(w, config):
     cancel, and an exactly circulant kernel would no longer report exactly
     0.0.
 
-    A chunk's buffers stay under _CHUNK_BYTES and are allocated once per
-    call. While N is at most the R*S blocks of one kernel position, each
-    chunk is gathered into (a, b, unit, s) order, so every slice is a few
-    long contiguous runs, which the second walk reads from the cache. At
-    larger N the runs along b are the longer ones: the kernel is read in
-    place, and only the sums are chunked. With partial blocks, _block_rows
-    pads the kernel into one more reused buffer.
+    A chunk's buffers stay under the cache budget, CACHE_BYTES, and are
+    allocated once per call. While N is at most the R*S blocks of one
+    kernel position, each chunk is gathered into (a, b, unit, s) order, so
+    every slice is a few long contiguous runs, which the second walk reads
+    from the cache. At larger N the runs along b are the longer ones: the
+    kernel is read in place, and only the sums are chunked. With partial
+    blocks, _block_rows pads the kernel into one more reused buffer.
     """
     w = partitioned_kernel(w, config)
     w1, h1 = w.shape[:2]
@@ -244,7 +238,7 @@ def project_tensor(w, config):
     itemsize = np.dtype(DTYPE).itemsize
     gather = n <= r * s
     per_unit = ((n if gather else 0) + 4) * n * s * itemsize
-    step = min(units, max(1, _CHUNK_BYTES // per_unit))
+    step = min(units, max(1, CACHE_BYTES // per_unit))
     if gather:
         rows = np.empty((n, n, step, s), dtype=DTYPE)
         fib, diff, acc = (np.empty((k, step, s), dtype=DTYPE) for k in (2 * n, n, n))

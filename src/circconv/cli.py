@@ -14,9 +14,6 @@ import os
 import re
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import numpy as np
 
 from . import analysis, model_io, nn, verification
@@ -144,8 +141,7 @@ def cmd_bench(args):
             )
         print(
             f"workload: {args.spatial}x{args.spatial} output sites, "
-            f"{args.kernel}x{args.kernel} kernel, one NxN circulant block, "
-            f"single-threaded"
+            f"{args.kernel}x{args.kernel} kernel, one NxN circulant block"
         )
     return 0
 

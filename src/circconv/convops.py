@@ -55,9 +55,10 @@ sites between outputs, plus zero trailing sites where the stride skipped
 the input's last rows or columns.
 
 The batch is processed in groups of consecutive samples whose window
-matrix stays under _GROUP_BYTES: a whole-batch matrix of many megabytes is
-streamed from memory on every pass, while a group that fits the L2 cache
-is gathered, multiplied and transformed back while it is still there.
+matrix stays under tensor's cache budget, CACHE_BYTES: a whole-batch
+matrix of many megabytes is streamed from memory on every pass, while a
+group that fits the L2 cache is gathered, multiplied and transformed back
+while it is still there.
 Groups are always visited in batch order, so results are
 bit-reproducible.
 """
@@ -70,12 +71,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import spectral
 from .errors import ContractError, ShapeError
 from .circulant import partitioned_kernel
-from .tensor import DTYPE, KERNEL_AXES, as_tensor
-
-# Upper bound, in bytes, on the window matrix of one group of samples: half
-# of a 2 MiB L2 cache, leaving room for the spectra it is gathered from and
-# the product it is multiplied into.
-_GROUP_BYTES = 1 << 20
+from .tensor import CACHE_BYTES, DTYPE, KERNEL_AXES, as_tensor
 
 
 @dataclass(frozen=True)
@@ -262,8 +258,8 @@ def _grid(hw, g, kernel_size):
 
 def _group_size(rows, width):
     """Samples per group: as many as keep a window matrix of rows rows and
-    width columns per sample under _GROUP_BYTES."""
-    return max(1, _GROUP_BYTES // (np.dtype(DTYPE).itemsize * rows * width))
+    width columns per sample under CACHE_BYTES."""
+    return max(1, CACHE_BYTES // (np.dtype(DTYPE).itemsize * rows * width))
 
 
 def _checked_view(a, shape, strides):
@@ -291,7 +287,7 @@ def _grouped_windows(t, g, blocks, n, kernel_size):
     stride 1 each copied run is a sample's whole W2*hq plane. Columns
     h >= H2 of each output row are junk, read past the row's end or from
     the slack row; the passes drop them. Groups hold as many consecutive
-    samples as keep cols under _GROUP_BYTES.
+    samples as keep cols under CACHE_BYTES.
     """
     k1, k2 = kernel_size
     s = g.stride

@@ -4,7 +4,9 @@ Feature maps are (W, H, C) float64 arrays and kernels are
 (W1, H1, C_in, C_out) float64 arrays, row-major with the channel axis
 fastest-varying, so channel fibers are contiguous. Indexing is 0-based
 everywhere. Dense kernels, circulant base tensors and fc matrices all pass
-through as_tensor.
+through as_tensor. CACHE_BYTES is the one cache budget: the convolution
+passes walk a batch and conversion walks a kernel in pieces whose buffers
+stay under it.
 """
 
 import numpy as np
@@ -12,6 +14,11 @@ import numpy as np
 from .errors import ShapeError
 
 DTYPE = np.float64
+
+# Upper bound, in bytes, on the buffers a blocked walk fills per piece: half
+# of a 2 MiB L2 cache, leaving room for the arrays the piece is read from
+# and written into.
+CACHE_BYTES = 1 << 20
 
 KERNEL_AXES = ("W1", "H1", "C_in", "C_out")
 

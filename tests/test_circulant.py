@@ -343,7 +343,7 @@ class TestProjectTensorChunks:
     def test_result_does_not_depend_on_the_chunks(self, monkeypatch, bound):
         instances = list(_chunking_instances())
         want = [project_tensor(w, cfg) for w, cfg in instances]
-        monkeypatch.setattr(circulant, "_CHUNK_BYTES", bound)
+        monkeypatch.setattr(circulant, "CACHE_BYTES", bound)
         for (w, cfg), (base, report) in zip(instances, want):
             got, got_report = project_tensor(w, cfg)
             assert got.base.tobytes() == base.base.tobytes(), (w.shape, cfg)
@@ -358,13 +358,13 @@ class TestProjectTensorChunks:
             units = shape[0] * shape[1] * cfg.r
             # gathered rows (N*N), fibers (2N), differences and sums (N each)
             per_unit = (n + 4) * n * cfg.s * 8
-            step = circulant._CHUNK_BYTES // per_unit
+            step = circulant.CACHE_BYTES // per_unit
             assert 1 < step < units and units % step != 0
 
     @pytest.mark.parametrize("n", [3, 64])
     @pytest.mark.parametrize("bound", [1, 1 << 20])
     def test_circulant_kernel_reads_exactly_zero_across_chunks(self, monkeypatch, n, bound):
-        monkeypatch.setattr(circulant, "_CHUNK_BYTES", bound)
+        monkeypatch.setattr(circulant, "CACHE_BYTES", bound)
         rng = np.random.default_rng(n)
         cfg = PartitionConfig(n=n, c_in=4 * n, c_out=3 * n)
         base = CirculantBaseTensor(

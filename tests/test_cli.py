@@ -644,6 +644,23 @@ class TestCounts:
         assert "PASS forward-oracle-equivalence: 2 instances" in out
 
 
+def test_importing_the_cli_sets_no_process_state():
+    # the CLI runs with the BLAS threads its environment sets; a pin set
+    # after numpy has loaded would not take effect
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import os, circconv.cli; print(*(os.environ.get(v) for v in {names!r}))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None"] * 3
+
+
 def test_parser_defaults_are_the_library_defaults():
     parser = build_parser()
     train = parser.parse_args(["train"])
@@ -698,7 +715,7 @@ class TestBench:
         assert rows[0].endswith(f"{4608:>14}{2778:>12}{'0.603':>8}")
         assert rows[1].endswith(f"{73728:>14}{27020:>12}{'0.366':>8}")
         assert workload == (
-            "workload: 8x8 output sites, 3x3 kernel, one NxN circulant block, single-threaded"
+            "workload: 8x8 output sites, 3x3 kernel, one NxN circulant block"
         )
 
     @pytest.mark.parametrize(

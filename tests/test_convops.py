@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from circconv import convops, nn, spectral
 from circconv.convops import (
-    _GROUP_BYTES,
+    CACHE_BYTES,
     ConvGeometry,
     _checked_view,
     _grid,
@@ -772,7 +772,7 @@ class TestSpectralEngine:
         """Each ragged batch of check_batched_passes spans at least two
         groups of every pass with a shorter last group; the groups cover
         the batch once, in order, and each multi-sample window matrix
-        stays under _GROUP_BYTES."""
+        stays under CACHE_BYTES."""
         calls = []
         grouped_windows = convops._grouped_windows
 
@@ -797,7 +797,7 @@ class TestSpectralEngine:
                 assert len(groups) >= 2 and sizes[-1] < sizes[0]
                 assert [group.start for group, _ in groups] == list(np.cumsum([0] + sizes[:-1]))
                 assert sum(sizes) == size
-                assert all(b <= _GROUP_BYTES for (_, b), k in zip(groups, sizes) if k > 1)
+                assert all(b <= CACHE_BYTES for (_, b), k in zip(groups, sizes) if k > 1)
 
     @pytest.mark.parametrize(
         "n, matrix_dtype",

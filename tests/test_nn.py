@@ -104,6 +104,12 @@ class TestForwardPass:
         ):
             forward_pass(net, np.zeros((2, 4)))
 
+    def test_fc_forward_called_directly_refuses_the_wrong_width(self):
+        # forward_pass has chain refuse the misfit first, so only a direct
+        # call reaches the layer's own check
+        with pytest.raises(ShapeError, match=r"^expected \(B, 3\) input, got \(4, 5\)$"):
+            FullyConnected(np.zeros((3, 2))).forward(np.zeros((4, 5)))
+
     def test_zero_weight_network_outputs_biases(self):
         rng = np.random.default_rng(0)
         cfg = PartitionConfig(n=2, c_in=4, c_out=4)
