@@ -11,7 +11,9 @@ pass; the FFT passes of a circulant layer work through it in groups of
 consecutive samples in a fixed order. Training runs are therefore
 bit-reproducible for a fixed seed. A circulant layer's backward is one
 circ_backward call, which transforms and gathers grad_y once for both the
-base-tensor and the input gradient.
+base-tensor and the input gradient. The first layer needs no input
+gradient, so its backward is circ_backward_weight alone; in training,
+train asks forward_pass to keep that layer's input windows for it.
 
 chain is the one walk of a stack's rank, width and spatial size; it names
 the first layer that does not fit. forward_pass, layer_specs, save_model,
@@ -133,21 +135,26 @@ class CircConvLayer(Layer):
             CirculantBaseTensor(params["base"], cfg), params["bias"], _geometry(fields)
         )
 
-    def forward(self, xb):
+    def forward(self, xb, keep_windows=False):
+        """With keep_windows, the cache also holds the input windows that
+        circ_forward gathers when circ_backward_weight would gather them
+        again, for a backward with need_dx false."""
         w_spec = kernel_spectra(self.base)  # constant within the step
-        y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec)
+        windows = [] if keep_windows else None
+        y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec, windows=windows)
         y += self.bias
-        return y, xb
+        return y, (xb, windows or None)
 
     def backward(self, cache, gyb, need_dx=True):
-        xb = cache
+        xb, windows = cache
         # Summed before the FFT passes, while grad_y is still in cache: after
         # them the same sum measured 1.3-1.6x slower at 16x16, batch 16.
         dbias = gyb.sum(axis=(0, 1, 2))
         if need_dx:
             dbase, dx = circ_backward(xb, gyb, self.base, self.geometry)
         else:
-            dbase, dx = circ_backward_weight(xb, gyb, self.base, self.geometry), None
+            dbase = circ_backward_weight(xb, gyb, self.base, self.geometry, windows=windows)
+            dx = None
         return dx, {"base": dbase, "bias": dbias}
 
 
@@ -301,16 +308,26 @@ def chain(layers, link):
     return links
 
 
-def forward_pass(net, xb):
+def forward_pass(net, xb, keep_windows=False):
     """Run all layers; returns (logits, cache for backward_pass). A stack
     that does not chain from the input's rank, width and size is refused
-    before any layer computes."""
+    before any layer computes.
+
+    keep_windows=True, for a backward_pass that follows, lets a first
+    circulant layer keep the input windows its forward gathers where its
+    weight-only backward would gather them again (R < S*s^2). That costs
+    the window matrix, about K1*K2 times the input batch, until the cache
+    is dropped; the default keeps none.
+    """
     h = np.asarray(xb, dtype=DTYPE)
     width = h.shape[-1] if h.ndim else None
     chain(net.layers, (h.ndim, width, h.shape[1:3] if h.ndim == 4 else None))
     caches = []
-    for layer in net.layers:
-        h, c = layer.forward(h)
+    for i, layer in enumerate(net.layers):
+        if i == 0 and keep_windows and isinstance(layer, CircConvLayer):
+            h, c = layer.forward(h, keep_windows=True)
+        else:
+            h, c = layer.forward(h)
         caches.append(c)
     return h, ForwardCache(net.version, caches, h)
 
@@ -379,7 +396,8 @@ def backward_pass(net, cache, labels):
 
     Only the stored parameters are differentiated; for circulant layers
     that is the base tensor, never its dense expansion. The first layer's
-    input gradient, which nothing uses, is not computed.
+    input gradient, which nothing uses, is not computed, and its weight
+    gradient reads the windows forward_pass kept, if any.
     """
     if cache.version != net.version:
         raise ContractError(
@@ -547,7 +565,9 @@ def evaluate(net, x, labels):
 def train(net, data, cfg, steps, seed, log=None):
     """Minibatch SGD; returns one {'step', 'loss', 'accuracy'} record per step.
 
-    Raises DivergenceError, before taking the step, on a non-finite loss.
+    Each step's forward_pass keeps the first layer's windows for its
+    backward_pass (keep_windows). Raises DivergenceError, before taking
+    the step, on a non-finite loss.
     """
     x, labels = data
     rng = np.random.default_rng(seed)
@@ -556,7 +576,7 @@ def train(net, data, cfg, steps, seed, log=None):
     for step in range(steps):
         idx = rng.choice(x.shape[0], size=min(cfg.batch_size, x.shape[0]), replace=False)
         xb, yb = x[idx], labels[idx]
-        logits, cache = forward_pass(net, xb)
+        logits, cache = forward_pass(net, xb, keep_windows=True)
         loss, _ = softmax_cross_entropy(logits, yb)
         if not np.isfinite(loss):
             raise DivergenceError(

@@ -515,6 +515,107 @@ class TestCircBackwardWeight:
             circ_backward_weight(x, np.zeros((5, 5, 2)), base)  # wrong spatial
 
 
+# (n, c_in, c_out, kernel, pad, stride, input size, batch; None: one
+# sample), each with R < S*s^2, so the weight-only pass reads the input's
+# windows
+INPUT_WINDOW_SHAPES = {
+    "r<s": (2, 4, 8, (3, 3), (1, 1), 1, (6, 6), 3),
+    "r=s-stride2": (3, 6, 6, (3, 3), (1, 1), 2, (7, 8), 2),
+    "r>s-stride2": (2, 6, 4, (3, 3), (1, 1), 2, (8, 7), 2),
+    "stride3": (2, 2, 2, (3, 3), (1, 1), 3, (10, 9), 2),
+    "partial-blocks": (3, 5, 7, (3, 2), (1, 0), 1, (6, 5), 2),
+    "n1": (1, 2, 3, (2, 2), (0, 1), 1, (5, 5), 2),
+    "prime-n": (5, 5, 9, (3, 3), (1, 1), 1, (5, 6), 2),
+    "pad0": (2, 2, 6, (3, 3), (0, 0), 1, (6, 6), 2),
+    "pad-over-k": (2, 3, 5, (2, 2), (3, 2), 1, (4, 5), 2),
+    "sample": (2, 4, 8, (3, 3), (1, 1), 2, (7, 6), None),
+}
+
+
+def input_window_case(name, seed=0):
+    n, c_in, c_out, (k1, k2), pad, stride, size, batch = INPUT_WINDOW_SHAPES[name]
+    rng = np.random.default_rng(seed)
+    base = random_base(rng, k1, k2, n, None, None, c_in=c_in, c_out=c_out)
+    g = ConvGeometry(pad=pad, stride=stride)
+    x = rng.standard_normal((*(() if batch is None else (batch,)), *size, c_in))
+    gy = rng.standard_normal(circ_forward(x, base, g).shape)
+    return base, g, x, gy
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called a pass this path must not run")
+
+
+class TestWeightFromInputWindows:
+    """circ_backward_weight at R < S*s^2: the input's windows against the
+    grad_y spectra on the forward's grid."""
+
+    @pytest.mark.parametrize("name", sorted(INPUT_WINDOW_SHAPES))
+    def test_matches_oracle_and_grad_y_loop(self, monkeypatch, name):
+        base, g, x, gy = input_window_case(name)
+        assert convops._weight_from_input_windows(base.config, g)
+        loop = circ_backward(x, gy, base, g)[0]
+        monkeypatch.setattr(convops, "_backward", must_not_run)  # no grad_y loop
+        got = circ_backward_weight(x, gy, base, g)
+        pairs = zip(x, gy) if x.ndim == 4 else [(x, gy)]
+        want = sum(dense_weight_grad_diag_sum(xi, gi, base, g) for xi, gi in pairs)
+        assert rel_diff(got, want) <= 1e-9
+        assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+    @pytest.mark.parametrize("name", sorted(INPUT_WINDOW_SHAPES))
+    def test_kept_windows_give_the_same_bits(self, monkeypatch, name):
+        base, g, x, gy = input_window_case(name, seed=1)
+        windows = []
+        y = circ_forward(x, base, g, windows=windows)
+        np.testing.assert_array_equal(y, circ_forward(x, base, g))
+        assert windows
+        again = circ_backward_weight(x, gy, base, g)
+        monkeypatch.setattr(convops, "_grouped_windows", must_not_run)  # no gather
+        np.testing.assert_array_equal(circ_backward_weight(x, gy, base, g, windows=windows), again)
+
+    def test_kept_windows_span_ragged_groups(self, monkeypatch):
+        base, g, _, _ = input_window_case("r<s")
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((5, 6, 6, 4))
+        gy = rng.standard_normal((5, 6, 6, 8))
+        w2, _, q = _grid((6, 6), g, (3, 3))
+        sample_bytes = 8 * base.config.n * base.config.r * 9 * w2 * q
+        monkeypatch.setattr(convops, "CACHE_BYTES", 2 * sample_bytes)
+        windows = []
+        circ_forward(x, base, g, windows=windows)
+        assert [len(range(5)[group]) for group, _ in windows] == [2, 2, 1]
+        got = circ_backward_weight(x, gy, base, g, windows=windows)
+        assert np.array_equal(got, circ_backward_weight(x, gy, base, g))
+        want = sum(dense_weight_grad_diag_sum(xi, gi, base, g) for xi, gi in zip(x, gy))
+        assert rel_diff(got, want) <= 1e-9
+
+    def test_windows_of_another_batch_refused(self):
+        base, g, x, gy = input_window_case("r<s")
+        windows = []
+        circ_forward(x[:2], base, g, windows=windows)
+        with pytest.raises(ContractError, match="3-sample"):
+            circ_backward_weight(x, gy, base, g, windows=windows)
+
+    @pytest.mark.parametrize(
+        "n, c_in, c_out, stride",
+        [(2, 4, 4, 1), (2, 8, 2, 2), (3, 9, 3, 1)],
+        ids=["r=s", "r=4s-stride2", "r=3s"],
+    )
+    def test_at_or_above_the_cutoff_the_grad_y_loop_stays(self, n, c_in, c_out, stride):
+        rng = np.random.default_rng(3)
+        base = random_base(rng, 3, 3, n, None, None, c_in=c_in, c_out=c_out)
+        g = ConvGeometry(pad=(1, 1), stride=stride)
+        assert not convops._weight_from_input_windows(base.config, g)
+        x = rng.standard_normal((2, 7, 7, c_in))
+        windows = []
+        y = circ_forward(x, base, g, windows=windows)
+        assert windows == []
+        gy = rng.standard_normal(y.shape)
+        np.testing.assert_array_equal(
+            circ_backward_weight(x, gy, base, g), circ_backward(x, gy, base, g)[0]
+        )
+
+
 class TestCircBackwardInput:
     def test_zero_grad_y(self):
         rng = np.random.default_rng(19)

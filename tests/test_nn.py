@@ -344,6 +344,71 @@ class TestBackwardPass:
             backward_pass(net, cache, labels)
 
 
+# R = 2 < S = 4: the first layer's weight gradient reads its input windows
+WIDE = ToyTaskSpec(n_samples=48, spatial=(6, 6), channels=4, classes=3, hidden=8)
+
+
+class TestKeptWindows:
+    """forward_pass(keep_windows=True) lets the first circulant layer keep
+    the input windows its weight-only backward would gather again."""
+
+    def test_default_forward_keeps_no_windows(self):
+        net = tiny_circ_net(seed=30, spec=WIDE)
+        x, _ = make_toy_task(seed=31, spec=WIDE)
+        logits, cache = forward_pass(net, x[:8])
+        assert cache.layer_caches[0][1] is None
+        y, layer_cache = net.layers[0].forward(x[:8])  # one argument, as checks call it
+        assert layer_cache[1] is None
+        np.testing.assert_array_equal(y, forward_pass(Network(net.layers[:1]), x[:8])[0])
+        kept, cache = forward_pass(net, x[:8], keep_windows=True)
+        np.testing.assert_array_equal(kept, logits)
+        assert cache.layer_caches[0][1]
+
+    def test_kept_windows_give_the_same_gradients(self):
+        rng = np.random.default_rng(32)
+        g = ConvGeometry(pad=(1, 1))
+        net = Network([
+            CircConvLayer(init_circ_base(rng, (3, 3), PartitionConfig(n=2, c_in=4, c_out=8)),
+                          geometry=g), ReLU(),
+            CircConvLayer(init_circ_base(rng, (3, 3), PartitionConfig(n=2, c_in=8, c_out=16)),
+                          geometry=g), GlobalAveragePool(),
+            FullyConnected(rng.standard_normal((16, 3))),
+        ])
+        x, labels = rng.standard_normal((5, 6, 6, 4)), np.array([0, 1, 2, 0, 1])
+        _, plain = forward_pass(net, x)
+        _, kept = forward_pass(net, x, keep_windows=True)
+        assert kept.layer_caches[0][1] and kept.layer_caches[2][1] is None
+        assert params_equal(backward_pass(net, kept, labels), backward_pass(net, plain, labels))
+
+    def test_first_layer_outside_the_rule_keeps_none(self):
+        net = tiny_circ_net(seed=33)  # R = S = 2 at stride 1
+        x, _ = make_toy_task(seed=34, spec=SMALL)
+        _, cache = forward_pass(net, x[:4], keep_windows=True)
+        assert cache.layer_caches[0][1] is None
+
+    def test_train_keeps_windows_and_evaluate_does_not(self, monkeypatch):
+        data = make_toy_task(seed=35, spec=WIDE)
+        plain = nn.forward_pass
+        kept = []
+
+        def recording(net, xb, keep_windows=False):
+            out = plain(net, xb, keep_windows)
+            kept.append(out[1].layer_caches[0][1] is not None)
+            return out
+
+        monkeypatch.setattr(nn, "forward_pass", recording)
+        net = tiny_circ_net(seed=36, spec=WIDE)
+        history = train(net, data, SgdConfig(batch_size=8), steps=3, seed=37)
+        evaluate(net, *data)
+        assert kept == [True, True, True, False]
+
+        # the same bits when every step gathers the windows again
+        monkeypatch.setattr(nn, "forward_pass", lambda net, xb, keep_windows=False: plain(net, xb))
+        again = tiny_circ_net(seed=36, spec=WIDE)
+        assert train(again, data, SgdConfig(batch_size=8), steps=3, seed=37) == history
+        assert params_equal(clone_params(again), clone_params(net))
+
+
 class TestSgdStep:
     def test_zero_grads_zero_wd_leaves_params(self):
         net = tiny_circ_net(seed=7)
