@@ -54,9 +54,8 @@ are zero. At stride s the loop runs on grad_y dilated by s - 1 zero
 sites between outputs, plus zero trailing sites where the stride skipped
 the input's last rows or columns.
 
-The weight-only pass, circ_backward_weight, runs that loop only when
-R >= S*s^2 (_weight_from_input_windows). Otherwise it multiplies the
-input's windows, the forward's gather with R*K1*K2 rows per bin: its
+The weight-only pass, circ_backward_weight, multiplies the input's
+windows instead, the forward's gather with R*K1*K2 rows per bin: its
 weight gradient is bin_matmul_conj_t of the grad_y spectra, laid out on
 the forward's (W2, q) grid with zeros in the junk columns, with that
 window matrix, and its rows are the output blocks, with no offset flip.
@@ -333,9 +332,10 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
     fft(base fiber j, i)). Pass a precomputed kernel_spectra() result as
     w_spec to amortize the kernel transforms across calls; one of another
     shape or dtype raises ShapeError. windows, if a list, receives the
-    (group, cols) window groups of x when circ_backward_weight would
-    gather them (R < S*s^2), to be handed to it. They hold about K1*K2
-    times the memory of x at stride 1, and stay alive as long as the list.
+    (group, cols) window groups of x, to be handed to circ_backward_weight.
+    They hold R*N*K1*K2*W2*q floats per sample, about K1*K2*(R*N/C_in)*
+    (q/H2) times x where the pad keeps the size (51 times at 3->16,
+    N = 16), and stay alive as long as the list.
     """
     cfg = base.config
     xb, single = _batch(x, "input", cfg.c_in)
@@ -345,23 +345,23 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
     if ws.shape != want or ws.dtype != DTYPE:
         raise ShapeError(f"w_spec {ws.dtype} {ws.shape} does not match this base's float64 {want}")
     kern = spectral.gemm_operand(ws.transpose(0, 4, 3, 1, 2).reshape(cfg.n, cfg.s, -1))
-    keep = windows is not None and _weight_from_input_windows(cfg, g)
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
     for group, cols in _grouped_windows(xb, g, cfg.r, cfg.n, base.kernel_size):
         ys = spectral.bin_matmul(kern, cols).reshape(cfg.n, cfg.s, -1, w2, q)
         y[group] = _fibers(ys, cfg.n, h2)[..., : cfg.c_out]
-        if keep:
+        if windows is not None:
             windows.append((group, cols))
     return y[0] if single else y
 
 
-def _backward(gb, base, g, in_size, xb=None, with_dx=True):
-    """The one backward loop, over the windows of a validated
-    (B, W2, H2, C_out) grad batch of an in_size input (see the module docstring).
+def _backward(gb, base, g, in_size, xb=None):
+    """The backward loop of circ_backward and circ_backward_input, over the
+    windows of a validated (B, W2, H2, C_out) grad batch of an in_size
+    input (see the module docstring).
 
-    Returns (dbase, dx); dbase is None when xb is None, and dx is None
-    unless with_dx. Row (i, a, c) of cols @ conj(X)^T holds the gradient
-    at kernel offset (K1-1-a, K2-1-c), hence the flip.
+    Returns (dbase, dx); dbase is None when xb is None. Row (i, a, c) of
+    cols @ conj(X)^T holds the gradient at kernel offset
+    (K1-1-a, K2-1-c), hence the flip.
     """
     cfg = base.config
     n = cfg.n
@@ -381,16 +381,13 @@ def _backward(gb, base, g, in_size, xb=None, with_dx=True):
     g_grad = ConvGeometry((max(0, qw), max(0, qh)))
     q = _grid(gb.shape[1:3], g_grad, (k1, k2))[2]
     m = cfg.s * k1 * k2
-    dx = None
-    if with_dx:
-        ws = kernel_spectra(base)[:, ::-1, ::-1].transpose(0, 3, 4, 1, 2)
-        kern = spectral.gemm_operand(ws.reshape(n, cfg.r, -1), conj=True)
-        dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
+    ws = kernel_spectra(base)[:, ::-1, ::-1].transpose(0, 3, 4, 1, 2)
+    kern = spectral.gemm_operand(ws.reshape(n, cfg.r, -1), conj=True)
+    dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
     dws = np.zeros((n, m, cfg.r), dtype=DTYPE)
     for group, cols in _grouped_windows(gb, g_grad, cfg.s, n, (k1, k2)):
-        if dx is not None:
-            dxs = spectral.bin_matmul(kern, cols).reshape(n, cfg.r, -1, w0, q)
-            dx[group] = _fibers(dxs, n, h0)[..., : cfg.c_in]
+        dxs = spectral.bin_matmul(kern, cols).reshape(n, cfg.r, -1, w0, q)
+        dx[group] = _fibers(dxs, n, h0)[..., : cfg.c_in]
         if xb is not None:
             # the input spectra on the grid of cols, zero in its junk columns
             xs = _spectra(xb[group], cfg.r, n, (w0, q)).reshape(n, cfg.r, -1)
@@ -411,21 +408,13 @@ def _base_gradient(dws, cfg):
     )
 
 
-def _weight_from_input_windows(cfg, g):
-    """Whether the weight-only pass multiplies the input's windows, R*K1*K2
-    rows per bin, rather than grad_y's, S*K1*K2 rows over s^2 times the
-    sites of the dilated grad_y: when R < S*s^2. At R >= S*s^2 the grad_y
-    loop measured faster (64->64 and 64->16 at N=8, stride 1)."""
-    return cfg.r < cfg.s * g.stride ** 2
-
-
 def circ_backward(x, grad_y, base, g=ConvGeometry()):
     """Both gradients of a scalar loss in one pass: (dbase, dx).
 
-    Equal to (circ_backward_weight(x, grad_y, base, g),
-    circ_backward_input(grad_y, base, g)), but grad_y is transformed and
-    gathered once for both. x and grad_y are one sample each or batches of
-    equal size; dx has the rank of x.
+    Equal, up to rounding, to (circ_backward_weight(x, grad_y, base, g),
+    circ_backward_input(grad_y, base, g)), but one loop over grad_y's
+    windows, transformed and gathered once, gives both. x and grad_y are
+    one sample each or batches of equal size; dx has the rank of x.
     """
     cfg = base.config
     xb, gb, single = _grad_pair(x, grad_y, cfg.c_in, cfg.c_out, base.kernel_size, g)
@@ -441,18 +430,14 @@ def circ_backward_weight(x, grad_y, base, g=ConvGeometry(), windows=None):
     dense kernel gradient and summing it along each circulant diagonal.
     Returns an array shaped like base.base, (W1, H1, R*N, S).
 
-    When R < S*s^2 it is bin_matmul_conj_t of grad_y's spectra, laid out
-    on the forward's (W2, q) grid with zeros in the junk columns, with the
+    It is bin_matmul_conj_t of grad_y's spectra, laid out on the
+    forward's (W2, q) grid with zeros in the junk columns, with the
     input's windows: no offset flip, and grad_y is never padded, dilated
     or gathered. windows are those a circ_forward of the same x, base and
-    g kept; by default the input's windows are gathered again. Otherwise
-    it is the backward loop of circ_backward, without the input gradient,
-    and windows are not read.
+    g kept; by default the input's windows are gathered again.
     """
     cfg = base.config
     xb, gb, _ = _grad_pair(x, grad_y, cfg.c_in, cfg.c_out, base.kernel_size, g)
-    if not _weight_from_input_windows(cfg, g):
-        return _backward(gb, base, g, xb.shape[1:3], xb, with_dx=False)[0]
     n, (k1, k2) = cfg.n, base.kernel_size
     w2, _, q = _grid(xb.shape[1:3], g, base.kernel_size)
     if windows and sum(cols.shape[2] for _, cols in windows) != xb.shape[0] * w2 * q:

@@ -12,8 +12,9 @@ consecutive samples in a fixed order. Training runs are therefore
 bit-reproducible for a fixed seed. A circulant layer's backward is one
 circ_backward call, which transforms and gathers grad_y once for both the
 base-tensor and the input gradient. The first layer needs no input
-gradient, so its backward is circ_backward_weight alone; in training,
-train asks forward_pass to keep that layer's input windows for it.
+gradient, so its backward is circ_backward_weight alone, which multiplies
+grad_y with the layer's input windows; in training, train asks
+forward_pass to keep the windows the forward gathered for it.
 
 chain is the one walk of a stack's rank, width and spatial size; it names
 the first layer that does not fit. forward_pass, layer_specs, save_model,
@@ -137,13 +138,13 @@ class CircConvLayer(Layer):
 
     def forward(self, xb, keep_windows=False):
         """With keep_windows, the cache also holds the input windows that
-        circ_forward gathers when circ_backward_weight would gather them
-        again, for a backward with need_dx false."""
+        circ_forward gathers, for a backward with need_dx false, whose
+        circ_backward_weight would otherwise gather them again."""
         w_spec = kernel_spectra(self.base)  # constant within the step
         windows = [] if keep_windows else None
         y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec, windows=windows)
         y += self.bias
-        return y, (xb, windows or None)
+        return y, (xb, windows)
 
     def backward(self, cache, gyb, need_dx=True):
         xb, windows = cache
@@ -314,10 +315,10 @@ def forward_pass(net, xb, keep_windows=False):
     before any layer computes.
 
     keep_windows=True, for a backward_pass that follows, lets a first
-    circulant layer keep the input windows its forward gathers where its
-    weight-only backward would gather them again (R < S*s^2). That costs
-    the window matrix, about K1*K2 times the input batch, until the cache
-    is dropped; the default keeps none.
+    circulant layer keep the input windows its forward gathers, which its
+    weight-only backward would gather again. That costs the window matrix,
+    about K1*K2*(R*N/C_in)*(q/H2) times the input batch (see circ_forward),
+    until the cache is dropped; the default keeps none.
     """
     h = np.asarray(xb, dtype=DTYPE)
     width = h.shape[-1] if h.ndim else None

@@ -253,16 +253,17 @@ def check_batched_passes(seed, instances=12):
     runs batches of 1, 3 and one spanning at least two groups of the
     contraction with a ragged last group (its spatial size is chosen so
     that a group holds 2-4 samples). The first three instances always
-    include the cases where the weight gradient's alignment of grad_y
-    windows with input sites could slip: a 1x1 kernel at pad 2, so grad_y
-    is cropped, then R < S, then R > S. The forward pass and the input
-    gradient are compared with conv_naive and conv_naive_backward_input on
-    the expansion, sample by sample, and the weight gradient with the
-    diagonal sums of conv_naive_backward_weight summed over the batch;
-    both gradients of circ_backward are compared with the same oracles. A
-    batched call must also equal the stacked (or, for the weight gradient,
-    summed) single-sample calls to stack_tol, and circ_backward must equal
-    the two single-gradient passes to stack_tol.
+    include the cases where a weight gradient's alignment of windows with
+    sites could slip: a 1x1 kernel at pad 2, so circ_backward crops
+    grad_y, then R < S and R > S, so that each weight gradient's windows
+    have fewer, then more, blocks than the spectra they meet. The forward
+    pass and the input gradient are compared with conv_naive and
+    conv_naive_backward_input on the expansion, sample by sample, and the
+    weight gradient with the diagonal sums of conv_naive_backward_weight
+    summed over the batch; both gradients of circ_backward are compared
+    with the same oracles. A batched call must also equal the stacked (or,
+    for the weight gradient, summed) single-sample calls to stack_tol, and
+    circ_backward must equal the two single-gradient passes to stack_tol.
     """
     if instances < 3:
         raise ValueError("check_batched_passes needs at least 3 instances")

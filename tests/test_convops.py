@@ -516,8 +516,8 @@ class TestCircBackwardWeight:
 
 
 # (n, c_in, c_out, kernel, pad, stride, input size, batch; None: one
-# sample), each with R < S*s^2, so the weight-only pass reads the input's
-# windows
+# sample): R below, at and above S*s^2, where the weight-only pass reads
+# the input's windows all the same
 INPUT_WINDOW_SHAPES = {
     "r<s": (2, 4, 8, (3, 3), (1, 1), 1, (6, 6), 3),
     "r=s-stride2": (3, 6, 6, (3, 3), (1, 1), 2, (7, 8), 2),
@@ -529,6 +529,10 @@ INPUT_WINDOW_SHAPES = {
     "pad0": (2, 2, 6, (3, 3), (0, 0), 1, (6, 6), 2),
     "pad-over-k": (2, 3, 5, (2, 2), (3, 2), 1, (4, 5), 2),
     "sample": (2, 4, 8, (3, 3), (1, 1), 2, (7, 6), None),
+    "r=s=1-partial": (8, 3, 8, (3, 3), (1, 1), 1, (6, 6), 3),
+    "r=s": (2, 4, 4, (3, 3), (1, 1), 1, (7, 7), 2),
+    "r=3s": (3, 9, 3, (3, 3), (1, 1), 1, (7, 7), 2),
+    "r=4s-stride2": (2, 8, 2, (3, 3), (1, 1), 2, (7, 7), 2),
 }
 
 
@@ -547,13 +551,12 @@ def must_not_run(*args, **kwargs):
 
 
 class TestWeightFromInputWindows:
-    """circ_backward_weight at R < S*s^2: the input's windows against the
-    grad_y spectra on the forward's grid."""
+    """circ_backward_weight: the input's windows against the grad_y
+    spectra on the forward's grid, at every R, S and stride."""
 
     @pytest.mark.parametrize("name", sorted(INPUT_WINDOW_SHAPES))
     def test_matches_oracle_and_grad_y_loop(self, monkeypatch, name):
         base, g, x, gy = input_window_case(name)
-        assert convops._weight_from_input_windows(base.config, g)
         loop = circ_backward(x, gy, base, g)[0]
         monkeypatch.setattr(convops, "_backward", must_not_run)  # no grad_y loop
         got = circ_backward_weight(x, gy, base, g)
@@ -601,19 +604,19 @@ class TestWeightFromInputWindows:
         [(2, 4, 4, 1), (2, 8, 2, 2), (3, 9, 3, 1)],
         ids=["r=s", "r=4s-stride2", "r=3s"],
     )
-    def test_at_or_above_the_cutoff_the_grad_y_loop_stays(self, n, c_in, c_out, stride):
+    def test_windows_kept_at_r_at_least_s_s2(self, n, c_in, c_out, stride):
         rng = np.random.default_rng(3)
         base = random_base(rng, 3, 3, n, None, None, c_in=c_in, c_out=c_out)
         g = ConvGeometry(pad=(1, 1), stride=stride)
-        assert not convops._weight_from_input_windows(base.config, g)
+        assert base.config.r >= base.config.s * stride ** 2
         x = rng.standard_normal((2, 7, 7, c_in))
         windows = []
         y = circ_forward(x, base, g, windows=windows)
-        assert windows == []
+        assert windows
         gy = rng.standard_normal(y.shape)
-        np.testing.assert_array_equal(
-            circ_backward_weight(x, gy, base, g), circ_backward(x, gy, base, g)[0]
-        )
+        got = circ_backward_weight(x, gy, base, g, windows=windows)
+        loop = circ_backward(x, gy, base, g)[0]
+        assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
 class TestCircBackwardInput:

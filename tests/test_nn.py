@@ -313,6 +313,7 @@ class TestBackwardPass:
         _, grad = softmax_cross_entropy(cache.logits, labels)
         want = [None] * len(net.layers)
         for i in reversed(range(len(net.layers))):
+            gy = grad  # after the loop, the grad_y of layer 0
             grad, want[i] = net.layers[i].backward(cache.layer_caches[i], grad)
 
         calls = []
@@ -330,7 +331,13 @@ class TestBackwardPass:
             monkeypatch.setattr(nn, name, counted(name))
         got = backward_pass(net, cache, labels)
         assert calls == ["circ_backward", "circ_backward_weight"]
-        assert params_equal(got, want)
+        assert params_equal(got[1:], want[1:])
+        # layer 0 reads its input windows, the full backward grad_y's
+        direct = circ_backward_weight(x, gy, net.layers[0].base, g)
+        np.testing.assert_array_equal(got[0]["base"], direct)
+        full = want[0]["base"]
+        assert np.max(np.abs(got[0]["base"] - full)) <= 1e-12 * np.max(np.abs(full))
+        np.testing.assert_array_equal(got[0]["bias"], want[0]["bias"])
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(6)
@@ -350,7 +357,8 @@ WIDE = ToyTaskSpec(n_samples=48, spatial=(6, 6), channels=4, classes=3, hidden=8
 
 class TestKeptWindows:
     """forward_pass(keep_windows=True) lets the first circulant layer keep
-    the input windows its weight-only backward would gather again."""
+    the input windows its weight-only backward would gather again, at
+    every R, S and stride."""
 
     def test_default_forward_keeps_no_windows(self):
         net = tiny_circ_net(seed=30, spec=WIDE)
@@ -380,14 +388,17 @@ class TestKeptWindows:
         assert kept.layer_caches[0][1] and kept.layer_caches[2][1] is None
         assert params_equal(backward_pass(net, kept, labels), backward_pass(net, plain, labels))
 
-    def test_first_layer_outside_the_rule_keeps_none(self):
+    def test_first_layer_at_r_equal_s_keeps_windows(self):
         net = tiny_circ_net(seed=33)  # R = S = 2 at stride 1
         x, _ = make_toy_task(seed=34, spec=SMALL)
         _, cache = forward_pass(net, x[:4], keep_windows=True)
-        assert cache.layer_caches[0][1] is None
+        assert cache.layer_caches[0][1]
 
-    def test_train_keeps_windows_and_evaluate_does_not(self, monkeypatch):
-        data = make_toy_task(seed=35, spec=WIDE)
+    @staticmethod
+    def train_keeps_windows(monkeypatch, spec, n):
+        """train keeps the first layer's windows on every step and evaluate
+        keeps none; the bits are those of a run that gathers them again."""
+        data = make_toy_task(seed=35, spec=spec)
         plain = nn.forward_pass
         kept = []
 
@@ -397,16 +408,21 @@ class TestKeptWindows:
             return out
 
         monkeypatch.setattr(nn, "forward_pass", recording)
-        net = tiny_circ_net(seed=36, spec=WIDE)
+        net = tiny_circ_net(seed=36, n=n, spec=spec)
         history = train(net, data, SgdConfig(batch_size=8), steps=3, seed=37)
         evaluate(net, *data)
         assert kept == [True, True, True, False]
 
-        # the same bits when every step gathers the windows again
         monkeypatch.setattr(nn, "forward_pass", lambda net, xb, keep_windows=False: plain(net, xb))
-        again = tiny_circ_net(seed=36, spec=WIDE)
+        again = tiny_circ_net(seed=36, n=n, spec=spec)
         assert train(again, data, SgdConfig(batch_size=8), steps=3, seed=37) == history
         assert params_equal(clone_params(again), clone_params(net))
+
+    def test_train_keeps_windows_and_evaluate_does_not(self, monkeypatch):
+        self.train_keeps_windows(monkeypatch, WIDE, n=2)
+
+    def test_train_keeps_windows_at_r_equal_s(self, monkeypatch):
+        self.train_keeps_windows(monkeypatch, ToyTaskSpec(), n=8)  # R = S = 1
 
 
 class TestSgdStep:
