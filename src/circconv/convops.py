@@ -10,57 +10,47 @@ every path a kernel offset reads a strided slice of the padded input.
 
 With the first-row fiber convention of the circulant module, each
 fiber-times-slice product against a circulant block is a circular
-convolution, so the fast forward is spectral elementwise multiplication and
-both backward passes are circular correlations. A correlation is the
-convolution with one operand circularly reversed, and the spectrum of a
-circularly reversed real fiber is the conjugate of its spectrum, so the
-backward passes conjugate one operand's spectrum.
+convolution, so the fast forward is spectral elementwise multiplication.
+A circulant block's transpose is the circulant block of first row
+f[(-k) mod N], so a layer's adjoint is another block-circulant layer
+(_adjoint), whose forward pass is the input gradient: the transposed
+convolution of Dumoulin & Visin (arXiv:1603.07285).
 
 Every pass, conv_block included, takes one (W, H, C) sample or a
 (B, W, H, C) batch; a sample runs as a batch of one. Each checks its
-input once at entry, in _batch (rank and channel count; it also makes
-the input a C-contiguous float64 batch) and, for the
-weight gradients, _grad_pair (grad_y against the forward output), and
-raises ShapeError there. The FFT passes share
-one gather and one product, in the frequency domain as in fbfft
-(Vasilache et al., arXiv:1412.7580) and Mathieu, Henaff & LeCun
-(arXiv:1312.5851), and run in float64 throughout. Every spectrum, the
-kernel spectra included, is in spectral's halfcomplex layout, N reals per
-fiber, and only spectral indexes its bins: halfcomplex and
-halfcomplex_inverse transform, at the small N of the paper's schemes as
-one GEMM against a cached DFT matrix, and gemm_operand, bin_matmul and
-bin_matmul_conj_t multiply bin by bin in real GEMMs. The spectra are
-laid out blocks-major with the positions last,
-(N, blocks, B, rows, hq), in padded rows of hq sites plus a zero slack
-row, and the windows under every kernel offset are gathered into one
-(N, blocks*K1*K2, B*W2*q) matrix by one strided view, with q = hq / s
-columns per output row; the last q - H2 of them are junk and are dropped
-after the product. At stride 1 every copied run is a whole sample. The
-forward pass is bin_matmul of the (N, S, R*K1*K2) kernel spectra, made
-a GEMM operand once per call, with that matrix.
+input once at entry, in _batch (rank and channel count; it also makes the
+input a C-contiguous float64 batch) and, for the weight gradients,
+_grad_pair (grad_y against the forward output), and raises ShapeError
+there. The FFT passes share one gather and one product, in the frequency
+domain as in fbfft (Vasilache et al., arXiv:1412.7580) and Mathieu,
+Henaff & LeCun (arXiv:1312.5851), and run in float64 throughout. Every
+spectrum, the kernel spectra included, is in spectral's halfcomplex
+layout, N reals per fiber, and only spectral indexes its bins: halfcomplex
+and halfcomplex_inverse transform, at the small N of the paper's schemes
+as one GEMM against a cached DFT matrix, and gemm_operand, bin_matmul and
+bin_matmul_conj_t multiply bin by bin in real GEMMs. The spectra are laid
+out blocks-major with the positions last, (N, blocks, B, rows, hq), in
+padded rows of hq sites plus a zero slack row, and the windows under
+every kernel offset are gathered into one (N, blocks*K1*K2, B*W2*q)
+matrix by one strided view, with q = hq / s columns per output row; the
+last q - H2 of them are junk and are dropped after the product. At
+stride 1 every copied run is a whole sample.
 
-The full backward, circ_backward, runs one loop over the windows of
-grad_y, and so does circ_backward_input. grad_y is padded by k - 1 - p
-zero sites per side, or cropped where p > k - 1, so that its window
-positions are exactly the unpadded input sites, and it is transformed
-and gathered once per group for both gradients. The input gradient is bin_matmul of the conjugated
-(N, R, S*K1*K2) flipped, transposed kernel spectra with that window
-matrix. The weight gradient is bin_matmul_conj_t of the same window
-matrix with the spectra of the unpadded input sites, laid out on the
-window matrix's columns with zeros in the junk ones; its rows are the
-kernel offsets flipped. It is summed over the groups and transformed
-back once. Leaving out the padding sites is exact because their spectra
-are zero. At stride s the loop runs on grad_y dilated by s - 1 zero
-sites between outputs, plus zero trailing sites where the stride skipped
-the input's last rows or columns.
+One loop, _contract, gathers a group's windows, multiplies them with the
+(N, S, R*K1*K2) kernel spectra, made a GEMM operand once per call, and
+writes the group's output fibers. circ_forward runs it on the input, and
+circ_backward_input runs circ_forward of the adjoint on grad_y laid out by
+_grad_layout: dilated by s - 1 zero sites between outputs, then padded by
+k - 1 - p zero sites per side, or cropped where p > k - 1, so that its
+windows sit exactly on the unpadded input sites. circ_backward runs the
+same loop and multiplies each group's grad_y windows with the spectra of
+those sites, laid out on their columns with zeros in the junk ones, by
+bin_matmul_conj_t; its rows are the kernel offsets flipped, and padding
+sites, whose spectra are zero, are left out.
 
-The weight-only pass, circ_backward_weight, multiplies the input's
-windows instead, the forward's gather with R*K1*K2 rows per bin: its
-weight gradient is bin_matmul_conj_t of the grad_y spectra, laid out on
-the forward's (W2, q) grid with zeros in the junk columns, with that
-window matrix, and its rows are the output blocks, with no offset flip.
-grad_y is then never padded, dilated or gathered. circ_forward can keep
-the input windows it gathered for that pass, which then gathers none.
+The weight-only pass, circ_backward_weight, multiplies grad_y's spectra
+with the input's windows instead, which circ_forward can keep for it, and
+never lays out grad_y.
 
 The batch is processed in groups of consecutive samples whose window
 matrix stays under tensor's cache budget, CACHE_BYTES: a whole-batch
@@ -71,6 +61,7 @@ Groups are always visited in batch order, so results are
 bit-reproducible.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +69,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spectral
 from .errors import ContractError, ShapeError
-from .circulant import partitioned_kernel
+from .circulant import CirculantBaseTensor, PartitionConfig, partitioned_kernel
 from .tensor import CACHE_BYTES, DTYPE, KERNEL_AXES, as_tensor
 
 
@@ -323,6 +314,19 @@ def kernel_spectra(base):
     return spectral.halfcomplex(base.fibers().transpose(0, 1, 2, 4, 3))
 
 
+def _contract(xb, g, ws, y):
+    """The loop of circ_forward and circ_backward: for each group of xb,
+    bin_matmul of the (N, W1, H1, R, S) kernel spectra ws with the group's
+    window matrix cols, written into y[group]; then yields (group, cols)."""
+    n, k1, k2, r, s = ws.shape
+    w2, h2, q = _grid(xb.shape[1:3], g, (k1, k2))
+    kern = spectral.gemm_operand(ws.transpose(0, 4, 3, 1, 2).reshape(n, s, -1))
+    for group, cols in _grouped_windows(xb, g, r, n, (k1, k2)):
+        ys = spectral.bin_matmul(kern, cols).reshape(n, s, -1, w2, q)
+        y[group] = _fibers(ys, n, h2)[..., : y.shape[3]]
+        yield group, cols
+
+
 def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
     """FFT fast path for a block-circulant kernel.
 
@@ -339,63 +343,47 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
     """
     cfg = base.config
     xb, single = _batch(x, "input", cfg.c_in)
-    w2, h2, q = _grid(xb.shape[1:3], g, base.kernel_size)
     ws = kernel_spectra(base) if w_spec is None else np.asarray(w_spec)
     want = (cfg.n, *base.kernel_size, cfg.r, cfg.s)
     if ws.shape != want or ws.dtype != DTYPE:
         raise ShapeError(f"w_spec {ws.dtype} {ws.shape} does not match this base's float64 {want}")
-    kern = spectral.gemm_operand(ws.transpose(0, 4, 3, 1, 2).reshape(cfg.n, cfg.s, -1))
+    w2, h2 = g.out_size(xb.shape[1:3], base.kernel_size)
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
-    for group, cols in _grouped_windows(xb, g, cfg.r, cfg.n, base.kernel_size):
-        ys = spectral.bin_matmul(kern, cols).reshape(cfg.n, cfg.s, -1, w2, q)
-        y[group] = _fibers(ys, cfg.n, h2)[..., : cfg.c_out]
+    for group, cols in _contract(xb, g, ws, y):
         if windows is not None:
             windows.append((group, cols))
     return y[0] if single else y
 
 
-def _backward(gb, base, g, in_size, xb=None):
-    """The backward loop of circ_backward and circ_backward_input, over the
-    windows of a validated (B, W2, H2, C_out) grad batch of an in_size
-    input (see the module docstring).
+@functools.lru_cache(maxsize=64)
+def _adjoint_order(k1, k2, r, n, s):
+    """Flat indices into a (W1, H1, R*N, S) base of its adjoint's entries:
+    offsets flipped, block (j, i) at (i, j), fiber entry k from (-k) mod N."""
+    order = np.arange(k1 * k2 * r * n * s).reshape(k1, k2, r, n, s)[::-1, ::-1]
+    return order[:, :, :, -np.arange(n) % n].transpose(0, 1, 4, 3, 2).ravel()
 
-    Returns (dbase, dx); dbase is None when xb is None. Row (i, a, c) of
-    cols @ conj(X)^T holds the gradient at kernel offset
-    (K1-1-a, K2-1-c), hence the flip.
-    """
-    cfg = base.config
-    n = cfg.n
-    k1, k2 = base.kernel_size
-    if g.stride > 1:  # the grad of the stride-1 pass over the same input
-        full = ConvGeometry(g.pad).out_size(in_size, (k1, k2))
+
+def _adjoint(base):
+    """The base of the adjoint layer, whose dense expansion is base's
+    flipped in both kernel axes with its channel axes swapped; exact, and
+    an involution."""
+    cfg, (k1, k2) = base.config, base.kernel_size
+    adj = base.base.take(_adjoint_order(k1, k2, cfg.r, cfg.n, cfg.s)).reshape(k1, k2, -1, cfg.r)
+    return CirculantBaseTensor(adj, PartitionConfig(cfg.n, cfg.c_out, cfg.c_in))
+
+
+def _grad_layout(gb, kernel_size, g, in_size):
+    """A (B, W2, H2, C_out) grad batch of an in_size input laid out for the
+    adjoint layer's forward pass, dilated and cropped as the module
+    docstring says, and that pass's geometry, which pads it."""
+    if g.stride > 1:  # zeros also where the stride skipped the last rows
+        full = ConvGeometry(g.pad).out_size(in_size, kernel_size)
         gb, strided = np.zeros((gb.shape[0], *full, gb.shape[3]), dtype=DTYPE), gb
         gb[:, :: g.stride, :: g.stride] = strided
     w2, h2 = gb.shape[1:3]
-    pw, ph = g.pad
-    w0, h0 = in_size
-    # a pad of k - 1 - p per side makes the windows land on the unpadded
-    # input sites; where that is negative, crop grad_y instead
-    qw, qh = k1 - 1 - pw, k2 - 1 - ph
+    qw, qh = (k - 1 - p for k, p in zip(kernel_size, g.pad))
     cw, ch = max(0, -qw), max(0, -qh)
-    gb = gb[:, cw : w2 - cw, ch : h2 - ch]
-    g_grad = ConvGeometry((max(0, qw), max(0, qh)))
-    q = _grid(gb.shape[1:3], g_grad, (k1, k2))[2]
-    m = cfg.s * k1 * k2
-    ws = kernel_spectra(base)[:, ::-1, ::-1].transpose(0, 3, 4, 1, 2)
-    kern = spectral.gemm_operand(ws.reshape(n, cfg.r, -1), conj=True)
-    dx = np.empty((gb.shape[0], w0, h0, cfg.c_in), dtype=DTYPE)
-    dws = np.zeros((n, m, cfg.r), dtype=DTYPE)
-    for group, cols in _grouped_windows(gb, g_grad, cfg.s, n, (k1, k2)):
-        dxs = spectral.bin_matmul(kern, cols).reshape(n, cfg.r, -1, w0, q)
-        dx[group] = _fibers(dxs, n, h0)[..., : cfg.c_in]
-        if xb is not None:
-            # the input spectra on the grid of cols, zero in its junk columns
-            xs = _spectra(xb[group], cfg.r, n, (w0, q)).reshape(n, cfg.r, -1)
-            dws += spectral.bin_matmul_conj_t(cols, xs)
-    if xb is None:
-        return None, dx
-    dws = dws.reshape(n, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
-    return _base_gradient(dws.transpose(0, 2, 3, 4, 1), cfg), dx
+    return gb[:, cw : w2 - cw, ch : h2 - ch], ConvGeometry((max(0, qw), max(0, qh)))
 
 
 def _base_gradient(dws, cfg):
@@ -413,13 +401,22 @@ def circ_backward(x, grad_y, base, g=ConvGeometry()):
 
     Equal, up to rounding, to (circ_backward_weight(x, grad_y, base, g),
     circ_backward_input(grad_y, base, g)), but one loop over grad_y's
-    windows, transformed and gathered once, gives both. x and grad_y are
-    one sample each or batches of equal size; dx has the rank of x.
+    windows, the adjoint layer's forward pass, gives both. x and grad_y
+    are one sample each or batches of equal size; dx has the rank of x.
     """
     cfg = base.config
     xb, gb, single = _grad_pair(x, grad_y, cfg.c_in, cfg.c_out, base.kernel_size, g)
-    dbase, dx = _backward(gb, base, g, xb.shape[1:3], xb)
-    return dbase, (dx[0] if single else dx)
+    n, (k1, k2) = cfg.n, base.kernel_size
+    gl, g_adj = _grad_layout(gb, base.kernel_size, g, xb.shape[1:3])
+    w0, _, q = _grid(gl.shape[1:3], g_adj, base.kernel_size)
+    dx = np.empty(xb.shape, dtype=DTYPE)
+    dws = np.zeros((n, cfg.s * k1 * k2, cfg.r), dtype=DTYPE)
+    for group, cols in _contract(gl, g_adj, kernel_spectra(_adjoint(base)), dx):
+        xs = _spectra(xb[group], cfg.r, n, (w0, q)).reshape(n, cfg.r, -1)
+        dws += spectral.bin_matmul_conj_t(cols, xs)
+    # row (i, a, c) of cols @ conj(X)^T is kernel offset (K1-1-a, K2-1-c)
+    dws = dws.reshape(n, cfg.s, k1, k2, cfg.r)[:, :, ::-1, ::-1]
+    return _base_gradient(dws.transpose(0, 2, 3, 4, 1), cfg), (dx[0] if single else dx)
 
 
 def circ_backward_weight(x, grad_y, base, g=ConvGeometry(), windows=None):
@@ -457,13 +454,14 @@ def circ_backward_input(grad_y, base, g=ConvGeometry(), in_size=None):
     is the input's spatial size, by default the smallest input that gives
     grad_y's size; a size that does not give it raises ShapeError. Equal
     to the transposed convolution of grad_y against the dense expansion,
-    computed by the backward loop of circ_backward without the weight
-    gradient. Output positions falling outside the feature map contribute
-    zero, and gradient flow into channel padding is dropped.
+    computed as the adjoint layer's forward pass over grad_y laid out by
+    _grad_layout. Output positions falling outside the feature map
+    contribute zero, and gradient flow into channel padding is dropped.
     """
     gb, single = _batch(grad_y, "grad_y", base.config.c_out)
     in_size = _in_size(gb.shape[1:3], base.kernel_size, g, in_size)
-    dx = _backward(gb, base, g, in_size)[1]
+    gl, g_adj = _grad_layout(gb, base.kernel_size, g, in_size)
+    dx = circ_forward(gl, _adjoint(base), g_adj)
     return dx[0] if single else dx
 
 

@@ -8,10 +8,11 @@ by retraining.
 
 Batches are (B, W, H, C) arrays. Conv layers hand the whole batch to each
 pass; the FFT passes of a circulant layer work through it in groups of
-consecutive samples in a fixed order. Training runs are therefore
-bit-reproducible for a fixed seed. A circulant layer's backward is one
-circ_backward call, which transforms and gathers grad_y once for both the
-base-tensor and the input gradient. The first layer needs no input
+consecutive samples in a fixed order. Bits are fixed for a fixed seed and
+batch composition only; in another batch, or alone as `circconv infer`
+runs it, a sample can move in its last bits. A circulant layer's backward
+is one circ_backward call, which transforms and gathers grad_y once for
+both the base-tensor and the input gradient. The first layer needs no input
 gradient, so its backward is circ_backward_weight alone, which multiplies
 grad_y with the layer's input windows; in training, train asks
 forward_pass to keep the windows the forward gathered for it.

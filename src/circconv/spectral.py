@@ -136,14 +136,14 @@ def halfcomplex_inverse(s):
     return np.matmul(s.reshape(n, -1).T, inv.T).reshape(*s.shape[1:], n)
 
 
-def gemm_operand(spec, conj=False):
-    """bin_matmul's operand for (N, M, K) halfcomplex bin matrices, or for
-    their conjugates: the (nr, M, K) real bins and the (fc, 2M, 2K) blocks
-    [[Re, -Im], [Im, Re]] of the fc complex bins."""
+def gemm_operand(spec):
+    """bin_matmul's operand for (N, M, K) halfcomplex bin matrices: the
+    (nr, M, K) real bins and the (fc, 2M, 2K) blocks [[Re, -Im], [Im, Re]]
+    of the fc complex bins."""
     n, m, k = spec.shape
     nr = _real_bins(n)
     pairs = spec[nr:].reshape((n - nr) // 2, 2, m, k)
-    re, im = pairs[:, 0], (-pairs[:, 1] if conj else pairs[:, 1])
+    re, im = pairs[:, 0], pairs[:, 1]
     rows = np.concatenate([re, -im], 2), np.concatenate([im, re], 2)
     return spec[:nr], np.concatenate(rows, 1)
 

@@ -15,6 +15,7 @@ from circconv import convops, nn, spectral
 from circconv.convops import (
     CACHE_BYTES,
     ConvGeometry,
+    _adjoint,
     _checked_view,
     _grid,
     _group_size,
@@ -558,7 +559,7 @@ class TestWeightFromInputWindows:
     def test_matches_oracle_and_grad_y_loop(self, monkeypatch, name):
         base, g, x, gy = input_window_case(name)
         loop = circ_backward(x, gy, base, g)[0]
-        monkeypatch.setattr(convops, "_backward", must_not_run)  # no grad_y loop
+        monkeypatch.setattr(convops, "_grad_layout", must_not_run)  # grad_y never laid out
         got = circ_backward_weight(x, gy, base, g)
         pairs = zip(x, gy) if x.ndim == 4 else [(x, gy)]
         want = sum(dense_weight_grad_diag_sum(xi, gi, base, g) for xi, gi in pairs)
@@ -617,6 +618,55 @@ class TestWeightFromInputWindows:
         got = circ_backward_weight(x, gy, base, g, windows=windows)
         loop = circ_backward(x, gy, base, g)[0]
         assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+ADJOINT_SHAPES = {
+    # name: (n, c_in, c_out, (k1, k2))
+    "n1": (1, 3, 5, (3, 3)),
+    "n2": (2, 4, 6, (3, 3)),
+    "n3-prime": (3, 6, 9, (3, 3)),
+    "n5-prime": (5, 10, 5, (3, 3)),
+    "n7-partial": (7, 9, 4, (3, 3)),
+    "n8-partial-3x2": (8, 12, 20, (3, 2)),
+    "n3-partial-1x4": (3, 4, 8, (1, 4)),
+}
+
+
+class TestAdjoint:
+    """_adjoint: the base of the layer whose forward pass is this layer's
+    input gradient."""
+
+    @staticmethod
+    def case(name):
+        n, c_in, c_out, (k1, k2) = ADJOINT_SHAPES[name]
+        rng = np.random.default_rng(sum(map(ord, name)))
+        return random_base(rng, k1, k2, n, None, None, c_in=c_in, c_out=c_out)
+
+    @pytest.mark.parametrize("name", sorted(ADJOINT_SHAPES))
+    def test_expansion_is_flipped_and_transposed(self, name):
+        base = self.case(name)
+        adj = _adjoint(base)
+        cfg = base.config
+        assert (adj.config.n, adj.config.c_in, adj.config.c_out) == (cfg.n, cfg.c_out, cfg.c_in)
+        want = expand(base)[::-1, ::-1].transpose(0, 1, 3, 2)
+        np.testing.assert_array_equal(expand(adj), want)
+
+    @pytest.mark.parametrize("name", sorted(ADJOINT_SHAPES))
+    def test_involution(self, name):
+        base = self.case(name)
+        np.testing.assert_array_equal(_adjoint(_adjoint(base)).base, base.base)
+
+    @pytest.mark.parametrize("name", sorted(ADJOINT_SHAPES))
+    def test_input_gradient_is_the_adjoint_forward(self, name):
+        base = self.case(name)
+        rng = np.random.default_rng(5)
+        gy = rng.standard_normal((2, 5, 5, base.config.c_out))
+        k1, k2 = base.kernel_size
+        g = ConvGeometry(pad=(k1 - 1, k2 - 1))
+        got = circ_forward(gy, _adjoint(base), g)
+        want = conv_naive_backward_input(gy, expand(base)[:, :, : base.config.c_in, : base.config.c_out])
+        assert rel_diff(got, want) <= 1e-12
+        np.testing.assert_array_equal(circ_backward_input(gy, base), got)
 
 
 class TestCircBackwardInput:

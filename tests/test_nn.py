@@ -193,6 +193,52 @@ class TestForwardPass:
             forward_pass(net, np.zeros(shape))
 
 
+def batch_contract_net(kind):
+    """A one-layer net of each kind, or a toy net, and its (16, ...) input."""
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal((16, 6, 6, 8))
+    pad = ConvGeometry(pad=(1, 1))
+    layers = {
+        "circconv": lambda: CircConvLayer(
+            init_circ_base(rng, (3, 3), PartitionConfig(n=4, c_in=8, c_out=12)), geometry=pad
+        ),
+        "circconv-stride2": lambda: CircConvLayer(
+            init_circ_base(rng, (3, 3), PartitionConfig(n=2, c_in=8, c_out=6)),
+            geometry=ConvGeometry(pad=(1, 1), stride=2),
+        ),
+        "dense": lambda: DenseConvLayer(rng.standard_normal((3, 3, 8, 5)), geometry=pad),
+        "relu": ReLU,
+        "gap": GlobalAveragePool,
+        "fc": lambda: FullyConnected(init_fc(rng, 8, 10)),
+    }
+    if kind == "fc":
+        x = x[:, 0, 0]
+    if kind in layers:
+        return Network([layers[kind]()]), x
+    spec = ToyTaskSpec()
+    x = rng.standard_normal((16, *spec.spatial, spec.channels))
+    return (make_dense_toy_net(1, spec) if kind == "dense-toy" else make_circ_toy_net(1, 2, spec)), x
+
+
+class TestBatchContract:
+    """Bits are fixed for a fixed batch composition; across batch sizes the
+    outputs agree to rounding."""
+
+    @pytest.mark.parametrize(
+        "kind", ["circconv", "circconv-stride2", "dense", "relu", "gap", "fc", "dense-toy", "circ-toy"]
+    )
+    def test_batch_sizes_agree_and_repeat(self, kind):
+        net, x = batch_contract_net(kind)
+        full = forward_pass(net, x)[0]
+        for size in (1, 3, 16):
+            runs = [
+                np.concatenate([forward_pass(net, x[i : i + size])[0] for i in range(0, 16, size)])
+                for _ in range(2)
+            ]
+            np.testing.assert_array_equal(runs[0], runs[1])
+            assert np.max(np.abs(runs[0] - full)) <= 1e-12 * np.max(np.abs(full)), size
+
+
 class TestBackwardPass:
     def test_confident_correct_head_has_zero_gradient(self):
         logits = np.array([[100.0, 0.0, 0.0]])

@@ -311,10 +311,15 @@ class TestBinProducts:
 
     @pytest.mark.parametrize("n", BOTH_BRANCHES)
     def test_conjugate_operand_correlates(self, n):
+        """A circularly reversed fiber's spectrum is the conjugate one, so
+        its operand correlates: the product of the adjoint layer."""
         rng = np.random.default_rng(600 + n)
         a, b = rng.standard_normal((2, 3, n)), rng.standard_normal((3, 2, n))
-        op = gemm_operand(halfcomplex(a), conj=True)
-        got = halfcomplex_inverse(bin_matmul(op, halfcomplex(b)))
+        rev = halfcomplex(a[..., -np.arange(n) % n])
+        conj = halfcomplex(a)
+        conj[3 - n % 2 :: 2] *= -1  # the Im entries follow Re X_0 (and Re X_{N/2})
+        self.assert_close(rev, conj)
+        got = halfcomplex_inverse(bin_matmul(gemm_operand(rev), halfcomplex(b)))
         want = fiber_matmul(a, b, lambda u, v: circular_correlate(v, u))
         self.assert_close(got, want)
 
