@@ -7,12 +7,16 @@ length-N fiber per block. Channels are zero-padded up to R*N and S*N when N
 does not divide them.
 
 Fiber convention: base[w1, h1, r*N:(r+1)*N, s] is the FIRST ROW of block
-(r, s), i.e. the expanded block satisfies block[a, b] = fiber[(b - a) % N].
+(r, s), i.e. the expanded block satisfies block[a, b] = fiber[(b - a) % N],
+the one index rule of circulant_from_fiber, which expand uses too.
 With this convention the fiber-times-slice product of the forward pass is
 exactly a circular convolution, and the diagonal-mean projection below
 returns fibers in the same convention, so the two compose without
-re-indexing. partitioned_kernel is the one check of a dense kernel's
-channels against a partition, for project_tensor here and
+re-indexing. The transpose of a block is the circulant block of the
+reversed fiber, fiber[(-k) % N], so a layer's adjoint, its kernel flipped
+in both offsets with the channel axes swapped, is block-circulant too;
+adjoint builds its base. partitioned_kernel is the one check of a dense
+kernel's channels against a partition, for project_tensor here and
 convops.conv_block alike.
 
 project_tensor walks a dense kernel in cache-sized chunks of block rows
@@ -126,26 +130,35 @@ def partitioned_kernel(w, config):
 
 
 def circulant_from_fiber(w):
-    """N x N circulant matrix with first row w: C[a, b] = w[(b - a) % N]."""
+    """N x N circulant matrices with first rows w, fibers on the last axis
+    of any array: C[..., a, b] = w[..., (b - a) % N]."""
     w = np.asarray(w, dtype=DTYPE)
-    n = w.shape[0]
+    n = w.shape[-1]
     a = np.arange(n)
-    return w[(a[None, :] - a[:, None]) % n]
+    return w[..., (a[None, :] - a[:, None]) % n]
 
 
 def expand(base):
     """Materialize the dense kernel (W1, H1, R*N, S*N) from a base tensor."""
     cfg = base.config
-    n = cfg.n
-    fib = base.fibers()  # (W1, H1, R, N, S)
-    a = np.arange(n)
-    idx = (a[None, :] - a[:, None]) % n  # idx[a, b] = (b - a) % N
-    blocks = fib[:, :, :, idx, :]  # (W1, H1, R, a, b, S)
+    blocks = circulant_from_fiber(base.fibers().transpose(0, 1, 2, 4, 3))  # (W1, H1, R, S, a, b)
     w1, h1 = base.kernel_size
-    dense = blocks.transpose(0, 1, 2, 3, 5, 4).reshape(
+    dense = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(
         w1, h1, cfg.padded_in, cfg.padded_out
     )
     return np.ascontiguousarray(dense)
+
+
+def adjoint(base):
+    """The base of the adjoint layer, whose dense expansion is base's
+    flipped in both kernel axes with its channel axes swapped: offsets
+    flipped, block (j, i) moved to (i, j), fiber entry k read from
+    (-k) mod N. Exact, and an involution."""
+    cfg, (k1, k2) = base.config, base.kernel_size
+    n = cfg.n
+    fib = base.fibers()[::-1, ::-1, :, -np.arange(n) % n, :]  # (W1, H1, R, N, S)
+    adj = fib.transpose(0, 1, 4, 3, 2).reshape(k1, k2, cfg.s * n, cfg.r)
+    return CirculantBaseTensor(adj, PartitionConfig(n, cfg.c_out, cfg.c_in))
 
 
 def project_matrix(m):

@@ -11,10 +11,9 @@ every path a kernel offset reads a strided slice of the padded input.
 With the first-row fiber convention of the circulant module, each
 fiber-times-slice product against a circulant block is a circular
 convolution, so the fast forward is spectral elementwise multiplication.
-A circulant block's transpose is the circulant block of first row
-f[(-k) mod N], so a layer's adjoint is another block-circulant layer
-(_adjoint), whose forward pass is the input gradient: the transposed
-convolution of Dumoulin & Visin (arXiv:1603.07285).
+A layer's adjoint is another block-circulant layer, whose base
+circulant.adjoint builds and whose forward pass is the input gradient:
+the transposed convolution of Dumoulin & Visin (arXiv:1603.07285).
 
 Every pass, conv_block included, takes one (W, H, C) sample or a
 (B, W, H, C) batch; a sample runs as a batch of one. Each checks its
@@ -61,7 +60,6 @@ Groups are always visited in batch order, so results are
 bit-reproducible.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +67,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import spectral
 from .errors import ContractError, ShapeError
-from .circulant import CirculantBaseTensor, PartitionConfig, partitioned_kernel
+from .circulant import adjoint, partitioned_kernel
 from .tensor import CACHE_BYTES, DTYPE, KERNEL_AXES, as_tensor
 
 
@@ -355,23 +353,6 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
     return y[0] if single else y
 
 
-@functools.lru_cache(maxsize=64)
-def _adjoint_order(k1, k2, r, n, s):
-    """Flat indices into a (W1, H1, R*N, S) base of its adjoint's entries:
-    offsets flipped, block (j, i) at (i, j), fiber entry k from (-k) mod N."""
-    order = np.arange(k1 * k2 * r * n * s).reshape(k1, k2, r, n, s)[::-1, ::-1]
-    return order[:, :, :, -np.arange(n) % n].transpose(0, 1, 4, 3, 2).ravel()
-
-
-def _adjoint(base):
-    """The base of the adjoint layer, whose dense expansion is base's
-    flipped in both kernel axes with its channel axes swapped; exact, and
-    an involution."""
-    cfg, (k1, k2) = base.config, base.kernel_size
-    adj = base.base.take(_adjoint_order(k1, k2, cfg.r, cfg.n, cfg.s)).reshape(k1, k2, -1, cfg.r)
-    return CirculantBaseTensor(adj, PartitionConfig(cfg.n, cfg.c_out, cfg.c_in))
-
-
 def _grad_layout(gb, kernel_size, g, in_size):
     """A (B, W2, H2, C_out) grad batch of an in_size input laid out for the
     adjoint layer's forward pass, dilated and cropped as the module
@@ -411,7 +392,7 @@ def circ_backward(x, grad_y, base, g=ConvGeometry()):
     w0, _, q = _grid(gl.shape[1:3], g_adj, base.kernel_size)
     dx = np.empty(xb.shape, dtype=DTYPE)
     dws = np.zeros((n, cfg.s * k1 * k2, cfg.r), dtype=DTYPE)
-    for group, cols in _contract(gl, g_adj, kernel_spectra(_adjoint(base)), dx):
+    for group, cols in _contract(gl, g_adj, kernel_spectra(adjoint(base)), dx):
         xs = _spectra(xb[group], cfg.r, n, (w0, q)).reshape(n, cfg.r, -1)
         dws += spectral.bin_matmul_conj_t(cols, xs)
     # row (i, a, c) of cols @ conj(X)^T is kernel offset (K1-1-a, K2-1-c)
@@ -461,7 +442,7 @@ def circ_backward_input(grad_y, base, g=ConvGeometry(), in_size=None):
     gb, single = _batch(grad_y, "grad_y", base.config.c_out)
     in_size = _in_size(gb.shape[1:3], base.kernel_size, g, in_size)
     gl, g_adj = _grad_layout(gb, base.kernel_size, g, in_size)
-    dx = circ_forward(gl, _adjoint(base), g_adj)
+    dx = circ_forward(gl, adjoint(base), g_adj)
     return dx[0] if single else dx
 
 

@@ -92,6 +92,18 @@ class TestExpand:
         assert expand(base).size == base.num_free_parameters * 4
 
 
+class TestCirculantFromFiber:
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_stacked_fibers_on_last_axis(self, lead, n):
+        rng = np.random.default_rng(7 * n + len(lead))
+        fibers = rng.standard_normal((*lead, n))
+        want = np.empty((*lead, n, n))
+        for idx in np.ndindex(lead):
+            want[idx] = circulant_from_fiber(fibers[idx])
+        np.testing.assert_array_equal(circulant_from_fiber(fibers), want)
+
+
 class TestProjectMatrix:
     def test_identity_on_circulant(self):
         first_row = np.array([3.0, 1.0, 2.0])

@@ -6,6 +6,7 @@ import pytest
 from circconv.circulant import (
     CirculantBaseTensor,
     PartitionConfig,
+    adjoint,
     circulant_from_fiber,
     expand,
 )
@@ -15,7 +16,6 @@ from circconv import convops, nn, spectral
 from circconv.convops import (
     CACHE_BYTES,
     ConvGeometry,
-    _adjoint,
     _checked_view,
     _grid,
     _group_size,
@@ -633,8 +633,8 @@ ADJOINT_SHAPES = {
 
 
 class TestAdjoint:
-    """_adjoint: the base of the layer whose forward pass is this layer's
-    input gradient."""
+    """circulant.adjoint: the base of the layer whose forward pass is this
+    layer's input gradient."""
 
     @staticmethod
     def case(name):
@@ -645,7 +645,7 @@ class TestAdjoint:
     @pytest.mark.parametrize("name", sorted(ADJOINT_SHAPES))
     def test_expansion_is_flipped_and_transposed(self, name):
         base = self.case(name)
-        adj = _adjoint(base)
+        adj = adjoint(base)
         cfg = base.config
         assert (adj.config.n, adj.config.c_in, adj.config.c_out) == (cfg.n, cfg.c_out, cfg.c_in)
         want = expand(base)[::-1, ::-1].transpose(0, 1, 3, 2)
@@ -654,7 +654,7 @@ class TestAdjoint:
     @pytest.mark.parametrize("name", sorted(ADJOINT_SHAPES))
     def test_involution(self, name):
         base = self.case(name)
-        np.testing.assert_array_equal(_adjoint(_adjoint(base)).base, base.base)
+        np.testing.assert_array_equal(adjoint(adjoint(base)).base, base.base)
 
     @pytest.mark.parametrize("name", sorted(ADJOINT_SHAPES))
     def test_input_gradient_is_the_adjoint_forward(self, name):
@@ -663,7 +663,7 @@ class TestAdjoint:
         gy = rng.standard_normal((2, 5, 5, base.config.c_out))
         k1, k2 = base.kernel_size
         g = ConvGeometry(pad=(k1 - 1, k2 - 1))
-        got = circ_forward(gy, _adjoint(base), g)
+        got = circ_forward(gy, adjoint(base), g)
         want = conv_naive_backward_input(gy, expand(base)[:, :, : base.config.c_in, : base.config.c_out])
         assert rel_diff(got, want) <= 1e-12
         np.testing.assert_array_equal(circ_backward_input(gy, base), got)
