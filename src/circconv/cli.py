@@ -74,7 +74,7 @@ def cmd_analyze(args):
 
 def cmd_convert(args):
     net = model_io.load_model(args.model_in)
-    if any(isinstance(layer, nn.CircConvLayer) for layer in net.layers):
+    if any(layer.kind == "circconv" for layer in net.layers):
         raise ConfigError("conversion input must be a dense model (kind=conv only)")
     blocks = nn.conv_blocks(net)
     if not blocks:

@@ -15,7 +15,9 @@ is one circ_backward call, which transforms and gathers grad_y once for
 both the base-tensor and the input gradient. The first layer needs no input
 gradient, so its backward is circ_backward_weight alone, which multiplies
 grad_y with the layer's input windows; in training, train asks
-forward_pass to keep the windows the forward gathered for it.
+forward_pass to keep the windows the forward gathered for it. A dense conv
+is the N = 1 CircConvLayer: its base is the kernel, it runs the dense
+passes, and as a first layer it keeps no windows.
 
 chain is the one walk of a stack's rank, width and spatial size; it names
 the first layer that does not fit. forward_pass, layer_specs, save_model,
@@ -111,9 +113,11 @@ class Layer:
 
 
 class CircConvLayer(Layer):
-    """Convolution whose kernel is stored only as a circulant base tensor."""
+    """Convolution whose kernel is stored only as a circulant base tensor,
+    blob in params(); forward and backward run the dense passes at N = 1."""
 
     kind = "circconv"
+    blob = "base"
     in_rank = 4
 
     def __init__(self, base, bias=None, geometry=ConvGeometry()):
@@ -122,7 +126,7 @@ class CircConvLayer(Layer):
         self.geometry = geometry
 
     def params(self):
-        return {"base": self.base.base, "bias": self.bias}
+        return {self.blob: self.base.base, "bias": self.bias}
 
     def fields(self):
         cfg = self.base.config
@@ -138,41 +142,49 @@ class CircConvLayer(Layer):
         )
 
     def forward(self, xb, keep_windows=False):
-        """With keep_windows, the cache also holds the input windows that
-        circ_forward gathers, for a backward with need_dx false, whose
-        circ_backward_weight would otherwise gather them again."""
-        w_spec = kernel_spectra(self.base)  # constant within the step
-        windows = [] if keep_windows else None
-        y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec, windows=windows)
+        """With keep_windows, an FFT forward's cache also holds the input
+        windows circ_forward gathers, for a backward with need_dx false,
+        whose circ_backward_weight would gather them again; N = 1 keeps none."""
+        if self.base.config.n == 1:
+            y, windows = conv_naive(xb, self.base.base, self.geometry), None
+        else:
+            w_spec = kernel_spectra(self.base)  # constant within the step
+            windows = [] if keep_windows else None
+            y = circ_forward(xb, self.base, self.geometry, w_spec=w_spec, windows=windows)
         y += self.bias
         return y, (xb, windows)
 
     def backward(self, cache, gyb, need_dx=True):
         xb, windows = cache
+        base, g = self.base, self.geometry
         # Summed before the FFT passes, while grad_y is still in cache: after
         # them the same sum measured 1.3-1.6x slower at 16x16, batch 16.
         dbias = gyb.sum(axis=(0, 1, 2))
-        if need_dx:
-            dbase, dx = circ_backward(xb, gyb, self.base, self.geometry)
+        if base.config.n == 1:
+            dbase = conv_naive_backward_weight(xb, gyb, base.kernel_size, g)
+            dx = conv_naive_backward_input(gyb, base.base, g, xb.shape[1:3]) if need_dx else None
+        elif need_dx:
+            dbase, dx = circ_backward(xb, gyb, base, g)
         else:
-            dbase = circ_backward_weight(xb, gyb, self.base, self.geometry, windows=windows)
-            dx = None
-        return dx, {"base": dbase, "bias": dbias}
+            dbase, dx = circ_backward_weight(xb, gyb, base, g, windows=windows), None
+        return dx, {self.blob: dbase, "bias": dbias}
 
 
-class DenseConvLayer(Layer):
-    """Unstructured convolution, the conversion source and twin-test oracle."""
+class DenseConvLayer(CircConvLayer):
+    """Unstructured convolution, the conversion source and twin-test
+    oracle: the N = 1 CircConvLayer of kernel w, stored without `n`."""
 
     kind = "conv"
-    in_rank = 4
+    blob = "w"
 
     def __init__(self, w, bias=None, geometry=ConvGeometry()):
-        self.w = as_tensor(w, KERNEL_AXES, "kernel")
-        self.bias = _bias(bias, self.w.shape[3])
-        self.geometry = geometry
+        w = as_tensor(w, KERNEL_AXES, "kernel")
+        config = PartitionConfig(1, *w.shape[2:])
+        super().__init__(CirculantBaseTensor(w, config), bias, geometry)
 
-    def params(self):
-        return {"w": self.w, "bias": self.bias}
+    @property
+    def w(self):
+        return self.base.base
 
     def fields(self):
         return _conv_fields(self, self.w.shape[:2], *self.w.shape[2:])
@@ -180,17 +192,6 @@ class DenseConvLayer(Layer):
     @classmethod
     def from_fields(cls, fields, params):
         return cls(params["w"], params["bias"], _geometry(fields))
-
-    def forward(self, xb):
-        y = conv_naive(xb, self.w, self.geometry)
-        y += self.bias
-        return y, xb
-
-    def backward(self, cache, gyb, need_dx=True):
-        xb, g = cache, self.geometry
-        dw = conv_naive_backward_weight(xb, gyb, self.w.shape[:2], g)
-        dx = conv_naive_backward_input(gyb, self.w, g, xb.shape[1:3]) if need_dx else None
-        return dx, {"w": dw, "bias": gyb.sum(axis=(0, 1, 2))}
 
 
 class ReLU(Layer):
@@ -204,7 +205,7 @@ class ReLU(Layer):
 
 
 class GlobalAveragePool(Layer):
-    """(B, W, H, C) -> (B, C) spatial mean."""
+    """(B, W, H, C) -> (B, C) spatial mean; the input gradient is a read-only view."""
 
     kind = "gap"
     in_rank = 4
@@ -217,9 +218,7 @@ class GlobalAveragePool(Layer):
         if not need_dx:
             return None, {}
         b, w, h, c = cache
-        return np.broadcast_to(
-            gyb[:, None, None, :] / (w * h), (b, w, h, c)
-        ).copy(), {}
+        return np.broadcast_to(gyb[:, None, None, :] / (w * h), (b, w, h, c)), {}
 
 
 class FullyConnected(Layer):
@@ -316,10 +315,10 @@ def forward_pass(net, xb, keep_windows=False):
     before any layer computes.
 
     keep_windows=True, for a backward_pass that follows, lets a first
-    circulant layer keep the input windows its forward gathers, which its
-    weight-only backward would gather again. That costs the window matrix,
-    about K1*K2*(R*N/C_in)*(q/H2) times the input batch (see circ_forward),
-    until the cache is dropped; the default keeps none.
+    circulant layer above N = 1 keep the input windows its forward gathers,
+    which its weight-only backward would gather again. That costs the
+    window matrix, about K1*K2*(R*N/C_in)*(q/H2) times the input batch (see
+    circ_forward), until the cache is dropped; the default keeps none.
     """
     h = np.asarray(xb, dtype=DTYPE)
     width = h.shape[-1] if h.ndim else None

@@ -407,6 +407,20 @@ class TestConvertAndInfer:
         assert "dense model" in err
         assert not (tmp_path / "again.ccm").exists()
 
+    def test_convert_rejects_circulant_input_at_n1(self, capsys, tmp_path):
+        # what `train --scheme 1` writes: a circconv layer whose base is a kernel
+        circ_path = tmp_path / "circ1.ccm"
+        save_model(make_circ_toy_net(seed=3, n=1), circ_path)
+        code, _, err = run(
+            capsys, "convert", "--model-in", str(circ_path),
+            "--scheme", "2", "--model-out", str(tmp_path / "again.ccm"),
+        )
+        assert code == 1
+        assert err == (
+            "error: ConfigError: conversion input must be a dense model (kind=conv only)\n"
+        )
+        assert not (tmp_path / "again.ccm").exists()
+
     def test_strided_model_trains_converts_and_reloads(self, capsys, tmp_path):
         # a stride-2 dense model on the toy task's 12x12x4 inputs and 4 classes
         rng = np.random.default_rng(5)

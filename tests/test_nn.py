@@ -11,7 +11,14 @@ from circconv.circulant import (
     PartitionConfig,
     expand,
 )
-from circconv.convops import ConvGeometry, circ_backward_weight, circ_forward
+from circconv.convops import (
+    ConvGeometry,
+    circ_backward_weight,
+    circ_forward,
+    conv_naive,
+    conv_naive_backward_input,
+    conv_naive_backward_weight,
+)
 from circconv.errors import ConfigError, ContractError, DivergenceError, ShapeError
 from circconv.model_io import load_model, save_model
 from circconv.nn import (
@@ -30,6 +37,7 @@ from circconv.nn import (
     forward_pass,
     conv_blocks,
     init_circ_base,
+    init_dense_kernel,
     init_fc,
     make_circ_toy_net,
     make_dense_toy_net,
@@ -874,3 +882,175 @@ class TestAlexnetConversionBytes:
         want_digest, want_err = self.DIGESTS[scheme]
         assert digest.hexdigest() == want_digest
         assert err == pytest.approx(want_err, rel=1e-12, abs=0)
+
+
+class TestOneConvLayer:
+    """A dense conv is the N = 1 CircConvLayer: its base is the kernel, and
+    at N = 1 the layer runs the dense passes."""
+
+    def test_dense_layer_is_the_n1_circconv_layer(self):
+        w = np.random.default_rng(80).standard_normal((3, 2, 4, 5))
+        layer = DenseConvLayer(w)
+        assert isinstance(layer, CircConvLayer)
+        assert layer.base.config == PartitionConfig(n=1, c_in=4, c_out=5)
+        assert layer.w is layer.base.base and layer.w is w  # no copy of a float64 kernel
+        assert layer.fields()["kind"] == "conv" and "n" not in layer.fields()
+        assert not {"forward", "backward", "params"} & vars(DenseConvLayer).keys()
+
+    def test_sgd_step_moves_w(self):
+        net = make_dense_toy_net(seed=81, spec=SMALL)
+        x, labels = make_toy_task(seed=82, spec=SMALL)
+        layer = net.layers[0]
+        before = layer.w.copy()
+        _, cache = forward_pass(net, x[:8], keep_windows=True)
+        sgd_step(net, backward_pass(net, cache, labels[:8]), None, SgdConfig())
+        assert layer.w is layer.base.base
+        assert not np.array_equal(layer.w, before)
+
+    @pytest.mark.parametrize("kernel, c_in, c_out, geometry", [
+        ((3, 3), 4, 8, ConvGeometry(pad=(1, 1))),
+        ((5, 2), 16, 12, ConvGeometry(pad=(2, 0), stride=2)),
+        ((1, 1), 7, 3, ConvGeometry()),
+    ])
+    def test_n1_circconv_runs_the_dense_passes(self, kernel, c_in, c_out, geometry):
+        rng = np.random.default_rng(83)
+        base = init_circ_base(rng, kernel, PartitionConfig(n=1, c_in=c_in, c_out=c_out))
+        bias = rng.standard_normal(c_out)
+        layer = CircConvLayer(base, bias=bias, geometry=geometry)
+        x = rng.standard_normal((4, 9, 8, c_in))
+        y, cache = layer.forward(x, keep_windows=True)
+        np.testing.assert_array_equal(y, conv_naive(x, base.base, geometry) + bias)
+        gy = rng.standard_normal(y.shape)
+        dx, grads = layer.backward(cache, gy)
+        np.testing.assert_array_equal(
+            grads["base"], conv_naive_backward_weight(x, gy, kernel, geometry)
+        )
+        np.testing.assert_array_equal(
+            dx, conv_naive_backward_input(gy, base.base, geometry, x.shape[1:3])
+        )
+        np.testing.assert_array_equal(grads["bias"], gy.sum(axis=(0, 1, 2)))
+        no_dx, weight_only = layer.backward(cache, gy, need_dx=False)
+        assert no_dx is None
+        assert params_equal([weight_only], [grads])
+        assert cache[1] is None  # an N = 1 layer keeps no windows
+
+    @pytest.mark.parametrize("conv", ["dense", "circconv"])
+    def test_n1_file_reloads_and_resaves_the_same_bytes(self, tmp_path, conv):
+        rng = np.random.default_rng(84)
+        base = init_circ_base(rng, (3, 3), PartitionConfig(n=1, c_in=3, c_out=5))
+        g = ConvGeometry(pad=(1, 0), stride=2)
+        layer = (DenseConvLayer(base.base, rng.standard_normal(5), g) if conv == "dense"
+                 else CircConvLayer(base, rng.standard_normal(5), g))
+        net = Network([layer, ReLU(), GlobalAveragePool(), FullyConnected(init_fc(rng, 5, 2))])
+        first, again = tmp_path / "first.ccm", tmp_path / "again.ccm"
+        save_model(net, first)
+        loaded = load_model(first)
+        save_model(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+        assert type(loaded.layers[0]) is type(layer)
+        assert loaded.layers[0].kind == ("conv" if conv == "dense" else "circconv")
+        assert params_equal(loaded.params(), net.params())
+
+
+def random_stack(rng):
+    """A seeded random conv stack and its all-dense twin, which holds the
+    dense expansion of every conv layer: 2-3 conv layers, each dense or
+    circulant at N = 1, 2, 3 or an N that leaves partial blocks, with
+    strides 1-2, pads 0-2 and kernels 1-5, each followed by ReLU, then
+    GAP and FC. Returns (net, twin, input batch, labels)."""
+    size = tuple(int(v) for v in rng.integers(7, 12, size=2))
+    c_in = int(rng.integers(1, 7))
+    x = rng.standard_normal((3, *size, c_in))
+    layers, twins = [], []
+    first = int(rng.integers(5))  # consecutive layers take consecutive kinds
+    for j in range(int(rng.integers(2, 4))):
+        c_out = int(rng.integers(1, 9))
+        pad = tuple(int(v) for v in rng.integers(0, 3, size=2))
+        g = ConvGeometry(pad=pad, stride=int(rng.integers(1, 3)))
+        kernel = tuple(
+            min(int(k), s + 2 * p) for k, s, p in zip(rng.integers(1, 6, size=2), size, pad)
+        )
+        bias = rng.standard_normal(c_out)
+        n = ["dense", 1, 2, 3, "partial"][(first + j) % 5]
+        if n == "dense":
+            w = init_dense_kernel(rng, kernel, c_in, c_out)
+            layer = DenseConvLayer(w, bias, g)
+        else:
+            if n == "partial":
+                n = int(rng.choice([v for v in range(4, 10) if c_in % v or c_out % v]))
+            cfg = PartitionConfig(n=n, c_in=c_in, c_out=c_out)
+            layer = CircConvLayer(init_circ_base(rng, kernel, cfg), bias, g)
+            w = expand(layer.base)[:, :, :c_in, :c_out]
+        layers += [layer, ReLU()]
+        twins += [DenseConvLayer(w.copy(), bias.copy(), g), ReLU()]
+        size, c_in = g.out_size(size, kernel), c_out
+    classes = int(rng.integers(2, 5))
+    fc = init_fc(rng, c_in, classes)
+    layers += [GlobalAveragePool(), FullyConnected(fc)]
+    twins += [GlobalAveragePool(), FullyConnected(fc.copy())]
+    return Network(layers), Network(twins), x, rng.integers(0, classes, size=3)
+
+
+class TestRandomStackTwin:
+    """Seeded random stacks that mix dense and circulant conv layers agree
+    with their all-dense expansion, forward and backward, and survive a
+    save/load round trip bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_stack_matches_its_dense_expansion(self, tmp_path, seed):
+        net, twin, x, labels = random_stack(np.random.default_rng([85, seed]))
+        logits, cache = forward_pass(net, x, keep_windows=True)
+        want, twin_cache = forward_pass(twin, x)
+        assert np.max(np.abs(logits - want)) <= 1e-12 * np.max(np.abs(want))
+        grads = backward_pass(net, cache, labels)
+        twin_grads = backward_pass(twin, twin_cache, labels)
+        for layer, got, dense in zip(net.layers, grads, twin_grads):
+            if isinstance(layer, CircConvLayer):
+                np.testing.assert_allclose(
+                    got[layer.blob], _diagonal_sums(dense["w"], layer.base.config),
+                    rtol=0, atol=1e-10,
+                )
+                got, dense = {"bias": got["bias"]}, {"bias": dense["bias"]}
+            assert set(got) == set(dense)
+            for name in got:
+                np.testing.assert_allclose(got[name], dense[name], rtol=0, atol=1e-10)
+
+        path, again = tmp_path / "stack.ccm", tmp_path / "again.ccm"
+        save_model(net, path)
+        loaded = load_model(path)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert [type(layer) for layer in loaded.layers] == [type(layer) for layer in net.layers]
+        assert params_equal(loaded.params(), net.params())
+        np.testing.assert_array_equal(forward_pass(loaded, x)[0], forward_pass(net, x)[0])
+
+
+class TestPooledGradient:
+    """GlobalAveragePool's input gradient is a read-only broadcast view; the
+    conv layers before it, with no ReLU between, read it as they would read
+    a copy, in the full and the weight-only backward."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_view_gives_the_bits_of_a_copy(self, monkeypatch, n):
+        rng = np.random.default_rng(86)
+        cfg = PartitionConfig(n=n, c_in=4, c_out=6)
+        net = Network([
+            CircConvLayer(init_circ_base(rng, (3, 3), cfg), rng.standard_normal(6),
+                          ConvGeometry(pad=(1, 1))),
+            CircConvLayer(init_circ_base(rng, (2, 3), PartitionConfig(n=n, c_in=6, c_out=6))),
+            GlobalAveragePool(), FullyConnected(init_fc(rng, 6, 3)),
+        ])
+        x, labels = rng.standard_normal((5, 7, 6, 4)), np.array([0, 1, 2, 1, 0])
+        dx, _ = GlobalAveragePool().backward((5, 4, 3, 6), rng.standard_normal((5, 6)))
+        assert not dx.flags.writeable
+        _, cache = forward_pass(net, x)
+        viewed = backward_pass(net, cache, labels)
+        pooled = GlobalAveragePool.backward
+
+        def copying(self, cache, gyb, need_dx=True):
+            dx, grads = pooled(self, cache, gyb, need_dx)
+            return dx.copy(), grads
+
+        monkeypatch.setattr(GlobalAveragePool, "backward", copying)
+        copied = backward_pass(net, cache, labels)
+        assert params_equal(viewed, copied)
