@@ -57,7 +57,10 @@ matrix of many megabytes is streamed from memory on every pass, while a
 group that fits the L2 cache is gathered, multiplied and transformed back
 while it is still there.
 Groups are always visited in batch order, so results are
-bit-reproducible.
+bit-reproducible. A gather allocates its spectra buffer and its window
+matrix once per call and each group rewrites them; windows kept for
+circ_backward_weight take one allocation per batch instead, a slice per
+group (_grouped_windows).
 """
 
 from dataclasses import dataclass
@@ -219,19 +222,22 @@ def conv_block(x, w, config, g=ConvGeometry()):
     return y[0] if single else y
 
 
-def _spectra(t, blocks, n, shape, at=(0, 0)):
+def _spectra(t, blocks, n, shape, at=(0, 0), out=None):
     """Blocks-major, positions-last halfcomplex spectra of channel fibers.
 
     t is (B, W, H, C) with C <= blocks*N; it is padded with zero channels
     up to blocks*N. Returns a float64 (N, blocks, B, *shape) buffer that
     holds the spectrum of site (w, h) of t at (at[0] + w, at[1] + h), in
     spectral.halfcomplex's layout, and zeros everywhere else. Only the
-    sites of t are transformed.
+    sites of t are transformed, so out, a buffer an earlier call with the
+    same blocks, n, shape and at returned, is reused when it holds t's
+    batch size: its sites are rewritten and the rest is still zero.
     """
     b, w, h, c = t.shape
     if c != blocks * n:
         t = np.concatenate([t, np.zeros((b, w, h, blocks * n - c), dtype=DTYPE)], axis=3)
-    out = np.zeros((n, blocks, b, *shape), dtype=DTYPE)
+    if out is None or out.shape[2] != b:
+        out = np.zeros((n, blocks, b, *shape), dtype=DTYPE)
     sites = out[:, :, :, at[0] : at[0] + w, at[1] : at[1] + h]
     spectral.halfcomplex(t.reshape(b, w, h, blocks, n), out=sites.transpose(0, 2, 3, 4, 1))
     return out
@@ -270,7 +276,7 @@ def _checked_view(a, shape, strides):
     return as_strided(a, shape, strides, writeable=False)
 
 
-def _grouped_windows(t, g, blocks, n, kernel_size):
+def _grouped_windows(t, g, blocks, n, kernel_size, keep=False):
     """The gather every pass multiplies, a group of samples at a time.
 
     Yields (group, cols): group slices the batch axis of t, and cols is
@@ -285,22 +291,36 @@ def _grouped_windows(t, g, blocks, n, kernel_size):
     h >= H2 of each output row are junk, read past the row's end or from
     the slack row; the passes drop them. Groups hold as many consecutive
     samples as keep cols under CACHE_BYTES.
+
+    S and cols are allocated once per call; the ragged last group takes
+    its own S. Every group overwrites the one cols, so a caller must be
+    done with it before asking for the next group, unless keep is true:
+    then the groups' matrices are contiguous, disjoint slices of one
+    batch-sized allocation, which the caller may keep.
     """
     k1, k2 = kernel_size
     s = g.stride
+    bsz = t.shape[0]
     w2, _, q = _grid(t.shape[1:3], g, kernel_size)
     rows = (t.shape[1] + 2 * g.pad[0] + 1, q * s)
     step = _group_size(n * blocks * k1 * k2, w2 * q)
-    for start in range(0, t.shape[0], step):
+    sample = n * blocks * k1 * k2 * w2 * q  # floats of one sample's windows
+    buf = np.empty(sample * (bsz if keep else min(step, bsz)), dtype=DTYPE)
+    spec = None
+    for start in range(0, bsz, step):
         group = slice(start, start + step)
-        spec = _spectra(t[group], blocks, n, rows, g.pad)
+        size = min(step, bsz - start)
+        spec = _spectra(t[group], blocks, n, rows, g.pad, out=spec)
         st_n, st_j, st_i, st_w, st_h = spec.strides
         windows = _checked_view(
             spec,
-            (n, blocks, k1, k2, spec.shape[2], w2, q),
+            (n, blocks, k1, k2, size, w2, q),
             (st_n, st_j, st_w, st_h, st_i, s * st_w, s * st_h),
         )
-        yield group, windows.copy().reshape(n, blocks * k1 * k2, -1)
+        at = start * sample if keep else 0
+        cols = buf[at : at + size * sample].reshape(windows.shape)
+        np.copyto(cols, windows)
+        yield group, cols.reshape(n, blocks * k1 * k2, -1)
 
 
 def kernel_spectra(base):
@@ -312,14 +332,15 @@ def kernel_spectra(base):
     return spectral.halfcomplex(base.fibers().transpose(0, 1, 2, 4, 3))
 
 
-def _contract(xb, g, ws, y):
+def _contract(xb, g, ws, y, keep=False):
     """The loop of circ_forward and circ_backward: for each group of xb,
     bin_matmul of the (N, W1, H1, R, S) kernel spectra ws with the group's
-    window matrix cols, written into y[group]; then yields (group, cols)."""
+    window matrix cols, written into y[group]; then yields (group, cols),
+    which the caller may keep only when keep is true (_grouped_windows)."""
     n, k1, k2, r, s = ws.shape
     w2, h2, q = _grid(xb.shape[1:3], g, (k1, k2))
     kern = spectral.gemm_operand(ws.transpose(0, 4, 3, 1, 2).reshape(n, s, -1))
-    for group, cols in _grouped_windows(xb, g, r, n, (k1, k2)):
+    for group, cols in _grouped_windows(xb, g, r, n, (k1, k2), keep):
         ys = spectral.bin_matmul(kern, cols).reshape(n, s, -1, w2, q)
         y[group] = _fibers(ys, n, h2)[..., : y.shape[3]]
         yield group, cols
@@ -337,7 +358,8 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
     (group, cols) window groups of x, to be handed to circ_backward_weight.
     They hold R*N*K1*K2*W2*q floats per sample, about K1*K2*(R*N/C_in)*
     (q/H2) times x where the pad keeps the size (51 times at 3->16,
-    N = 16), and stay alive as long as the list.
+    N = 16), in one allocation made for this call, which no later pass
+    writes and which stays alive as long as the list.
     """
     cfg = base.config
     xb, single = _batch(x, "input", cfg.c_in)
@@ -347,7 +369,7 @@ def circ_forward(x, base, g=ConvGeometry(), w_spec=None, windows=None):
         raise ShapeError(f"w_spec {ws.dtype} {ws.shape} does not match this base's float64 {want}")
     w2, h2 = g.out_size(xb.shape[1:3], base.kernel_size)
     y = np.empty((xb.shape[0], w2, h2, cfg.c_out), dtype=DTYPE)
-    for group, cols in _contract(xb, g, ws, y):
+    for group, cols in _contract(xb, g, ws, y, keep=windows is not None):
         if windows is not None:
             windows.append((group, cols))
     return y[0] if single else y

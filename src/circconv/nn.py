@@ -19,6 +19,12 @@ forward_pass to keep the windows the forward gathered for it. A dense conv
 is the N = 1 CircConvLayer: its base is the kernel, it runs the dense
 passes, and as a first layer it keeps no windows.
 
+Ownership: a layer's forward returns a new array, which neither its input
+nor its cache shares, and never writes its input. forward_pass owns every
+activation after the input it is given, so it computes a ReLU after layer
+0 in place on the activation the layer before it returned; the caller's
+array is never written, and a ReLU called directly returns a new array.
+
 chain is the one walk of a stack's rank, width and spatial size; it names
 the first layer that does not fit. forward_pass, layer_specs, save_model,
 load_model and training from a saved model each call it once.
@@ -195,10 +201,19 @@ class DenseConvLayer(CircConvLayer):
 
 
 class ReLU(Layer):
+    """max(x, 0), caching the bool mask of the positive inputs. forward
+    returns a new array; forward_pass runs a ReLU after layer 0 in place,
+    by the ownership rule in the module docstring."""
+
     kind = "relu"
 
     def forward(self, xb):
         return np.maximum(xb, 0.0), xb > 0
+
+    def _forward_in_place(self, h):
+        """forward that overwrites h, an activation forward_pass owns."""
+        mask = h > 0
+        return np.maximum(h, 0.0, out=h), mask
 
     def backward(self, cache, gyb, need_dx=True):
         return (gyb * cache if need_dx else None), {}
@@ -319,6 +334,10 @@ def forward_pass(net, xb, keep_windows=False):
     which its weight-only backward would gather again. That costs the
     window matrix, about K1*K2*(R*N/C_in)*(q/H2) times the input batch (see
     circ_forward), until the cache is dropped; the default keeps none.
+
+    xb is never written; a ReLU after layer 0 overwrites the activation it
+    is given and costs only its mask (the ownership rule in the module
+    docstring).
     """
     h = np.asarray(xb, dtype=DTYPE)
     width = h.shape[-1] if h.ndim else None
@@ -327,6 +346,8 @@ def forward_pass(net, xb, keep_windows=False):
     for i, layer in enumerate(net.layers):
         if i == 0 and keep_windows and isinstance(layer, CircConvLayer):
             h, c = layer.forward(h, keep_windows=True)
+        elif i > 0 and isinstance(layer, ReLU):
+            h, c = layer._forward_in_place(h)  # h is the layer before's output
         else:
             h, c = layer.forward(h)
         caches.append(c)
@@ -365,14 +386,18 @@ def softmax_cross_entropy(logits, labels):
     """Mean cross entropy, log-sum-exp minus the label's logit with no
     clamp, and its gradient with respect to the logits.
 
-    logits are (B, classes) and labels B class indices; ShapeError naming
-    both shapes otherwise. As in numpy indexing, a negative label counts
-    from the last class.
+    logits are (B, classes) and labels B class indices, B >= 1; ShapeError
+    naming both shapes otherwise. As in numpy indexing, a negative label
+    counts from the last class.
     """
     if logits.ndim != 2 or np.shape(labels) != logits.shape[:1]:
         raise ShapeError(
             f"expected (B, classes) logits and B labels, got logits {logits.shape} "
             f"and labels {np.shape(labels)}"
+        )
+    if not len(logits):  # the mean of no losses is nan
+        raise ShapeError(
+            f"empty batch: logits {logits.shape} and labels {np.shape(labels)} hold no sample"
         )
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

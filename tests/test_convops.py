@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -618,6 +619,100 @@ class TestWeightFromInputWindows:
         got = circ_backward_weight(x, gy, base, g, windows=windows)
         loop = circ_backward(x, gy, base, g)[0]
         assert np.max(np.abs(got - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def ragged_partial_case(monkeypatch):
+    """An N = 8 layer on 3 input channels (a partial block), two batches of
+    5 samples each and a cache budget that groups them 2, 2 and 1."""
+    base, g, _, _ = input_window_case("r=s=1-partial")
+    rng = np.random.default_rng(4)
+    x1, x2 = rng.standard_normal((2, 5, 6, 6, 3))
+    w2, _, q = _grid((6, 6), g, base.kernel_size)
+    sample_bytes = 8 * base.config.n * base.config.r * 9 * w2 * q
+    monkeypatch.setattr(convops, "CACHE_BYTES", 2 * sample_bytes)
+    return base, g, x1, x2, rng
+
+
+class TestPassBuffers:
+    """A gather fills one spectra buffer and one window matrix per call, the
+    ragged last group aside; kept windows are slices of one allocation per
+    batch, which no later pass writes."""
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["reused", "kept"])
+    def test_every_group_holds_its_windows(self, monkeypatch, keep):
+        base, g, x, _, _ = ragged_partial_case(monkeypatch)
+        n, r, kernel = base.config.n, base.config.r, base.kernel_size
+        w2, h2, q = _grid((6, 6), g, kernel)
+        spec = _spectra(x, r, n, (8, 8), g.pad)
+        ref = sliding_window_view(spec, kernel, axis=(3, 4)).transpose(0, 1, 5, 6, 2, 3, 4)
+        seen = []
+        for group, cols in _grouped_windows(x, g, r, n, kernel, keep):
+            got = cols.reshape(n, r, *kernel, -1, w2, q)[..., :h2]
+            np.testing.assert_array_equal(got, ref[:, :, :, :, group])
+            seen.append((group, cols))
+        assert [len(range(5)[group]) for group, _ in seen] == [2, 2, 1]
+        assert [np.shares_memory(seen[0][1], cols) for _, cols in seen[1:]] == [not keep] * 2
+
+    def test_kept_windows_survive_later_passes(self, monkeypatch):
+        base, g, x1, x2, rng = ragged_partial_case(monkeypatch)
+        kept, later = [], []
+        y = circ_forward(x1, base, g, windows=kept)
+        before = [cols.copy() for _, cols in kept]
+        circ_forward(x2, base, g, windows=later)
+        circ_backward(x2, rng.standard_normal(y.shape), base, g)
+        circ_backward_weight(x2, rng.standard_normal(y.shape), base, g)
+        for (_, cols), copy in zip(kept, before):
+            np.testing.assert_array_equal(cols, copy)
+        gy = rng.standard_normal(y.shape)
+        np.testing.assert_array_equal(
+            circ_backward_weight(x1, gy, base, g, windows=kept),
+            circ_backward_weight(x1, gy, base, g),
+        )
+        matrices = [cols for _, cols in kept + later]
+        assert len(kept) == 3 and all(cols.flags.c_contiguous for cols in matrices)
+        for i, a in enumerate(matrices):
+            assert not any(np.shares_memory(a, b) for b in matrices[i + 1 :])
+
+    def test_reused_buffer_keeps_the_overrun_check(self, monkeypatch):
+        base, g, x, _, _ = ragged_partial_case(monkeypatch)
+        spectra = convops._spectra
+
+        def short_on_reuse(t, *args, out=None):
+            spec = spectra(t, *args, out=out)
+            return spec if out is None else spec[..., :-1, :]  # no slack row
+
+        monkeypatch.setattr(convops, "_spectra", short_on_reuse)
+        groups = _grouped_windows(x, g, base.config.r, base.config.n, base.kernel_size)
+        next(groups)
+        with pytest.raises(ContractError, match="overruns"):
+            next(groups)
+
+    def test_forward_pass_peak_is_two_activations_and_the_buffers(self):
+        """On infer-bigblock's stack at batch 32 (64 -> 256 at N = 64, then
+        256 -> 256 at N = 256, 8x8, each followed by ReLU), the traced peak
+        of forward_pass stays under the input, two activations and three
+        cache budgets: no third activation, no second window matrix."""
+        rng = np.random.default_rng(5)
+        g = ConvGeometry(pad=(1, 1))
+
+        def circ(c_in, c_out, n):
+            cfg = PartitionConfig(n=n, c_in=c_in, c_out=c_out)
+            return nn.CircConvLayer(nn.init_circ_base(rng, (3, 3), cfg), geometry=g)
+
+        net = nn.Network([
+            circ(64, 256, 64), nn.ReLU(), circ(256, 256, 256), nn.ReLU(),
+            nn.GlobalAveragePool(), nn.FullyConnected(nn.init_fc(rng, 256, 10)),
+        ])
+        x = rng.standard_normal((32, 8, 8, 64))
+        nn.forward_pass(net, x)  # transform plans and caches made outside the trace
+        tracemalloc.start()
+        try:
+            nn.forward_pass(net, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activation = 32 * 8 * 8 * 256 * 8
+        assert peak <= x.nbytes + 2 * activation + 3 * CACHE_BYTES
 
 
 ADJOINT_SHAPES = {

@@ -288,6 +288,11 @@ class TestBackwardPass:
         with pytest.raises(ShapeError, match=message):
             softmax_cross_entropy(logits, labels)
 
+    def test_empty_batch_raises_shape_error(self):
+        # the mean over no samples used to come back as nan
+        with pytest.raises(ShapeError, match=r"empty batch: logits \(0, 3\) and labels \(0,\)"):
+            softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
     def test_negative_label_counts_from_the_last_class(self):
         logits = np.random.default_rng(3).standard_normal((2, 4))
         got = softmax_cross_entropy(logits, np.array([-1, 1]))
@@ -479,6 +484,101 @@ class TestKeptWindows:
         self.train_keeps_windows(monkeypatch, ToyTaskSpec(), n=8)  # R = S = 1
 
 
+def layer_walk(net, x):
+    """forward_pass's logits and cache, computed by calling each layer's
+    forward in turn, so that every ReLU returns a new array."""
+    h, caches = x, []
+    for layer in net.layers:
+        h, c = layer.forward(h)
+        caches.append(c)
+    return h, nn.ForwardCache(net.version, caches, h)
+
+
+def assert_walk_bits(net, x, labels):
+    """forward_pass, with and without kept windows, gives the logits and
+    every gradient of layer_walk bit for bit, and leaves x as it was."""
+    before = x.copy()
+    logits, cache = layer_walk(net, x)
+    grads = backward_pass(net, cache, labels)
+    for keep_windows in (False, True):
+        got, got_cache = forward_pass(net, x, keep_windows=keep_windows)
+        np.testing.assert_array_equal(got, logits)
+        assert params_equal(backward_pass(net, got_cache, labels), grads)
+    np.testing.assert_array_equal(x, before)
+
+
+def relu_stack(rng, order):
+    """A net on (6, 6, 4) inputs: order lists conv ("circ" at N = 2,
+    "dense"), "relu" and "gap" layers, and an FC head ends it."""
+    layers, c = [], 4
+    for kind in order:
+        if kind == "circ":
+            base = init_circ_base(rng, (3, 3), PartitionConfig(n=2, c_in=c, c_out=6))
+            layers.append(CircConvLayer(base, rng.standard_normal(6), ConvGeometry(pad=(1, 1))))
+            c = 6
+        elif kind == "dense":
+            layers.append(DenseConvLayer(init_dense_kernel(rng, (3, 3), c, 6), rng.standard_normal(6)))
+            c = 6
+        else:
+            layers.append(ReLU() if kind == "relu" else GlobalAveragePool())
+    return Network(layers + [FullyConnected(init_fc(rng, c, 3), rng.standard_normal(3))])
+
+
+RELU_STACKS = {
+    "relu-first": ["relu", "circ", "relu", "gap"],
+    "relu-relu-first": ["relu", "relu", "dense", "relu", "gap"],
+    "relu-relu-between": ["circ", "relu", "relu", "circ", "relu", "gap"],
+    "relu-after-gap": ["dense", "relu", "gap", "relu"],
+}
+
+
+class TestOwnership:
+    """forward_pass never writes its input, computes every ReLU after layer
+    0 in place on an activation it owns, and gives the bits of a walk in
+    which every ReLU returns a new array."""
+
+    @pytest.mark.parametrize("name", sorted(RELU_STACKS))
+    def test_relu_stacks_match_the_layer_walk(self, name):
+        rng = np.random.default_rng(90)
+        net = relu_stack(rng, RELU_STACKS[name])
+        assert_walk_bits(net, rng.standard_normal((5, 6, 6, 4)), rng.integers(0, 3, size=5))
+
+    @pytest.mark.parametrize("first", ["relu", "circ"])
+    def test_read_only_input_is_never_written(self, first):
+        rng = np.random.default_rng(91)
+        net = relu_stack(rng, [first, "relu", "circ", "relu", "gap"])
+        x, labels = rng.standard_normal((6, 6, 6, 4)), rng.integers(0, 3, size=6)
+        x.setflags(write=False)
+        before = x.tobytes()
+        forward_pass(net, x)
+        forward_pass(net, x, keep_windows=True)
+        train(net, (x, labels), SgdConfig(batch_size=4), steps=2, seed=92)
+        assert x.tobytes() == before
+
+    def test_relu_called_directly_returns_a_new_array(self):
+        x = np.random.default_rng(93).standard_normal((2, 3, 3, 4))
+        y, mask = ReLU().forward(x)
+        assert not np.shares_memory(y, x)
+        np.testing.assert_array_equal(mask, x > 0)
+
+    def test_relu_after_a_conv_overwrites_its_output(self, monkeypatch):
+        """The second conv caches, as its input, the first conv's output
+        array itself: the ReLU between them made no new activation."""
+        rng = np.random.default_rng(94)
+        net = relu_stack(rng, ["circ", "relu", "circ", "relu", "gap"])
+        outputs, conv_forward = [], CircConvLayer.forward
+
+        def recording(self, xb, keep_windows=False):
+            y, cache = conv_forward(self, xb, keep_windows)
+            outputs.append(y)
+            return y, cache
+
+        monkeypatch.setattr(CircConvLayer, "forward", recording)
+        _, cache = forward_pass(net, rng.standard_normal((3, 6, 6, 4)))
+        assert cache.layer_caches[2][0] is outputs[0]
+        assert np.all(outputs[0] >= 0)
+
+
 class TestSgdStep:
     def test_zero_grads_zero_wd_leaves_params(self):
         net = tiny_circ_net(seed=7)
@@ -621,6 +721,17 @@ class TestTraining:
         data = make_toy_task(seed=41, spec=SMALL)
         with pytest.raises(DivergenceError, match="step 0"):
             train(net, data, SgdConfig(batch_size=8), steps=3, seed=42)
+        assert net.version == 0
+
+    def test_empty_dataset_is_refused_by_evaluate_and_train(self):
+        # evaluate used to return (nan, nan), and train to blame the
+        # learning rate for the nan loss
+        x, y = make_toy_task(seed=43, spec=SMALL)
+        net = tiny_circ_net(seed=44)
+        with pytest.raises(ShapeError, match="empty batch"):
+            evaluate(net, x[:0], y[:0])
+        with pytest.raises(ShapeError, match="empty batch"):
+            train(net, (x[:0], y[:0]), SgdConfig(batch_size=8), steps=1, seed=45)
         assert net.version == 0
 
     def test_history_records_documented_keys(self):
@@ -1023,6 +1134,12 @@ class TestRandomStackTwin:
         assert [type(layer) for layer in loaded.layers] == [type(layer) for layer in net.layers]
         assert params_equal(loaded.params(), net.params())
         np.testing.assert_array_equal(forward_pass(loaded, x)[0], forward_pass(net, x)[0])
+
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_stack_gives_the_bits_of_the_layer_walk(self, seed):
+        net, _, x, labels = random_stack(np.random.default_rng([85, seed]))
+        assert_walk_bits(net, x, labels)
 
 
 class TestPooledGradient:
